@@ -115,3 +115,10 @@ class FlowLedgerError(ReproError):
     """A ``repro.flows/v1`` interconnect flow ledger recorded impossible
     accounting (a span bound to an unknown flow, a rate capture for a
     flow that never started) or failed an attribution invariant."""
+
+
+class GoldenError(ReproError):
+    """A ``repro.golden/v1`` gate golden file is malformed: unreadable or
+    truncated JSON, an unknown schema, a missing or unknown
+    (scenario, artifact) pair, a digest that is not 64 hex digits, or a
+    tolerance band value that is not a finite number."""

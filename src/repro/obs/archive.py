@@ -3,13 +3,13 @@ record of every measured run.
 
 One run in exquisite detail is what the rest of :mod:`repro.obs`
 provides; the archive is the repo's *memory across runs*.  Every entry
-point -- ``repro run/sweep/chaos``, ``benchmarks/regression_gate.py``,
-``benchmarks/conformance_gate.py`` and the engine gate -- can append a
-compact ``repro.archive/v1`` record per run: workload/config
-fingerprint, headline measurements (makespan, events/sec, throughput),
-per-lane utilization, the canonical run report (critical-path
-composition included), conformance residuals, gate verdicts and an
-optional :mod:`repro.obs.profile` snapshot.  The trend observatory
+point -- ``repro run/sweep/chaos`` and the golden gate
+``benchmarks/gate.py`` -- can append a compact ``repro.archive/v1``
+record per run: workload/config fingerprint, headline measurements
+(makespan, events/sec, throughput), per-lane utilization, the canonical
+run report (critical-path composition included), conformance
+residuals, gate verdicts and an optional :mod:`repro.obs.profile`
+snapshot.  The trend observatory
 (:mod:`repro.obs.trends`) reads the archive back as per-metric time
 series keyed by fingerprint.
 

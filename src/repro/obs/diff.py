@@ -11,10 +11,10 @@ composition shifts).
 
 Because everything in a report is a pure function of the deterministic
 trace, a same-seed run diffed against itself is exactly zero -- the
-property ``repro diff`` and the CI regression gate rely on:
-``benchmarks/regression_gate.py`` re-runs pinned scenarios, diffs them
-against ``benchmarks/results/baseline.json`` and fails on makespan
-regressions beyond tolerance.
+property ``repro diff`` and the CI golden gate rely on:
+``benchmarks/gate.py`` re-runs pinned scenarios and fails when a run
+report's digest drifts from ``benchmarks/results/golden.json`` or its
+makespan grows beyond tolerance.
 """
 
 from __future__ import annotations

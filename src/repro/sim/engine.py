@@ -8,24 +8,14 @@ order, resuming any process waiting on each event.  The ``sequence``
 tiebreaker makes the whole simulation *deterministic*: two runs of the same
 program produce identical timelines.
 
-Two interchangeable schedulers implement that total order:
-
-``heap``
-    The reference scheduler: one binary heap of
-    ``(when, priority, seq, event)`` records (the engine's historical
-    behaviour).
-``calendar``
-    A calendar queue (timer wheel): future events hash into fixed-width
-    time buckets that are sorted lazily when the clock reaches them, so
-    pushes are O(1) instead of O(log n).  The default.
-
-Both share a fast path for the dominant event class -- events scheduled at
-the *current* instant (process inits, resource grants, flow completions):
-those bypass the future-event structure entirely and live in two plain
-FIFO deques (URGENT and NORMAL), which is correct because a record
-appended at time ``t`` always carries a larger sequence number than
-anything already queued at ``t``.  The pop order is therefore identical
-across schedulers -- pinned by the engine-equivalence battery
+Future events live in one binary heap of ``(when, priority, seq, event)``
+records.  Events scheduled at the *current* instant (process inits,
+resource grants, flow completions -- the dominant class) bypass the heap
+and live in two plain FIFO deques (URGENT and NORMAL), which is correct
+because a record appended at time ``t`` always carries a larger sequence
+number than anything already queued at ``t``.  The pop order is
+therefore exactly the heap's ``(when, priority, seq)`` order -- pinned by
+the fast-path equivalence battery
 (``tests/sim/test_engine_equivalence.py``) and the tie-break property
 test.
 
@@ -46,10 +36,7 @@ Example
 
 from __future__ import annotations
 
-import bisect
 import heapq
-import math
-import os
 import time as _time
 import typing as _t
 from collections import deque
@@ -57,8 +44,7 @@ from collections import deque
 from repro.errors import SimulationError
 from repro.sim.events import Condition, Event, Timeout
 
-__all__ = ["Environment", "Process", "URGENT", "NORMAL", "SCHEDULERS",
-           "CalendarQueue", "HeapQueue"]
+__all__ = ["Environment", "Process", "URGENT", "NORMAL"]
 
 #: Scheduling priorities.  URGENT events at a given time are processed before
 #: NORMAL events at the same time (used for immediately-resumable yields).
@@ -66,11 +52,6 @@ URGENT = 0
 NORMAL = 1
 
 _INF = float("inf")
-
-#: Calendar-queue bucket indices are capped: any event beyond this many
-#: bucket widths from t=0 lands in one shared far-future bucket.
-_OVERFLOW_SCALE = float(1 << 53)
-_OVERFLOW_IDX = 1 << 53
 
 
 class Process(Event):
@@ -183,214 +164,26 @@ class Process(Event):
         return f"<Process {self.name!r} at {id(self):#x}>"
 
 
-class HeapQueue:
-    """The reference future-event scheduler: a binary heap of
-    ``(when, priority, seq, event)`` records."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, record: tuple[float, int, int, Event]) -> None:
-        heapq.heappush(self._heap, record)
-
-    def head(self) -> tuple[float, int, int, Event] | None:
-        """The smallest live record (cancelled records are discarded)."""
-        heap = self._heap
-        while heap:
-            rec = heap[0]
-            if rec[3]._cancelled:
-                heapq.heappop(heap)
-                continue
-            return rec
-        return None
-
-    def pop(self) -> tuple[float, int, int, Event]:
-        return heapq.heappop(self._heap)
-
-
-class CalendarQueue:
-    """A calendar queue (timer wheel) over future events.
-
-    Records hash into fixed-width time buckets keyed by
-    ``int(when / width)``; a bucket is sorted lazily the first time the
-    clock reaches it, and same-bucket inserts that arrive while it is
-    being drained are placed by binary insertion.  The bucket width is
-    derived deterministically from the first future delay the simulation
-    schedules (a power of two bracketing it), so identical programs
-    build identical wheels.
-
-    Pushes are O(1) amortised; pops sort each bucket once.  The pop
-    order is the exact ``(when, priority, seq)`` total order of the
-    reference heap -- the engine-equivalence battery pins this.
-    """
-
-    __slots__ = ("_buckets", "_order", "_width", "_inv_width", "_count",
-                 "_cursor")
-
-    def __init__(self) -> None:
-        self._buckets: dict[int, list] = {}
-        self._order: list[int] = []     # min-heap of live bucket indices
-        self._width = 0.0               # 0 = not yet calibrated
-        self._inv_width = 0.0
-        self._count = 0
-        self._cursor = -1               # bucket index currently draining
-
-    def __len__(self) -> int:
-        return self._count
-
-    def _calibrate(self, when: float) -> None:
-        """Pick the bucket width from the first scheduled instant: the
-        power of two bracketing it, clamped to a sane range.  Purely a
-        performance knob -- any width yields the same pop order."""
-        scale = min(max(when, 1e-6), 1e12)
-        width = 2.0 ** math.frexp(scale)[1]  # smallest 2**k > scale
-        self._width = width / 64.0
-        self._inv_width = 1.0 / self._width
-
-    def push(self, record: tuple[float, int, int, Event]) -> None:
-        if self._width == 0.0:
-            self._calibrate(record[0])
-        scaled = record[0] * self._inv_width
-        # Times beyond the indexable range (or ever-growing timelines a
-        # tiny first delay calibrated too finely for) share one catch-all
-        # far-future bucket; it sorts lazily like any other, and its index
-        # is larger than any regular bucket's so it drains last.
-        idx = int(scaled) if scaled < _OVERFLOW_SCALE else _OVERFLOW_IDX
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = [record]
-            heapq.heappush(self._order, idx)
-        elif idx == self._cursor:
-            # The bucket is already sorted and draining: keep it sorted.
-            bisect.insort(bucket, record)
-        else:
-            bucket.append(record)
-            if len(bucket) > 2048 and len(self._buckets) < 16:
-                # Everything clumps into a few buckets: narrow the wheel
-                # so pops stop degenerating into big lazy sorts.
-                self._resize(self._width / 64.0)
-        self._count += 1
-        if len(self._buckets) > 512 and self._count * 2 < len(self._buckets):
-            # Mostly-empty wheel (initial width calibrated too fine for a
-            # long-running timeline): widen so the bucket-index heap stops
-            # shadowing the event count.
-            self._resize(self._width * 64.0)
-
-    def _resize(self, new_width: float) -> None:
-        """Re-hash every live record onto a wheel of ``new_width`` buckets.
-
-        Resizing never perturbs pop order -- records keep their
-        ``(when, priority, seq)`` tuples and every bucket still sorts
-        lazily -- it only re-balances bucket occupancy.
-        """
-        if not (new_width > 0.0) or new_width == self._width:
-            return
-        records = [r for b in self._buckets.values() for r in b
-                   if not r[3]._cancelled]
-        self._width = new_width
-        self._inv_width = inv = 1.0 / new_width
-        buckets: dict[int, list] = {}
-        for rec in records:
-            scaled = rec[0] * inv
-            idx = int(scaled) if scaled < _OVERFLOW_SCALE else _OVERFLOW_IDX
-            bucket = buckets.get(idx)
-            if bucket is None:
-                buckets[idx] = [rec]
-            else:
-                bucket.append(rec)
-        self._buckets = buckets
-        self._order = list(buckets)
-        heapq.heapify(self._order)
-        self._count = len(records)
-        self._cursor = -1
-
-    def head(self) -> tuple[float, int, int, Event] | None:
-        """The smallest live record (cancelled records are discarded)."""
-        order, buckets = self._order, self._buckets
-        while order:
-            idx = order[0]
-            bucket = buckets.get(idx)
-            if not bucket:
-                heapq.heappop(order)
-                if bucket is not None:
-                    del buckets[idx]
-                self._cursor = -1
-                continue
-            if idx != self._cursor:
-                bucket.sort()
-                self._cursor = idx
-            rec = bucket[0]
-            if rec[3]._cancelled:
-                del bucket[0]
-                self._count -= 1
-                continue
-            return rec
-        return None
-
-    def pop(self) -> tuple[float, int, int, Event]:
-        rec = self.head()
-        if rec is None:
-            raise IndexError("pop from an empty calendar queue")
-        del self._buckets[self._cursor][0]
-        self._count -= 1
-        return rec
-
-
-#: Scheduler registry: name -> future-event queue class.
-SCHEDULERS: dict[str, type] = {"heap": HeapQueue, "calendar": CalendarQueue}
-
-#: Default scheduler (overridable via ``REPRO_SIM_SCHEDULER``).  The heap
-#: is the default because CPython's C-implemented heapq outruns any
-#: Python-level bucketing at this repo's typical queue depths (tens to a
-#: few thousand pending events); the calendar queue is there for
-#: workloads with very large pending sets, and the equivalence battery
-#: keeps both honest.
-_DEFAULT_SCHEDULER = os.environ.get("REPRO_SIM_SCHEDULER", "heap")
-
 _profile_mod = None   # lazy import of repro.obs.profile (cycle-safe)
 
 
 class Environment:
-    """Coordinates events, time, and processes of one simulation run.
-
-    ``scheduler`` picks the future-event queue implementation:
-    ``"heap"`` (the default and reference) or ``"calendar"`` (timer
-    wheel).  Both produce the identical deterministic
-    ``(time, priority, seq)`` event order; the choice is purely a
-    performance knob, and the engine-equivalence battery pins the
-    identity.  The default can be overridden with the
-    ``REPRO_SIM_SCHEDULER`` environment variable.
-    """
+    """Coordinates events, time, and processes of one simulation run."""
 
     __slots__ = ("_now", "_future", "_now_urgent", "_now_normal", "_seq",
-                 "_monitors", "bus", "processed_events", "scheduler",
-                 "_active")
+                 "_monitors", "bus", "processed_events", "_active")
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: str | None = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         #: The process currently executing a step, or None between steps.
         #: Maintained by Process._resume; read by tag-inheriting
         #: subsystems (process spawning, flow QoS stamping).
         self._active: Process | None = None
-        name = scheduler or _DEFAULT_SCHEDULER
-        try:
-            queue_cls = SCHEDULERS[name]
-        except KeyError:
-            raise SimulationError(
-                f"unknown scheduler {name!r}; choose from "
-                f"{sorted(SCHEDULERS)}") from None
-        #: Which scheduler this environment runs on ("heap"/"calendar").
-        self.scheduler = name
-        self._future = queue_cls()
+        #: Binary heap of future ``(when, priority, seq, event)`` records.
+        self._future: list[tuple[float, int, int, Event]] = []
         # Same-instant fast path: events scheduled at the current time
-        # skip the future queue.  Appended records carry strictly
-        # increasing seq, so each deque is FIFO-ordered by construction.
+        # skip the heap.  Appended records carry strictly increasing
+        # seq, so each deque is FIFO-ordered by construction.
         self._now_urgent: deque = deque()
         self._now_normal: deque = deque()
         self._seq = 0
@@ -482,7 +275,7 @@ class Environment:
             (self._now_urgent if priority == URGENT
              else self._now_normal).append((when, priority, seq, event))
             return
-        self._future.push((when, priority, seq, event))
+        heapq.heappush(self._future, (when, priority, seq, event))
 
     def unschedule(self, event: Event) -> None:
         """Lazily cancel a scheduled event (it is skipped when popped).
@@ -520,9 +313,11 @@ class Environment:
                     continue
                 best = rec
                 break
-        fut = self._future.head()
-        if fut is not None and (best is None or fut < best):
-            return fut
+        fut = self._future
+        while fut and fut[0][3]._cancelled:
+            heapq.heappop(fut)
+        if fut and (best is None or fut[0] < best):
+            return fut[0]
         return best
 
     def _pop(self) -> tuple[float, int, int, Event]:
@@ -536,7 +331,7 @@ class Environment:
         elif nn and nn[0] is rec:
             nn.popleft()
         else:
-            self._future.pop()
+            heapq.heappop(self._future)
         return rec
 
     # -- execution ----------------------------------------------------------
@@ -628,7 +423,7 @@ class Environment:
             elif nn and nn[0] is rec:
                 nn.popleft()
             else:
-                self._future.pop()
+                heapq.heappop(self._future)
             self._now = when
             callbacks = event.callbacks or ()
             event.callbacks = None

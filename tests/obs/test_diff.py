@@ -1,9 +1,5 @@
 """Tests for trace diffing and the regression-gate verdict logic."""
 
-import importlib.util
-import json
-import pathlib
-
 import pytest
 
 from repro.hetsort import HeterogeneousSorter
@@ -171,38 +167,3 @@ def test_check_regression_fails_on_structure():
     verdict = check_regression(report_from_trace(t), base)
     assert not verdict["ok"]
     assert any("structure" in f for f in verdict["failures"])
-
-
-# ---------------------------------------------------------------------------
-# The gate script itself
-# ---------------------------------------------------------------------------
-
-
-def _load_gate_module():
-    path = (pathlib.Path(__file__).resolve().parents[2]
-            / "benchmarks" / "regression_gate.py")
-    spec = importlib.util.spec_from_file_location("regression_gate", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def test_gate_baseline_matches_committed(tmp_path):
-    """The committed baseline must reproduce exactly on this code."""
-    gate = _load_gate_module()
-    with open(gate.BASELINE) as fh:
-        baseline = json.load(fh)
-    assert baseline["schema"] == gate.BASELINE_SCHEMA
-    failures = gate.check(baseline)
-    assert failures == []
-
-
-def test_gate_detects_injected_regression():
-    gate = _load_gate_module()
-    with open(gate.BASELINE) as fh:
-        baseline = json.load(fh)
-    for rep in baseline["scenarios"].values():
-        rep["makespan_s"] *= 0.5               # pretend we used to be 2x faster
-    failures = gate.check(baseline)
-    assert failures
-    assert all("regressed" in f or "structure" in f for f in failures)
