@@ -2,8 +2,12 @@
 wall-clock via pytest-benchmark).
 
 These are the real-computation counterpart of the simulated studies: the
-radix sort (Thrust stand-in) vs. numpy's sort, Merge Path vs. naive
-concatenate-and-sort, the multiway merge engines, and sample sort.
+radix sort (Thrust stand-in) vs. numpy's sort, 8-bit vs. 16-bit radix
+digits, the pair and multiway merges, and sample sort.
+
+Compare locally with ``pytest benchmarks/test_kernels_micro.py``; CI runs
+the file with ``--benchmark-disable`` as a smoke test of the sortedness
+asserts.
 """
 
 import numpy as np
@@ -29,6 +33,12 @@ def runs():
 
 def test_bench_radix_sort(benchmark, data):
     out = benchmark(sort_floats, data)
+    assert np.all(out[:-1] <= out[1:])
+
+
+@pytest.mark.parametrize("radix_bits", [8, 16])
+def test_bench_radix_digit_width(benchmark, data, radix_bits):
+    out = benchmark(sort_floats, data, radix_bits)
     assert np.all(out[:-1] <= out[1:])
 
 
@@ -70,4 +80,10 @@ def test_bench_parallel_merge_16_partitions(benchmark, data):
 
 def test_bench_multiway_merge_10_runs(benchmark, runs):
     out = benchmark(multiway_merge, runs)
+    assert np.all(out[:-1] <= out[1:])
+
+
+def test_bench_multiway_merge_8_runs(benchmark, data):
+    runs8 = [np.sort(part) for part in np.array_split(data, 8)]
+    out = benchmark(multiway_merge, runs8)
     assert np.all(out[:-1] <= out[1:])

@@ -30,6 +30,9 @@ class Stream:
         self.index = index
         self.name = f"stream{index}@gpu{gpu_index}"
         self._tail: Event | None = None
+        #: First failure since the last :meth:`synchronize` reported one
+        #: (CUDA's sticky stream error).
+        self._error: ReproError | None = None
         self._trace = trace
         self._sync_cost_s = sync_cost_s
         self.ops_submitted = 0
@@ -50,12 +53,14 @@ class Stream:
         :attr:`last_span` is updated with it.
 
         A failing operation fails its completion event instead: the
-        error is delivered to whoever waits on it (typically the next
-        :meth:`synchronize`).  The event is defused so a fire-and-forget
-        op cannot abort the whole simulation, and a failed predecessor
-        does *not* poison later submissions -- they start once it
-        settles, preserving in-order timing, and succeed or fail on
-        their own (the recovery layer re-uses streams after a fallback).
+        error is delivered to whoever waits on it, and the stream keeps
+        it as its sticky error until the next :meth:`synchronize`
+        reports it -- also when later ops succeed and become the tail.
+        The event is defused so a fire-and-forget op cannot abort the
+        whole simulation, and a failed predecessor does *not* poison
+        later submissions -- they start once it settles, preserving
+        in-order timing, and succeed or fail on their own (the recovery
+        layer re-uses streams after a fallback).
         """
         done = Event(self.env)
         prev = self._tail
@@ -69,6 +74,8 @@ class Stream:
             try:
                 value = yield from factory()
             except ReproError as exc:
+                if self._error is None:
+                    self._error = exc
                 done.fail(exc)
                 done.defuse()
                 return
@@ -90,14 +97,19 @@ class Stream:
         the call as free).  The span depends on the stream op it waited
         for plus any explicit ``deps`` (host program order).
 
-        A failed tail op raises its error here -- also when the failure
-        already settled before the synchronize was issued (the CUDA
-        "sticky stream error" surfacing at the next sync)."""
-        if self._tail is not None:
-            if not self._tail.processed:
-                yield self._tail
-            elif not self._tail._ok:
-                raise self._tail._value
+        The first op failure since the last report raises here, once --
+        also when the failure settled before the synchronize was issued,
+        and when later ops succeeded (CUDA's "sticky stream error"
+        surfacing at the next sync)."""
+        tail = self._tail
+        if tail is not None and not tail.processed:
+            try:
+                yield tail
+            except ReproError:
+                pass    # recorded as the sticky error below
+        if self._error is not None:
+            exc, self._error = self._error, None
+            raise exc
         if self._sync_cost_s > 0:
             start = self.env.now
             yield self.env.timeout(self._sync_cost_s)

@@ -130,14 +130,16 @@ def cpu_fallback_batch(ctx: RunContext, batch: Batch, out, *, reason: str,
 
 def drain_stream(stream):
     """Process: settle the stream's in-flight tail op, swallowing its
-    failure (the caller is already degrading).  Leaves the stream
-    reusable for the next batch."""
+    failure and clearing the stream's sticky error (the caller is
+    already degrading).  Leaves the stream reusable for the next
+    batch."""
     tail = stream._tail
     if tail is not None and not tail.processed:
         try:
             yield tail
         except ReproError:
             pass
+    stream._error = None
 
 
 def free_surviving(ctx: RunContext, pinned_in=None, pinned_out=None,

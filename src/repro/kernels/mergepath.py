@@ -9,7 +9,17 @@ cross-diagonals yields independent, equally sized sub-merges.
 
 ``corank(d, a, b)`` finds where diagonal ``d`` crosses the path via binary
 search; ``partition_merge`` cuts both inputs into ``p`` balanced segment
-pairs; ``merge_two`` merges a segment pair stably and vectorised.
+pairs; ``merge_two`` merges a segment pair stably.
+
+``merge_two`` is the functional engine.  It copies both runs into one
+output buffer and sorts it in place with numpy's stable sort.  For
+float64 that sort is timsort, which finds the two presorted runs in one
+scan and merges them by galloping: one linear pass, like Merge Path's
+per-thread sequential merge.  Stability by input position makes ties
+favour ``a``, exactly as the merge path's cut does.  Because a stable
+sort would also silently repair unsorted input, ``merge_two`` first
+checks in O(n) that both runs are sorted and raises
+:class:`~repro.errors.ValidationError` otherwise.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.kernels.utils import check_sorted_run
 from repro.obs.profile import profiled
 
 __all__ = ["corank", "partition_merge", "merge_two", "parallel_merge"]
@@ -77,24 +88,14 @@ def partition_merge(a: np.ndarray, b: np.ndarray, parts: int
 @profiled("mergepath.merge_two",
           size_of=lambda a, b: len(a) + len(b))
 def merge_two(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stable merge of two sorted arrays, vectorised.
+    """Stable merge of two sorted arrays (ties favour ``a``).
 
-    Positions are computed with ``searchsorted``: an element of ``a`` lands
-    after all smaller-or-equal elements of ``a`` before it and all strictly
-    smaller elements of ``b`` (ties favour ``a`` -- stability).
+    Raises :class:`ValidationError` if either input is not sorted.
     """
-    n, m = len(a), len(b)
-    out = np.empty(n + m, dtype=np.result_type(a, b))
-    if n == 0:
-        out[:] = b
-        return out
-    if m == 0:
-        out[:] = a
-        return out
-    pos_a = np.arange(n) + np.searchsorted(b, a, side="left")
-    pos_b = np.arange(m) + np.searchsorted(a, b, side="right")
-    out[pos_a] = a
-    out[pos_b] = b
+    check_sorted_run(a, "merge input a")
+    check_sorted_run(b, "merge input b")
+    out = np.concatenate((a, b))
+    out.sort(kind="stable")
     return out
 
 

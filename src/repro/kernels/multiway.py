@@ -8,9 +8,15 @@ implementations are provided:
 * :func:`losertree_merge` -- the textbook tournament ("loser tree")
   multiway merge; genuinely single-pass and ``O(n log k)`` comparisons.
   Pure Python, used as the reference oracle.
-* :func:`multiway_merge` -- vectorised engine used by the functional
-  layer: a balanced binary tree of Merge-Path pair merges (numpy speed,
-  same output, stable).
+* :func:`multiway_merge` -- the engine used by the functional layer.
+  It copies the runs into one output buffer and sorts it in place with
+  numpy's stable sort.  For float64 that is timsort, which finds the k
+  presorted runs in one scan and merges them by galloping, so the work
+  stays ``O(n log k)`` (the single-pass bound of Casanova et al.'s
+  multiway mergesort).  Stability by input position resolves ties by
+  run index, exactly like the oracle.  Every run is first checked to be
+  sorted in O(n): a stable sort would otherwise silently repair the
+  output of a broken GPU sort instead of exposing it.
 * :func:`partition_multiway` -- multi-sequence selection: cuts k sorted
   runs at a global rank so each simulated thread gets an independent,
   balanced share, generalising Merge Path to k runs.  Verified against
@@ -24,7 +30,7 @@ import typing as _t
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kernels.mergepath import merge_two
+from repro.kernels.utils import check_sorted_run
 from repro.obs.profile import profiled
 
 __all__ = ["losertree_merge", "multiway_merge", "partition_multiway",
@@ -47,14 +53,15 @@ def losertree_merge(runs: _t.Sequence[np.ndarray]) -> np.ndarray:
     comparisons -- the work bound the paper's merge-cost argument uses.
     """
     _check_runs(runs)
+    dtype = np.result_type(*runs) if runs else np.float64
     runs = [r for r in runs if len(r)]
     k = len(runs)
     if k == 0:
-        return np.empty(0)
+        return np.empty(0, dtype=dtype)
     if k == 1:
-        return runs[0].copy()
+        return runs[0].astype(dtype)
     total = sum(len(r) for r in runs)
-    out = np.empty(total, dtype=np.result_type(*runs))
+    out = np.empty(total, dtype=dtype)
 
     # Pad the contestant count to a power of two with sentinel runs
     # (exhausted runs and pad runs both present the +infinity sentinel).
@@ -112,23 +119,19 @@ def losertree_merge(runs: _t.Sequence[np.ndarray]) -> np.ndarray:
 @profiled("multiway.multiway_merge",
           size_of=lambda runs: sum(len(r) for r in runs))
 def multiway_merge(runs: _t.Sequence[np.ndarray]) -> np.ndarray:
-    """Stable k-way merge via a balanced tree of vectorised pair merges.
+    """Stable k-way merge (ties resolved by run index) into a new array.
 
-    Equivalent output to :func:`losertree_merge`; used by the functional
-    layer because numpy makes it orders of magnitude faster in Python.
+    Equivalent output to :func:`losertree_merge`, at numpy speed.  Raises
+    :class:`ValidationError` if any run is not sorted.
     """
     _check_runs(runs)
-    level = [np.asarray(r) for r in runs if len(r)]
-    if not level:
+    if not runs:
         return np.empty(0)
-    while len(level) > 1:
-        nxt = []
-        for m in range(0, len(level) - 1, 2):
-            nxt.append(merge_two(level[m], level[m + 1]))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0].copy() if len(runs) == 1 else level[0]
+    for i, r in enumerate(runs):
+        check_sorted_run(r, f"merge run {i}")
+    out = np.concatenate(runs)
+    out.sort(kind="stable")
+    return out
 
 
 def multiway_rank_split(runs: _t.Sequence[np.ndarray], rank: int
@@ -147,32 +150,24 @@ def multiway_rank_split(runs: _t.Sequence[np.ndarray], rank: int
     if rank == total:
         return [len(r) for r in runs]
 
-    # Binary search on the merged-rank of candidate values.
-    # Candidate pivots come from the runs themselves.
-    lo_counts = [0] * len(runs)
-    lo_sum = 0
-    # Search over value space: pick pivot = median-ish element.
-    candidates = [r for r in runs if len(r)]
-    lo_val = min(float(r[0]) for r in candidates)
-    hi_val = max(float(r[-1]) for r in candidates)
-
-    def count_le(v: float) -> list[int]:
+    # Binary search over the discrete set of run values, in the runs'
+    # own dtype (a Python float would round integers above 2**53), for
+    # the smallest value v with count_le(v) >= rank.
+    def count_le(v) -> list[int]:
         return [int(np.searchsorted(r, v, side="right")) for r in runs]
 
-    def count_lt(v: float) -> list[int]:
+    def count_lt(v) -> list[int]:
         return [int(np.searchsorted(r, v, side="left")) for r in runs]
 
-    # Binary search over the discrete set of run values for the smallest
-    # value v with count_le(v) >= rank.
-    pool = np.unique(np.concatenate([r for r in candidates]))
+    pool = np.unique(np.concatenate(runs))
     lo, hi = 0, len(pool) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if sum(count_le(float(pool[mid]))) >= rank:
+        if sum(count_le(pool[mid])) >= rank:
             hi = mid
         else:
             lo = mid + 1
-    v = float(pool[lo])
+    v = pool[lo]
     below = count_lt(v)
     need = rank - sum(below)   # how many copies of v itself to include
     cuts = below[:]

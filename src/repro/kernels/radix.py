@@ -10,11 +10,17 @@ This is the functional stand-in for ``thrust::sort`` / CUB's radix sort
 * handles floats through the order-preserving bit transform of
   :mod:`repro.kernels.utils`.
 
-Each pass's stable scatter is built on numpy primitives (``bincount`` for
-the histogram and a stable integer ``argsort`` for the per-digit ranks --
-numpy's stable integer sort is itself a radix pass, so the whole algorithm
-stays "radix all the way down").  A tiny pure-Python counting sort is
-provided as an independent oracle for the tests.
+Each pass's stable scatter is a stable ``argsort`` of the pass's digits.
+The digits are built in the narrowest unsigned dtype that holds them:
+``uint8`` up to 8 bits, ``uint16`` up to 16 and ``uint32`` for 17-24.
+numpy's stable sort is a radix (counting) sort only for integer dtypes
+of 16 bits or less; wider digits fall back to timsort.  The default
+16-bit digit therefore keeps every pass a true counting sort and sorts a
+64-bit key in 4 passes instead of the 8 that 8-bit digits need -- the
+pass-count argument of Stehle & Jacobsen's hybrid radix sort.  A pass
+whose digit is the same for every key is the identity and is skipped
+(the usual MSB-pruning optimisation).  A tiny pure-Python counting sort
+is provided as an independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -32,17 +38,30 @@ __all__ = [
 ]
 
 
+def _digit_dtype(bits: int) -> type:
+    """Narrowest unsigned dtype holding a ``bits``-wide digit."""
+    if bits <= 8:
+        return np.uint8
+    if bits <= 16:
+        return np.uint16
+    return np.uint32
+
+
 def counting_sort_pass(keys: np.ndarray, payload: np.ndarray | None,
                        shift: int, bits: int
                        ) -> tuple[np.ndarray, np.ndarray | None]:
     """One stable counting-sort pass on digit ``(keys >> shift) & mask``.
 
-    Returns reordered ``(keys, payload)`` (new arrays).
+    Returns reordered ``(keys, payload)`` as new arrays, or the inputs
+    themselves when every key has the same digit (the pass is then the
+    identity).
     """
     if not 1 <= bits <= 24:
         raise ValidationError(f"radix pass width must be 1..24, got {bits}")
     mask = np.uint64((1 << bits) - 1)
-    digits = ((keys >> np.uint64(shift)) & mask).astype(np.int64)
+    digits = ((keys >> np.uint64(shift)) & mask).astype(_digit_dtype(bits))
+    if len(digits) and (digits == digits[0]).all():
+        return keys, payload
     # Stable argsort on small integers == counting-sort permutation.
     order = np.argsort(digits, kind="stable")
     out_keys = keys[order]
@@ -66,12 +85,13 @@ def counting_sort_pass_reference(keys, shift: int, bits: int):
         np.empty(0, dtype=np.uint64)
 
 
-def lsd_radix_sort_u64(keys: np.ndarray, radix_bits: int = 8,
+def lsd_radix_sort_u64(keys: np.ndarray, radix_bits: int = 16,
                        payload: np.ndarray | None = None):
     """Sort uint64 ``keys`` (optionally permuting ``payload`` alongside).
 
     Passes skip automatically when every key shares the same digit (the
-    usual MSB-pruning optimisation); the sort remains stable.
+    usual MSB-pruning optimisation); the sort remains stable.  The inputs
+    are never modified.
 
     Returns ``sorted_keys`` or ``(sorted_keys, permuted_payload)``.
     """
@@ -79,28 +99,25 @@ def lsd_radix_sort_u64(keys: np.ndarray, radix_bits: int = 8,
         raise ValidationError(f"expected uint64 keys, got {keys.dtype}")
     if payload is not None and len(payload) != len(keys):
         raise ValidationError("payload length mismatch")
-    out = keys.copy()
-    pay = payload.copy() if payload is not None else None
+    out, pay = keys, payload
     for shift in range(0, 64, radix_bits):
-        bits = min(radix_bits, 64 - shift)
-        mask = np.uint64((1 << bits) - 1)
-        digits = (out >> np.uint64(shift)) & mask
-        if len(out) and (digits == digits[0]).all():
-            continue  # constant digit: pass is the identity
-        out, pay = counting_sort_pass(out, pay, shift, bits)
-    if payload is not None:
-        return out, pay
-    return out
+        out, pay = counting_sort_pass(out, pay, shift,
+                                      min(radix_bits, 64 - shift))
+    if out is keys:
+        out = keys.copy()
+    if payload is None:
+        return out
+    return out, (payload.copy() if pay is payload else pay)
 
 
 @profiled("radix.sort_floats", size_of=lambda a, *_, **__: len(a))
-def sort_floats(a: np.ndarray, radix_bits: int = 8) -> np.ndarray:
+def sort_floats(a: np.ndarray, radix_bits: int = 16) -> np.ndarray:
     """Radix-sort a float64 array (returns a new array)."""
     keys = float64_to_ordered_uint64(np.ascontiguousarray(a))
     return ordered_uint64_to_float64(lsd_radix_sort_u64(keys, radix_bits))
 
 
-def sort_floats_inplace(a: np.ndarray, radix_bits: int = 8) -> None:
+def sort_floats_inplace(a: np.ndarray, radix_bits: int = 16) -> None:
     """Radix-sort a float64 array in place (the runtime's default device
     sort kernel -- "in place" from the caller's view; internally it
     ping-pongs like Thrust)."""

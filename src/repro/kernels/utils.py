@@ -20,7 +20,7 @@ from repro.errors import ValidationError
 __all__ = [
     "float64_to_ordered_uint64", "ordered_uint64_to_float64",
     "check_no_nan", "has_nan", "is_sorted", "first_unsorted_index",
-    "same_multiset",
+    "check_sorted_run", "same_multiset",
 ]
 
 _SIGN = np.uint64(0x8000000000000000)
@@ -98,6 +98,18 @@ def first_unsorted_index(a: np.ndarray) -> int | None:
     bad = ~(a[:-1] <= a[1:])
     idx = bad.nonzero()[0]
     return int(idx[0]) if len(idx) else None
+
+
+def check_sorted_run(a: np.ndarray, what: str = "run") -> None:
+    """Raise :class:`ValidationError` unless ``a`` is sorted (O(n)).
+
+    The merges call this on every input run: they merge by stably
+    sorting the concatenated runs, which would otherwise silently repair
+    the output of a broken upstream sort instead of exposing it.
+    """
+    if not is_sorted(a):
+        raise ValidationError(
+            f"{what} is not sorted at index {first_unsorted_index(a)}")
 
 
 def same_multiset(a: np.ndarray, b: np.ndarray) -> bool:

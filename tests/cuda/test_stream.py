@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cuda.stream import Stream
+from repro.errors import ReproError
 from repro.sim import CAT, Trace
 
 
@@ -104,3 +105,52 @@ def test_ops_submitted_counter(env):
     s.submit(op)
     s.submit(op)
     assert s.ops_submitted == 2
+
+
+def test_failure_is_sticky_until_next_synchronize(env):
+    """A failed op followed by a successful one (the new tail) still
+    surfaces at the next synchronize -- exactly once."""
+    s = Stream(env, 0, 0)
+
+    def failing():
+        yield env.timeout(1.0)
+        raise ReproError("kernel fault")
+
+    def ok():
+        yield env.timeout(1.0)
+
+    outcomes = []
+
+    def host():
+        s.submit(failing)
+        s.submit(ok)
+        for _ in range(2):
+            try:
+                yield from s.synchronize()
+                outcomes.append("ok")
+            except ReproError as exc:
+                outcomes.append(str(exc))
+
+    env.run(env.process(host()))
+    assert outcomes == ["kernel fault", "ok"]
+
+
+def test_settled_failure_surfaces_at_later_synchronize(env):
+    s = Stream(env, 0, 0)
+
+    def failing():
+        yield env.timeout(1.0)
+        raise ReproError("copy fault")
+
+    def ok():
+        yield env.timeout(1.0)
+
+    def host():
+        s.submit(failing)
+        s.submit(ok)
+        yield env.timeout(5.0)          # both ops settle first
+        yield from s.synchronize()
+
+    proc = env.process(host())
+    with pytest.raises(ReproError, match="copy fault"):
+        env.run(proc)

@@ -124,6 +124,33 @@ def test_corrupted_output_caught_by_validation(rng, monkeypatch):
         s.sort(data, approach="pipemerge")
 
 
+class KernelFault(ValidationError):
+    """A sort kernel's own failure type (distinct from every validator
+    error the sorter raises itself)."""
+
+
+@pytest.mark.parametrize("approach", ["bline", "blinemulti", "pipedata",
+                                      "pipemerge", "gpumerge"])
+def test_failing_sort_kernel_reaches_caller(rng, monkeypatch, approach):
+    """A kernel that raises must fail sort() with its own exception even
+    with validation off -- not run on with unsorted buffers."""
+    import repro.hetsort.sorter as sorter_mod
+
+    def failing_kernel(view):
+        raise KernelFault("sort kernel failed")
+
+    real_runtime = sorter_mod.Runtime
+    monkeypatch.setattr(
+        sorter_mod, "Runtime",
+        lambda machine, sort_kernel=None: real_runtime(
+            machine, sort_kernel=failing_kernel))
+    s = HeterogeneousSorter(
+        PLATFORM1, batch_size=None if approach == "bline" else 5_000,
+        pinned_elements=1_000)
+    with pytest.raises(KernelFault, match="sort kernel failed"):
+        s.sort(rng.random(20_000), approach=approach, validate=False)
+
+
 def test_nan_input_rejected(rng):
     data = rng.random(10_000)
     data[1234] = np.nan

@@ -53,6 +53,34 @@ def test_merge_two_stability():
     assert np.signbit(out[0]) and not np.signbit(out[1])
 
 
+def signed_zero_runs(rng, k, n=200):
+    """Sorted runs (float order) laced with signed zeros, +-inf and
+    subnormals.  Equal-comparing values differ bitwise (``-0.0`` vs
+    ``+0.0``), so the bits show which run each tie came from."""
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0,
+                     -1.0, 2.2e-308])
+    return [np.sort(np.concatenate([rng.choice(pool, n // 2),
+                                    rng.normal(size=n // 2)]),
+                    kind="stable") for _ in range(k)]
+
+
+def test_merge_two_bitwise_matches_oracle(rng):
+    from repro.kernels.multiway import losertree_merge
+    for _ in range(5):
+        a, b = signed_zero_runs(rng, 2)
+        assert np.array_equal(merge_two(a, b).view(np.uint64),
+                              losertree_merge([a, b]).view(np.uint64))
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_merge_two_rejects_unsorted_input(side):
+    good = np.array([1.0, 2.0, 3.0])
+    bad = np.array([1.0, 3.0, 2.0])
+    a, b = (bad, good) if side == "a" else (good, bad)
+    with pytest.raises(ValidationError, match=f"input {side}.*index 1"):
+        merge_two(a, b)
+
+
 def test_merge_two_disjoint_ranges():
     a = np.arange(0.0, 10.0)
     b = np.arange(10.0, 20.0)

@@ -75,6 +75,30 @@ def test_multiway_empty():
     assert len(multiway_merge([np.empty(0)])) == 0
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float32])
+def test_empty_merges_keep_run_dtype(dtype):
+    for runs in ([np.array([], dtype)],
+                 [np.array([], dtype), np.array([], dtype)]):
+        assert multiway_merge(runs).dtype == dtype
+        assert losertree_merge(runs).dtype == dtype
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_multiway_bitwise_matches_losertree(rng, k):
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0])
+    runs = [np.sort(np.concatenate([rng.choice(pool, 60),
+                                    rng.normal(size=40)]), kind="stable")
+            for _ in range(k)]
+    assert np.array_equal(multiway_merge(runs).view(np.uint64),
+                          losertree_merge(runs).view(np.uint64))
+
+
+def test_multiway_rejects_unsorted_run():
+    runs = [np.array([1.0, 2.0]), np.array([5.0, 4.0]), np.array([0.0])]
+    with pytest.raises(ValidationError, match="run 1"):
+        multiway_merge(runs)
+
+
 def test_multiway_single_run_copies(rng):
     r = np.sort(rng.normal(size=20))
     out = multiway_merge([r])
@@ -116,6 +140,25 @@ def test_rank_split_prefix_property(rng):
         prefix = np.sort(np.concatenate(
             [r[:c] for r, c in zip(runs, cuts)])) if rank else np.empty(0)
         assert np.array_equal(prefix, full[:rank])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_rank_split_exact_above_2_53(dtype):
+    """Integer keys above 2**53 do not survive a round trip through a
+    Python float; the search must stay in the runs' dtype."""
+    base = 2 ** 60
+    runs = [np.array([base, base + 1, base + 2], dtype=dtype),
+            np.array([base + 1, base + 3], dtype=dtype)]
+    assert multiway_rank_split(runs, 3) == [2, 1]
+    full = np.sort(np.concatenate(runs))
+    for rank in range(6):
+        cuts = multiway_rank_split(runs, rank)
+        prefix = np.sort(np.concatenate([r[:c] for r, c in zip(runs, cuts)]))
+        assert np.array_equal(prefix, full[:rank])
+    for parts in (2, 3, 5):
+        pieces = [multiway_merge([r[sl] for r, sl in zip(runs, grp)])
+                  for grp in partition_multiway(runs, parts)]
+        assert np.array_equal(np.concatenate(pieces), full)
 
 
 def test_rank_split_out_of_range(rng):

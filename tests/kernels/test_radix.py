@@ -6,14 +6,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro.kernels.radix as radix_mod
 from repro.errors import ValidationError
 from repro.kernels.radix import (counting_sort_pass,
                                  counting_sort_pass_reference,
                                  lsd_radix_sort_u64, sort_floats,
                                  sort_floats_inplace)
-from repro.kernels.utils import is_sorted, same_multiset
+from repro.kernels.utils import (float64_to_ordered_uint64, is_sorted,
+                                 same_multiset)
 
 finite_f64 = st.floats(allow_nan=False, allow_infinity=True, width=64)
+
+
+def special_mix(rng, n=3000):
+    """Random floats laced with signed zeros, +-inf, subnormals and runs
+    of exact duplicates (ties)."""
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                         2.2e-308, -2.2e-308, 1.5, 1.5, -1.5])
+    a = np.concatenate([rng.normal(scale=1e3, size=n),
+                        rng.choice(specials, size=n // 3),
+                        np.repeat(rng.random(n // 30), 10)])
+    rng.shuffle(a)
+    return a
+
+
+def bitwise_reference(a):
+    """The radix sort's exact expected bits: numpy's sort of the
+    order-preserving keys (``-0.0`` before ``+0.0``)."""
+    return a.view(np.uint64)[np.argsort(float64_to_ordered_uint64(a),
+                                        kind="stable")]
 
 
 def test_sorts_random_uniform(rng):
@@ -69,10 +90,27 @@ def test_inplace_variant(rng):
     assert np.array_equal(a, expect)
 
 
-@pytest.mark.parametrize("radix_bits", [1, 4, 8, 11, 16])
+@pytest.mark.parametrize("radix_bits", [1, 4, 8, 11, 16, 24])
 def test_radix_width_invariance(rng, radix_bits):
     a = rng.random(3000)
     assert np.array_equal(sort_floats(a, radix_bits=radix_bits), np.sort(a))
+    mixed = special_mix(rng)
+    got = sort_floats(mixed, radix_bits=radix_bits)
+    assert np.array_equal(got.view(np.uint64), bitwise_reference(mixed))
+
+
+def test_default_width_sorts_in_at_most_four_passes(rng, monkeypatch):
+    calls = []
+    real = radix_mod.counting_sort_pass
+
+    def counting(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(radix_mod, "counting_sort_pass", counting)
+    keys = rng.integers(0, 2 ** 64, size=5000, dtype=np.uint64)
+    assert np.array_equal(lsd_radix_sort_u64(keys), np.sort(keys))
+    assert len(calls) <= 4
 
 
 def test_u64_keys_sorted(rng):
@@ -97,6 +135,31 @@ def test_stability_via_payload(rng):
         assert np.array_equal(grp, np.sort(grp)), "stability violated"
 
 
+@pytest.mark.parametrize("radix_bits", [11, 16])
+def test_stability_via_payload_wide_digits(rng, radix_bits):
+    """Equal keys keep their input order at 11 bits, whose last pass is
+    narrower (64 = 5 * 11 + 9), and at the 16-bit default."""
+    base = rng.integers(0, 2 ** 64, size=40, dtype=np.uint64)
+    keys = rng.choice(base, size=3000)
+    payload = np.arange(len(keys))
+    out_keys, out_payload = lsd_radix_sort_u64(keys, radix_bits=radix_bits,
+                                               payload=payload)
+    order = np.argsort(keys, kind="stable")
+    assert np.array_equal(out_keys, keys[order])
+    assert np.array_equal(out_payload, order)
+
+
+def test_inputs_not_modified(rng):
+    keys = rng.integers(0, 2 ** 64, size=500, dtype=np.uint64)
+    payload = np.arange(500)
+    keep_k, keep_p = keys.copy(), payload.copy()
+    out_keys, out_payload = lsd_radix_sort_u64(keys, payload=payload)
+    assert np.array_equal(keys, keep_k) and np.array_equal(payload, keep_p)
+    same = np.full(10, 7, dtype=np.uint64)   # every pass is skipped
+    out = lsd_radix_sort_u64(same, payload=np.arange(10))
+    assert out[0] is not same and np.array_equal(out[0], same)
+
+
 def test_payload_length_mismatch_rejected(rng):
     with pytest.raises(ValidationError):
         lsd_radix_sort_u64(np.zeros(4, dtype=np.uint64),
@@ -109,6 +172,15 @@ def test_counting_pass_matches_pure_python_oracle(rng):
         got, _ = counting_sort_pass(keys, None, shift, 8)
         want = counting_sort_pass_reference(keys, shift, 8)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 9, 16, 17, 24])
+def test_counting_pass_every_digit_width(rng, bits):
+    keys = rng.integers(0, 2 ** 64, size=400, dtype=np.uint64)
+    for shift in (0, 64 - bits):
+        got, _ = counting_sort_pass(keys, None, shift, bits)
+        assert np.array_equal(got,
+                              counting_sort_pass_reference(keys, shift, bits))
 
 
 def test_counting_pass_width_validation(rng):
