@@ -1,5 +1,8 @@
 """Command-line interface: run heterogeneous sorts from the shell.
 
+One argparse command tree: the bare run is the default command, and
+``python -m repro --help`` lists every subcommand.
+
 Examples
 --------
 Paper-scale timing run (Fig. 9's fastest configuration)::
@@ -78,24 +81,22 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
 from repro.hetsort import HeterogeneousSorter, cpu_reference_sort
 from repro.hetsort.config import Approach
 from repro.hw.platforms import get_platform
+from repro.obs import canonical_json
+from repro.obs.conformance import REL_TOLERANCE, Z_THRESHOLD
+from repro.obs.memory import PLAN_TOLERANCE
+from repro.obs.sweep import GRIDS
+from repro.obs.trends import K_THRESHOLD, MIN_REL
 from repro.reporting import render_gantt, render_metrics_table, render_table
+from repro.sim.allocators import ALLOCATORS
 from repro.workloads import generate
 
-__all__ = ["main", "build_parser", "build_metrics_parser",
-           "build_critical_path_parser", "build_whatif_parser",
-           "build_diff_parser", "build_sweep_parser",
-           "build_conformance_parser", "build_watch_parser",
-           "build_chaos_parser", "build_archive_parser",
-           "build_trends_parser", "build_mem_parser",
-           "build_plan_mem_parser", "build_flows_parser",
-           "build_serve_parser"]
+__all__ = ["main", "build_parser"]
 
 
 @contextlib.contextmanager
@@ -114,10 +115,10 @@ def _writes(path, label: str):
 
 
 def _write_html(path, label: str, writer, out) -> None:
-    """The shared ``--html`` exit ramp (``repro mem`` / ``repro trends``
-    / ``repro flows``): parent-dir creation and the clean error path via
-    :func:`_writes`, then one uniform confirmation line.  ``writer`` is
-    called with the destination path; a falsy path is a no-op."""
+    """The shared ``--html`` exit ramp: parent-dir creation and the
+    clean error path via :func:`_writes`, then one uniform confirmation
+    line.  ``writer`` is called with the destination path; a falsy path
+    is a no-op."""
     if not path:
         return
     with _writes(path, label):
@@ -125,128 +126,144 @@ def _write_html(path, label: str, writer, out) -> None:
     out.write(f"wrote {label} to {path}\n")
 
 
-def _add_run_options(p: argparse.ArgumentParser) -> None:
-    """Options shared by the default run mode and `metrics`."""
-    p.add_argument("--platform", default="PLATFORM1",
-                   help="PLATFORM1 (GP100) or PLATFORM2 (2x K40m)")
-    p.add_argument("--gpus", type=int, default=1, help="GPUs to use")
-    p.add_argument("--approach", default="pipemerge",
-                   choices=Approach.ALL)
-    p.add_argument("--n", type=float, default=None,
-                   help="timing-only input size (e.g. 5e9)")
-    p.add_argument("--functional", type=int, default=None, metavar="N",
-                   help="really sort N random doubles and validate")
-    p.add_argument("--distribution", default="uniform",
-                   help="input distribution for --functional")
-    p.add_argument("--batch-size", type=float, default=None,
-                   help="b_s elements per batch (default: maximal)")
-    p.add_argument("--streams", type=int, default=2,
-                   help="n_s streams per GPU")
-    p.add_argument("--pinned", type=float, default=1e6,
-                   help="p_s pinned staging elements")
-    p.add_argument("--memcpy-threads", type=int, default=1,
-                   help="> 1 enables PARMEMCPY")
-    p.add_argument("--trace-json", metavar="PATH", default=None,
-                   help="write a chrome://tracing / Perfetto JSON "
-                        "(spans + counter tracks + causal flow arrows)")
-    p.add_argument("--report", metavar="PATH", default=None,
-                   help="write the run report JSON (input to `repro diff` "
-                        "and the regression gate)")
-    p.add_argument("--faults", metavar="PATH", default=None,
-                   help="attach a repro.faults/v1 fault plan (JSON, see "
-                        "`repro chaos`); injected faults are retried / "
-                        "degraded deterministically")
-    p.add_argument("--seed", type=int, default=0)
+# ---------------------------------------------------------------------------
+# The command tree
+# ---------------------------------------------------------------------------
+
+#: Flags shared between commands, each declared once.  A command takes
+#: the ones it accepts through :func:`_parent`.
+_FLAGS = {
+    "--platform": dict(default="PLATFORM1",
+                       help="PLATFORM1 (GP100) or PLATFORM2 (2x K40m)"),
+    "--gpus": dict(type=int, default=1, help="GPUs to use"),
+    "--approach": dict(default="pipemerge", choices=Approach.ALL),
+    "--batch-size": dict(type=float, default=None,
+                         help="b_s elements per batch (default: maximal)"),
+    "--streams": dict(type=int, default=2, help="n_s streams per GPU"),
+    "--pinned": dict(type=float, default=1e6,
+                     help="p_s pinned staging elements"),
+    "--memcpy-threads": dict(type=int, default=1,
+                             help="> 1 enables PARMEMCPY"),
+    "--n": dict(type=float, default=None,
+                help="timing-only input size (e.g. 5e9)"),
+    "--functional": dict(type=int, default=None, metavar="N",
+                         help="really sort N random doubles and validate"),
+    "--distribution": dict(default="uniform",
+                           help="input distribution for --functional"),
+    "--seed": dict(type=int, default=0, help="input-data seed"),
+    "--trace-json": dict(metavar="PATH", default=None,
+                         help="write a chrome://tracing / Perfetto JSON "
+                              "(spans + counter tracks + causal flow "
+                              "arrows)"),
+    "--report": dict(metavar="PATH", default=None,
+                     help="write the run report JSON (input to `repro "
+                          "diff` and the regression gate)"),
+    "--faults": dict(metavar="PATH", default=None,
+                     help="attach a repro.faults/v1 fault plan (JSON, see "
+                          "`repro chaos`); injected faults are retried / "
+                          "degraded deterministically"),
+    "--json": dict(action="store_true",
+                   help="print the command's document as canonical JSON "
+                        "instead of text"),
+    "--html": dict(metavar="PATH", default=None,
+                   help="write the self-contained HTML dashboard"),
+    "--events": dict(metavar="PATH", default=None,
+                     help="write the repro.events/v1 JSONL event log "
+                          "(replayable; input to `repro watch`)"),
+    "--archive": dict(metavar="PATH", default=None,
+                      help="append to a repro.archive/v1 archive "
+                           "(content-addressed, idempotent; input to "
+                           "`repro trends`)"),
+}
+
+#: The machine knobs, and everything one run-shaped command takes.
+_MACHINE = ("--platform", "--gpus", "--approach", "--batch-size",
+            "--streams", "--pinned")
+_RUN = _MACHINE + ("--memcpy-threads", "--n", "--functional",
+                   "--distribution", "--seed", "--trace-json", "--report",
+                   "--faults", "--json")
+
+
+def _parent(*flags) -> argparse.ArgumentParser:
+    """A parent parser declaring the shared ``flags``.  Built afresh
+    per command: ``set_defaults`` on a child rewrites the defaults of
+    the actions it inherited, so commands must not share them."""
+    p = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    """The command tree.  The root parser is the default command (a
+    bare ``python -m repro --n ...`` run); every subcommand is
+    registered once with its handler.  A subcommand's namespace starts
+    from the root's defaults, so a run flag it does not declare reads
+    as None / False."""
+    root = argparse.ArgumentParser(
         prog="repro-hetsort",
         description="Hybrid CPU/GPU sorting on a simulated platform "
-                    "(IPPS 2018 reproduction).")
-    _add_run_options(p)
-    p.add_argument("--compare", action="store_true",
-                   help="run every approach plus the CPU reference")
-    p.add_argument("--gantt", action="store_true",
-                   help="print an ASCII timeline of the run")
-    p.add_argument("--json", action="store_true",
-                   help="print the run (or --compare table) as canonical "
-                        "JSON instead of text")
-    p.add_argument("--live", action="store_true",
-                   help="render live progress while the run executes "
-                        "(progress bars on a TTY, periodic plain lines "
-                        "otherwise)")
-    p.add_argument("--events", metavar="PATH", default=None,
-                   help="write the run's repro.events/v1 JSONL event log "
-                        "(replayable; input to `repro watch`)")
-    p.add_argument("--deadline", type=float, default=None, metavar="S",
-                   help="emit a watchdog warning event if the simulated "
-                        "run passes S seconds")
-    p.add_argument("--archive", metavar="PATH", default=None,
-                   help="append this run to a repro.archive/v1 archive "
-                        "(content-addressed, idempotent; input to "
-                        "`repro trends`)")
-    return p
+                    "(IPPS 2018 reproduction).",
+        parents=[_parent(*_RUN, "--events", "--archive")])
+    root.add_argument("--compare", action="store_true",
+                      help="run every approach plus the CPU reference")
+    root.add_argument("--gantt", action="store_true",
+                      help="print an ASCII timeline of the run")
+    root.add_argument("--live", action="store_true",
+                      help="render live progress while the run executes "
+                           "(progress bars on a TTY, periodic plain lines "
+                           "otherwise)")
+    root.add_argument("--deadline", type=float, default=None, metavar="S",
+                      help="emit a watchdog warning event if the simulated "
+                           "run passes S seconds")
+    root.set_defaults(func=_cmd_run, parser=root)
+    sub = root.add_subparsers(dest="command", title="commands",
+                              metavar="COMMAND")
 
+    def command(name, func, flags, help, description, **defaults):
+        p = sub.add_parser(name, parents=[_parent(*flags)], help=help,
+                           description=description)
+        p.set_defaults(func=func, parser=p, **defaults)
+        return p
 
-def build_metrics_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort metrics",
-        description="Run one sort and report its observability metrics: "
-                    "per-lane utilization, the category-overlap matrix, "
-                    "overlap efficiency, link goodput and live counters.")
-    _add_run_options(p)
+    p = command("metrics", _cmd_metrics, _RUN,
+                "observability metrics of one run",
+                "Run one sort and report its observability metrics: "
+                "per-lane utilization, the category-overlap matrix, "
+                "overlap efficiency, link goodput and live counters.")
     p.add_argument("--profile", action="store_true",
                    help="wall-clock the real numpy kernels "
                         "(functional runs; never changes the timeline)")
-    p.add_argument("--json", action="store_true",
-                   help="print the metrics document as canonical JSON "
-                        "instead of tables")
-    return p
 
-
-def build_critical_path_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort critical-path",
-        description="Run one sort and attribute its makespan along the "
-                    "causal critical path: which dependency chain bound "
-                    "the run, per category and per lane, with slack.")
-    _add_run_options(p)
+    p = command("critical-path", _cmd_critical_path, _RUN,
+                "attribute one run's makespan along its critical path",
+                "Run one sort and attribute its makespan along the "
+                "causal critical path: which dependency chain bound the "
+                "run, per category and per lane, with slack.")
     p.add_argument("--gantt", action="store_true",
                    help="print the timeline with the critical path "
                         "highlighted and per-lane slack")
-    p.add_argument("--json", action="store_true",
-                   help="print the full report as JSON instead of tables")
     p.add_argument("--limit", type=int, default=12,
                    help="path steps to show in the table (0 = all)")
-    return p
 
-
-def build_whatif_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort whatif",
-        description="Run one sort, then predict the makespan if selected "
-                    "span categories were k times their duration, by "
-                    "re-scheduling the recorded causal DAG.  Without "
-                    "--scale, prints a sensitivity sweep over every "
-                    "category.")
-    _add_run_options(p)
+    p = command("whatif", _cmd_whatif, _RUN,
+                "predict the makespan with rescaled span categories",
+                "Run one sort, then predict the makespan if selected "
+                "span categories were k times their duration, by "
+                "re-scheduling the recorded causal DAG.  Without "
+                "--scale, prints a sensitivity sweep over every "
+                "category.")
     p.add_argument("--scale", action="append", default=[],
                    metavar="CAT=K",
                    help="scale category CAT's durations by factor K "
                         "(repeatable; e.g. --scale GPUSort=0.5)")
-    p.add_argument("--json", action="store_true",
-                   help="print the prediction as JSON instead of a table")
-    return p
 
-
-def build_diff_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort diff",
-        description="Structurally compare two run reports written with "
-                    "--report: makespan / per-category / per-lane / "
-                    "critical-path deltas plus span shapes added, removed "
-                    "or recounted.")
+    p = command("diff", _cmd_diff, ("--json",),
+                "compare two run reports",
+                "Structurally compare two run reports written with "
+                "--report: makespan / per-category / per-lane / "
+                "critical-path deltas plus span shapes added, removed "
+                "or recounted.")
     p.add_argument("report_a", help="baseline report JSON")
     p.add_argument("report_b", help="candidate report JSON")
     p.add_argument("--tolerance", type=float, default=0.0,
@@ -254,22 +271,16 @@ def build_diff_parser() -> argparse.ArgumentParser:
                         "(e.g. 0.02 = 2%%)")
     p.add_argument("--min-rel", type=float, default=0.0,
                    help="hide rows whose relative change is smaller")
-    p.add_argument("--json", action="store_true",
-                   help="print the machine-readable diff document")
     p.add_argument("--fail-on-regression", action="store_true",
                    help="exit 1 when the makespan regressed beyond "
                         "--tolerance or the trace structure changed")
-    return p
 
-
-def build_sweep_parser() -> argparse.ArgumentParser:
-    from repro.obs.sweep import GRIDS
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort sweep",
-        description="Run a named (approach x n x streams x platform) "
-                    "grid and persist every run as one canonical JSONL "
-                    "line -- the sweep ledger (byte-stable: a same-seed "
-                    "sweep writes identical bytes).")
+    p = command("sweep", _cmd_sweep, ("--archive",),
+                "run a named grid into a sweep ledger",
+                "Run a named (approach x n x streams x platform) grid "
+                "and persist every run as one canonical JSONL line -- "
+                "the sweep ledger (byte-stable: a same-seed sweep writes "
+                "identical bytes).")
     p.add_argument("--grid", default="small", choices=sorted(GRIDS),
                    help="named grid to run (default: small)")
     p.add_argument("--ledger", metavar="PATH",
@@ -281,27 +292,15 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                         "size (default: the grid's own)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress the per-run progress lines")
-    p.add_argument("--archive", metavar="PATH", default=None,
-                   help="also append every run to a repro.archive/v1 "
-                        "archive (content-addressed, idempotent)")
-    return p
 
-
-def build_conformance_parser() -> argparse.ArgumentParser:
-    from repro.obs.conformance import REL_TOLERANCE, Z_THRESHOLD
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort conformance",
-        description="Confront a sweep ledger with the Sec. IV-G "
-                    "lower-bound model: per-group fitted slopes with R2 "
-                    "vs. the paper's, per-run residual attribution, and "
-                    "anomaly flags.  Optionally renders the "
-                    "self-contained HTML dashboard.")
+    p = command("conformance", _cmd_conformance, ("--html", "--json"),
+                "confront a sweep ledger with the lower-bound model",
+                "Confront a sweep ledger with the Sec. IV-G lower-bound "
+                "model: per-group fitted slopes with R2 vs. the paper's, "
+                "per-run residual attribution, and anomaly flags.  "
+                "Optionally renders the self-contained HTML dashboard.")
     p.add_argument("--ledger", metavar="PATH", required=True,
                    help="JSONL sweep ledger written by `repro sweep`")
-    p.add_argument("--html", metavar="PATH", default=None,
-                   help="also write the self-contained HTML dashboard")
-    p.add_argument("--json", action="store_true",
-                   help="print the conformance summary as canonical JSON")
     p.add_argument("--z-threshold", type=float, default=Z_THRESHOLD,
                    help=f"anomaly z-score threshold (default "
                         f"{Z_THRESHOLD:g})")
@@ -310,72 +309,43 @@ def build_conformance_parser() -> argparse.ArgumentParser:
                         f"{REL_TOLERANCE:g})")
     p.add_argument("--fail-on-anomaly", action="store_true",
                    help="exit 1 when any run is flagged anomalous")
-    return p
 
-
-def build_watch_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort watch",
-        description="Replay a repro.events/v1 JSONL event log (written "
-                    "with `repro ... --events`): validate it, print "
-                    "periodic progress lines in simulated time, and end "
-                    "with the final aggregated snapshot.")
+    p = command("watch", _cmd_watch, ("--json",),
+                "replay a repro.events/v1 event log",
+                "Replay a repro.events/v1 JSONL event log (written with "
+                "`repro ... --events`): validate it, print periodic "
+                "progress lines in simulated time, and end with the "
+                "final aggregated snapshot.")
     p.add_argument("events", help="JSONL event log to watch")
     p.add_argument("--interval", type=float, default=0.25, metavar="S",
                    help="simulated seconds between progress lines "
                         "(default 0.25)")
-    p.add_argument("--json", action="store_true",
-                   help="print only the final aggregated snapshot as "
-                        "canonical JSON")
-    return p
 
-
-def build_chaos_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort chaos",
-        description="Run one *functional* sort under a deterministic "
-                    "fault plan (transient PCIe faults, allocation "
-                    "failures, device loss, bandwidth windows) and verify "
-                    "the output is still a sorted permutation.  Exit 0: "
-                    "survived (recovered/degraded); exit 3: the run "
-                    "failed with a typed error.  Same seed, same bytes.")
-    p.add_argument("--platform", default="PLATFORM1",
-                   help="PLATFORM1 (GP100) or PLATFORM2 (2x K40m)")
-    p.add_argument("--gpus", type=int, default=1, help="GPUs to use")
-    p.add_argument("--approach", default="pipemerge",
-                   choices=Approach.ALL)
-    p.add_argument("--functional", type=int, default=100_000, metavar="N",
-                   help="input elements to really sort (default 100000)")
-    p.add_argument("--distribution", default="uniform")
-    p.add_argument("--batch-size", type=float, default=None)
-    p.add_argument("--streams", type=int, default=2)
-    p.add_argument("--pinned", type=float, default=1e6)
-    p.add_argument("--memcpy-threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0,
-                   help="input-data seed")
+    p = command("chaos", _cmd_chaos,
+                _MACHINE + ("--memcpy-threads", "--functional",
+                            "--distribution", "--seed", "--events",
+                            "--json", "--archive"),
+                "sort under a deterministic fault plan",
+                "Run one *functional* sort under a deterministic fault "
+                "plan (transient PCIe faults, allocation failures, "
+                "device loss, bandwidth windows) and verify the output "
+                "is still a sorted permutation.  Exit 0: survived "
+                "(recovered/degraded); exit 3: the run failed with a "
+                "typed error.  Same seed, same bytes.",
+                functional=100_000)
     p.add_argument("--fault-seed", type=int, default=None,
                    help="generate a random fault plan from this seed")
     p.add_argument("--plan", metavar="PATH", default=None,
                    help="load an explicit repro.faults/v1 plan instead")
     p.add_argument("--plan-out", metavar="PATH", default=None,
                    help="write the (generated) plan as canonical JSON")
-    p.add_argument("--events", metavar="PATH", default=None,
-                   help="write the run's JSONL event log")
-    p.add_argument("--json", action="store_true",
-                   help="print the chaos verdict as canonical JSON")
-    p.add_argument("--archive", metavar="PATH", default=None,
-                   help="append a surviving run to a repro.archive/v1 "
-                        "archive (content-addressed, idempotent)")
-    return p
 
-
-def build_archive_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort archive",
-        description="Inspect a repro.archive/v1 run archive: validate "
-                    "its content hashes and manifest sidecar, list the "
-                    "archived runs, or diff the canonical run reports of "
-                    "two entries (cross-run span aggregation).")
+    p = command("archive", _cmd_archive, ("--json",),
+                "inspect a repro.archive/v1 run archive",
+                "Inspect a repro.archive/v1 run archive: validate its "
+                "content hashes and manifest sidecar, list the archived "
+                "runs, or diff the canonical run reports of two entries "
+                "(cross-run span aggregation).")
     p.add_argument("archive", help="archive JSONL (written with "
                                    "--archive or appended by the gates)")
     p.add_argument("--list", action="store_true",
@@ -386,21 +356,14 @@ def build_archive_parser() -> argparse.ArgumentParser:
                    help="relative makespan growth --diff tolerates")
     p.add_argument("--min-rel", type=float, default=0.0,
                    help="hide --diff rows with a smaller relative change")
-    p.add_argument("--json", action="store_true",
-                   help="print the summary / listing / diff as canonical "
-                        "JSON")
-    return p
 
-
-def build_trends_parser() -> argparse.ArgumentParser:
-    from repro.obs.trends import K_THRESHOLD, MIN_REL
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort trends",
-        description="The trend observatory: per-metric history over a "
-                    "run archive, keyed by workload fingerprint, with "
-                    "EWMA smoothing, robust (MAD-scored) changepoint "
-                    "detection, regime-local anomaly flags and "
-                    "re-baseline (ratchet) proposals.")
+    p = command("trends", _cmd_trends, ("--json", "--html"),
+                "per-metric history over a run archive",
+                "The trend observatory: per-metric history over a run "
+                "archive, keyed by workload fingerprint, with EWMA "
+                "smoothing, robust (MAD-scored) changepoint detection, "
+                "regime-local anomaly flags and re-baseline (ratchet) "
+                "proposals.")
     p.add_argument("archive", help="archive JSONL to analyse")
     p.add_argument("--metric", action="append", default=[],
                    help="metric(s) to track (repeatable; default: the "
@@ -416,88 +379,66 @@ def build_trends_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-rel", type=float, default=MIN_REL,
                    help="minimum relative step for a changepoint "
                         f"(default {MIN_REL:g})")
-    p.add_argument("--json", action="store_true",
-                   help="print the repro.trends/v1 document as canonical "
-                        "JSON")
-    p.add_argument("--html", metavar="PATH", default=None,
-                   help="write the self-contained trend dashboard")
-    return p
 
-
-def build_mem_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort mem",
-        description="Run one sort and report its repro.memory/v1 "
-                    "allocation ledger: per-pool peak occupancy, "
-                    "capacity headroom, the leak verdict, and a "
-                    "peak-preserving ASCII occupancy timeline per pool.")
-    _add_run_options(p)
+    p = command("mem", _cmd_mem, _RUN + ("--html",),
+                "allocation ledger of one run",
+                "Run one sort and report its repro.memory/v1 allocation "
+                "ledger: per-pool peak occupancy, capacity headroom, the "
+                "leak verdict, and a peak-preserving ASCII occupancy "
+                "timeline per pool.")
     p.add_argument("--width", type=int, default=60,
                    help="timeline buckets per pool (default 60)")
     p.add_argument("--entries", action="store_true",
                    help="also print every ledger entry (alloc/free, "
                         "timestamp, running balance)")
-    p.add_argument("--json", action="store_true",
-                   help="print the full ledger document as canonical "
-                        "JSON instead of tables")
-    p.add_argument("--html", metavar="PATH", default=None,
-                   help="write the self-contained memory dashboard "
-                        "(stacked occupancy chart with watermark lines)")
-    return p
 
+    p = command("plan-mem", _cmd_plan_mem, _MACHINE + ("--json",),
+                "predict peak memory from the batch plan alone",
+                "Analytic capacity planner: predict peak device and "
+                "pinned occupancy from the batch plan alone -- no "
+                "simulation -- and check it against the platform's "
+                "capacities.  Exit 0: the configuration fits; exit 1: "
+                "predicted oversubscription (or a --verify residual "
+                "outside tolerance); exit 2: the planner rejected the "
+                "configuration outright.")
+    p.add_argument("--n", type=float, required=True,
+                   help="input size to plan for (e.g. 5e9)")
+    p.add_argument("--verify", action="store_true",
+                   help="also run the (timing) sort and confront the "
+                        "prediction with the measured peaks")
+    p.add_argument("--tolerance", type=float, default=PLAN_TOLERANCE,
+                   help="--verify relative residual tolerance "
+                        f"(default {PLAN_TOLERANCE:g})")
 
-def build_flows_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort flows",
-        description="Run one sort and report its repro.flows/v1 "
-                    "interconnect flow ledger: per-link peak "
-                    "bandwidth/utilization, bucket-max link timelines, "
-                    "flows-in-flight, and contention attribution (each "
-                    "transfer's duration split into isolation time plus "
-                    "slowdown charged to the concurrent flows sharing "
-                    "its links -- charges sum to the duration bit for "
-                    "bit).")
-    _add_run_options(p)
+    p = command("flows", _cmd_flows, _RUN + ("--html",),
+                "interconnect flow ledger of one run",
+                "Run one sort and report its repro.flows/v1 interconnect "
+                "flow ledger: per-link peak bandwidth/utilization, "
+                "bucket-max link timelines, flows-in-flight, and "
+                "contention attribution (each transfer's duration split "
+                "into isolation time plus slowdown charged to the "
+                "concurrent flows sharing its links -- charges sum to "
+                "the duration bit for bit).")
     p.add_argument("--width", type=int, default=60,
                    help="timeline buckets per link (default 60)")
     p.add_argument("--top", type=int, default=10,
                    help="contended flows to list (default 10)")
-    p.add_argument("--json", action="store_true",
-                   help="print the full ledger document as canonical "
-                        "JSON instead of tables")
-    p.add_argument("--html", metavar="PATH", default=None,
-                   help="write the self-contained interconnect dashboard "
-                        "(per-link occupancy charts with capacity lines, "
-                        "contention table)")
-    return p
 
-
-#: Default ``repro serve`` tenant specs (see ``_parse_tenant``): a
-#: latency-sensitive gold tenant with an SLO, a mid-priority silver
-#: tenant, and a low-priority bulk tenant with bigger jobs.
-_SERVE_DEMO_TENANTS = ("gold:2:2:40:3:200000:0.5",
-                       "silver:1:1:30:3:200000",
-                       "batch:0:0.5:20:3:400000")
-
-
-def build_serve_parser() -> argparse.ArgumentParser:
-    from repro.sim.allocators import ALLOCATORS
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort serve",
-        description="Simulate a multi-tenant sort service: seeded "
-                    "synthetic tenants submit open-loop job streams, a "
-                    "shared machine admits and runs them under a "
-                    "pluggable per-link bandwidth allocator, and the "
-                    "outcome is a byte-stable repro.service/v1 verdict "
-                    "(per-tenant latency percentiles, Jain fairness "
-                    "index, SLO hit rate).")
-    p.add_argument("--platform", default="PLATFORM1",
-                   help="PLATFORM1 (GP100) or PLATFORM2 (2x K40m)")
+    p = command("serve", _cmd_serve,
+                ("--platform", "--seed", "--batch-size", "--streams",
+                 "--pinned", "--json", "--html", "--events", "--archive"),
+                "simulate a multi-tenant sort service",
+                "Simulate a multi-tenant sort service: seeded synthetic "
+                "tenants submit open-loop job streams, a shared machine "
+                "admits and runs them under a pluggable per-link "
+                "bandwidth allocator, and the outcome is a byte-stable "
+                "repro.service/v1 verdict (per-tenant latency "
+                "percentiles, Jain fairness index, SLO hit rate).  "
+                "Per-job defaults: --batch-size 25000, --pinned 25000.",
+                batch_size=25_000, pinned=25_000)
     p.add_argument("--allocator", default="fair-share",
                    choices=sorted(ALLOCATORS),
                    help="per-link bandwidth policy (default fair-share)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="arrival + dataset seed (default 0)")
     p.add_argument("--tenant", action="append", metavar="SPEC",
                    default=None,
                    help="add a tenant as name:priority:share:rate_hz:"
@@ -506,13 +447,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true",
                    help="skip real data movement and output validation "
                         "(timing-only jobs; much faster)")
-    p.add_argument("--batch-size", type=float, default=25_000,
-                   help="per-job b_s elements per batch (default 25000)")
-    p.add_argument("--streams", type=int, default=2,
-                   help="per-job n_s streams per GPU (default 2)")
-    p.add_argument("--pinned", type=float, default=25_000,
-                   help="per-job p_s pinned staging elements "
-                        "(default 25000)")
     p.add_argument("--gpus-per-job", type=int, default=1,
                    help="devices each job sorts across (default 1)")
     p.add_argument("--max-concurrent", type=int, default=8,
@@ -526,21 +460,832 @@ def build_serve_parser() -> argparse.ArgumentParser:
     p.add_argument("--reclaim", type=float, default=0.9,
                    help="idle-level fraction loaned per epoch "
                         "(default 0.9)")
-    p.add_argument("--json", action="store_true",
-                   help="print the repro.service/v1 verdict as "
-                        "canonical JSON instead of tables")
-    p.add_argument("--html", metavar="PATH", default=None,
-                   help="write the self-contained tenant-latency "
-                        "dashboard")
-    p.add_argument("--events", metavar="PATH", default=None,
-                   help="write the run's repro.events/v1 JSONL event "
-                        "log (service.job.* / service.epoch events)")
-    p.add_argument("--archive", metavar="PATH", default=None,
-                   help="append the verdict's trend-series entry to a "
-                        "repro.archive/v1 archive")
     p.add_argument("--label", default="serve",
                    help="archive entry label (default 'serve')")
-    return p
+    return root
+
+
+def main(argv: list[str] | None = None, out=None) -> int:
+    """CLI entry point; returns a process exit code."""
+    from repro.errors import FaultPlanError
+    out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command is not None and argv[0] != args.command:
+        parser.error(f"options go after the command name "
+                     f"{args.command!r}")
+    try:
+        return args.func(args, out)
+    except FaultPlanError as exc:
+        prog = " ".join(filter(None, ("repro", args.command)))
+        out.write(f"{prog}: {exc}\n")
+        return 2
+
+
+# ---------------------------------------------------------------------------
+# The run path and the finishing step
+# ---------------------------------------------------------------------------
+
+def _event_log(path) -> list:
+    """``[JsonlSink(path)]`` for an ``--events`` path, else ``[]``."""
+    if not path:
+        return []
+    from repro.obs import JsonlSink
+    with _writes(path, "event log"):
+        return [JsonlSink(path)]
+
+
+def _build_sinks(args, out) -> list:
+    """Streaming-telemetry sinks for the bare run (--live / --events /
+    --deadline); empty when none was requested."""
+    if not (args.live or args.events or args.deadline is not None):
+        return []
+    from repro.obs import TtySink, WatchdogSink
+    sinks = [WatchdogSink(deadline_s=args.deadline)]
+    sinks += _event_log(args.events)
+    if args.live:
+        from repro.model.lowerbound import measure_bline_throughput
+        model = measure_bline_throughput(get_platform(args.platform),
+                                         n_gpus=args.gpus)
+        # ~20 plain progress lines over the model-predicted duration, so
+        # non-TTY output is useful at any run scale.
+        n = int(args.n) if args.n is not None else args.functional
+        sinks.append(TtySink(out=out, model_slope=model.slope,
+                             plain_interval_s=model.seconds(n) / 20))
+    return sinks
+
+
+def _run(args, out, sinks=None, faults=None, **overrides):
+    """The one run path of every run-shaped command: check the input
+    flags, load ``--faults`` (a :class:`~repro.errors.FaultPlanError`
+    exits 2 in :func:`main`), open the telemetry sinks, generate the
+    data and sort.  ``sinks`` / ``faults`` replace the flag-built ones
+    (``repro chaos``); ``overrides`` are per-run config fields
+    (``--compare``)."""
+    if (args.n is None) == (args.functional is None):
+        args.parser.error("pass exactly one of --n or --functional")
+    if args.json and args.report:
+        args.parser.error("--json and --report are mutually exclusive; "
+                          "--json prints the document, --report writes it")
+    if faults is None and args.faults:
+        from repro.sim.faults import FaultPlan
+        faults = FaultPlan.load(args.faults)
+    sorter = HeterogeneousSorter(
+        get_platform(args.platform), n_gpus=args.gpus,
+        approach=args.approach, n_streams=args.streams,
+        batch_size=int(args.batch_size) if args.batch_size else None,
+        pinned_elements=int(args.pinned),
+        memcpy_threads=args.memcpy_threads)
+    if sinks is None:
+        sinks = _build_sinks(args, out)
+    overrides.setdefault("approach", args.approach)
+    if args.functional is not None:
+        data = generate(args.functional, args.distribution, seed=args.seed)
+        return sorter.sort(data, sinks=sinks, faults=faults, **overrides)
+    return sorter.sort(n=int(args.n), sinks=sinks, faults=faults,
+                       **overrides)
+
+
+def _finish(args, out, res=None, entries=list, events_note=True) -> None:
+    """The shared exit ramp of every command that writes run output:
+    the ``--trace-json`` and ``--report`` of ``res``, the note for the
+    ``--events`` log its sinks wrote, and ``entries()`` appended to
+    ``--archive`` (called only when an archive is given)."""
+    if args.trace_json:
+        from repro.obs.flows import flow_rate_counters
+        from repro.reporting import write_chrome_trace
+        # Merge the interconnect observatory's link-bandwidth step
+        # series (`link.<name>.bw_bytes_per_s`) into the recorder's
+        # counter tracks for the Perfetto export.
+        counters = dict(getattr(res.recorder, "series", None) or {})
+        counters.update(flow_rate_counters(res.flow_ledger.to_dict()))
+        with _writes(args.trace_json, "trace JSON"):
+            count = write_chrome_trace(res.trace, args.trace_json,
+                                       counters=counters)
+        out.write(f"wrote {count} trace events to {args.trace_json}\n")
+    if args.report:
+        from repro.obs import run_report, write_report
+        with _writes(args.report, "run report"):
+            write_report(run_report(res), args.report)
+        out.write(f"wrote run report to {args.report}\n")
+    if res is not None and args.events and events_note:
+        out.write(f"wrote event log to {args.events}\n")
+    if args.archive:
+        from repro.errors import ArchiveError
+        from repro.obs import append_entries
+        entries = entries()
+        with _writes(args.archive, "archive"):
+            try:
+                fresh = append_entries(args.archive, entries)
+            except ArchiveError as exc:
+                raise SystemExit(f"repro: cannot append to archive "
+                                 f"{args.archive!r}: {exc}") from None
+        skipped = len(entries) - len(fresh)
+        note = f" ({skipped} already archived)" if skipped else ""
+        out.write(f"archived {len(fresh)} entr"
+                  f"{'y' if len(fresh) == 1 else 'ies'} to "
+                  f"{args.archive}{note}\n")
+
+
+# ---------------------------------------------------------------------------
+# Run-shaped commands
+# ---------------------------------------------------------------------------
+
+def _cmd_run(args, out) -> int:
+    if args.compare:
+        return _compare(args, out)
+    res = _run(args, out)
+    if args.json:
+        out.write(canonical_json(res.to_dict()) + "\n")
+    else:
+        if args.functional is not None:
+            out.write("output validated: sorted permutation of the input\n")
+        out.write(res.summary() + "\n")
+        if args.gantt:
+            out.write(render_gantt(res.trace) + "\n")
+    from repro.obs import entry_from_result
+    _finish(args, out, res, lambda: [
+        entry_from_result(res, source="run", label=args.approach)])
+    return 0
+
+
+def _compare(args, out) -> int:
+    """``--compare``: every pipelined approach (plus PARMEMCPY) against
+    the CPU reference at one ``--n``.  It runs several sorts, so the
+    single-run flags are rejected rather than silently dropped."""
+    single = [flag for flag, on in (
+        ("--report", args.report), ("--trace-json", args.trace_json),
+        ("--events", args.events), ("--archive", args.archive),
+        ("--faults", args.faults), ("--live", args.live),
+        ("--deadline", args.deadline is not None),
+        ("--gantt", args.gantt)) if on]
+    if single:
+        args.parser.error(f"--compare runs several sorts and takes no "
+                          f"single-run flag: {', '.join(single)}")
+    if args.n is None:
+        args.parser.error("--compare needs --n")
+    platform = get_platform(args.platform)
+    n = int(args.n)
+    ref = cpu_reference_sort(platform, n=n)
+    runs = [{"approach": "cpu reference", "elapsed_s": ref.elapsed,
+             "speedup": 1.0}]
+    for approach in ("blinemulti", "pipedata", "pipemerge"):
+        for threads in ((1, args.memcpy_threads)
+                        if args.memcpy_threads > 1 else (1,)):
+            res = _run(args, out, approach=approach,
+                       memcpy_threads=threads)
+            tag = approach + ("+parmemcpy" if threads > 1 else "")
+            runs.append({"approach": tag, "elapsed_s": res.elapsed,
+                         "speedup": ref.elapsed / res.elapsed})
+    if args.json:
+        doc = {"schema": "repro.compare/v1", "platform": platform.name,
+               "n": n, "n_gpus": args.gpus, "runs": runs}
+        out.write(canonical_json(doc) + "\n")
+        return 0
+    rows = [[r["approach"], f"{r['elapsed_s']:.3f}",
+             f"{r['speedup']:.2f}"] for r in runs]
+    out.write(render_table(["approach", "time [s]", "speedup"], rows,
+                           title=f"{platform.name}, n={n:.2e}") + "\n")
+    return 0
+
+
+def _cmd_metrics(args, out) -> int:
+    from repro.obs import (disable_profiling, enable_profiling,
+                           profiling_stats, reset_profiling)
+    profiling = args.profile and args.functional is not None
+    if profiling:
+        reset_profiling()
+        enable_profiling()
+    try:
+        res = _run(args, out)
+    finally:
+        if profiling:
+            disable_profiling()
+    if args.json:
+        out.write(canonical_json(res.metrics) + "\n")
+    else:
+        out.write(res.summary() + "\n\n")
+        out.write(render_metrics_table(res.metrics) + "\n")
+        rows = [[s.name, s.calls, f"{s.total_s * 1e3:.3f}",
+                 f"{s.mean_s * 1e6:.1f}", f"{s.elements_per_s:.3g}"]
+                for s in sorted(profiling_stats().values(),
+                                key=lambda s: -s.total_s)] \
+            if profiling else []
+        if rows:
+            out.write("\n" + render_table(
+                ["kernel", "calls", "total [ms]", "mean [us]", "elem/s"],
+                rows, title="kernel wall-clock profile (real numpy)")
+                + "\n")
+    _finish(args, out, res)
+    return 0
+
+
+def _cmd_critical_path(args, out) -> int:
+    from repro.obs import critical_path_report
+    res = _run(args, out)
+    graph = res.causal_graph()
+    report = critical_path_report(graph)
+    if args.json:
+        out.write(canonical_json(report) + "\n")
+        _finish(args, out, res)
+        return 0
+    out.write(res.summary() + "\n\n")
+    makespan = report["makespan"] or 1.0
+    out.write(render_table(
+        ["category", "time [ms]", "% of makespan"],
+        [[c, f"{v * 1e3:.4f}", f"{v / makespan:.1%}"]
+         for c, v in report["by_category"].items()],
+        title=f"critical path: {report['n_spans']} of "
+              f"{report['n_trace_spans']} spans, "
+              f"{report['duration'] * 1e3:.4f} ms "
+              f"(= makespan), wait {report['wait'] * 1e3:.4f} ms") + "\n")
+    out.write("\n" + render_table(
+        ["lane", "time [ms]", "% of makespan"],
+        [[l, f"{v * 1e3:.4f}", f"{v / makespan:.1%}"]
+         for l, v in report["by_lane"].items()],
+        title="critical path by lane") + "\n")
+    steps = report["path"]
+    shown = steps if args.limit <= 0 else steps[:args.limit]
+    rows = [[s["id"], s["category"], s["label"], s["lane"],
+             f"{s['start'] * 1e3:.4f}", f"{s['duration'] * 1e3:.4f}",
+             f"{s['wait_before'] * 1e3:.4f}"] for s in shown]
+    title = "path steps" if len(shown) == len(steps) else \
+        f"path steps (first {len(shown)} of {len(steps)})"
+    out.write("\n" + render_table(
+        ["id", "category", "label", "lane", "start [ms]", "dur [ms]",
+         "wait [ms]"], rows, title=title) + "\n")
+    if args.gantt:
+        out.write("\n" + render_gantt(res.trace,
+                                      critical=graph.critical_path(),
+                                      slack=graph.slack()) + "\n")
+    _finish(args, out, res)
+    return 0
+
+
+def _parse_scales(pairs, error) -> dict[str, float]:
+    scale: dict[str, float] = {}
+    for item in pairs:
+        cat, sep, k = item.partition("=")
+        if not sep:
+            error(f"--scale expects CAT=K, got {item!r}")
+        try:
+            scale[cat] = float(k)
+        except ValueError:
+            error(f"--scale factor must be a number, got {k!r}")
+    return scale
+
+
+def _cmd_whatif(args, out) -> int:
+    from repro.obs import sensitivity_report, whatif_report
+    scale = _parse_scales(args.scale, args.parser.error)
+    res = _run(args, out)
+    graph = res.causal_graph()
+    report = (whatif_report(graph, scale) if scale
+              else sensitivity_report(graph))
+    if args.json:
+        out.write(canonical_json(report) + "\n")
+    elif scale:
+        out.write(res.summary() + "\n\n")
+        # One combined prediction row labelled with every scaled category.
+        label = " ".join(f"{c}x{k:g}" for c, k in report["scale"].items())
+        rows = [[label, f"{report['measured_makespan'] * 1e3:.4f}",
+                 f"{report['predicted_makespan'] * 1e3:.4f}",
+                 f"{report['delta'] * 1e3:+.4f}",
+                 f"{report['speedup']:.3f}"]]
+        out.write(render_table(
+            ["scenario", "measured [ms]", "predicted [ms]", "delta [ms]",
+             "speedup"], rows, title="what-if prediction") + "\n")
+    else:
+        out.write(res.summary() + "\n\n")
+        rows = [[r["category"], f"{r['factor']:g}",
+                 f"{r['predicted_makespan'] * 1e3:.4f}",
+                 f"{r['delta'] * 1e3:+.4f}", f"{r['speedup']:.3f}"]
+                for r in report["rows"]]
+        out.write(render_table(
+            ["category", "factor", "predicted [ms]", "delta [ms]",
+             "speedup"], rows,
+            title=f"what-if sensitivity (measured "
+                  f"{report['measured_makespan'] * 1e3:.4f} ms)") + "\n")
+    _finish(args, out, res)
+    return 0
+
+
+def _sample_timeline(steps, t_end: float, width: int) -> list[float]:
+    """Resample a ledger step series ``[(t, balance)]`` into ``width``
+    buckets, keeping each bucket's *maximum* balance so narrow occupancy
+    spikes (and therefore the watermark) survive the downsampling."""
+    if t_end <= 0.0 or width <= 0:
+        return [float(b) for _, b in steps] or [0.0]
+    vals: list[float] = []
+    cur = 0.0
+    j = 0
+    for i in range(width):
+        hi = t_end * (i + 1) / width
+        peak = cur
+        while j < len(steps) and steps[j][0] <= hi:
+            cur = float(steps[j][1])
+            peak = max(peak, cur)
+            j += 1
+        vals.append(peak)
+    return vals
+
+
+def _cmd_mem(args, out) -> int:
+    from repro.reporting import (format_bytes, sparkline,
+                                 write_memory_dashboard)
+    res = _run(args, out)
+    ledger = res.memory_ledger
+    doc = ledger.to_dict()
+    if args.json:
+        out.write(canonical_json(doc) + "\n")
+    else:
+        out.write(res.summary() + "\n\n")
+        rows = []
+        for pool, p in doc["pools"].items():
+            cap, head = p["capacity_bytes"], p["headroom_bytes"]
+            rows.append([
+                pool, format_bytes(p["peak_bytes"]),
+                format_bytes(cap) if cap is not None else "-",
+                format_bytes(head) if head is not None else "-",
+                p["n_allocs"], p["n_frees"],
+                "ok" if p["balance_bytes"] == 0
+                else f"LEAK {p['balance_bytes']} B"])
+        verdict = "balanced" if doc["balanced"] else "LEAKED"
+        out.write(render_table(
+            ["pool", "peak", "capacity", "headroom", "allocs", "frees",
+             "verdict"], rows,
+            title=f"memory occupancy ({ledger.n_allocs} allocs, "
+                  f"{ledger.n_frees} frees, {verdict})") + "\n")
+        out.write("\noccupancy timelines (0 .. makespan, bucket maxima):\n")
+        for pool in ledger.pools():
+            vals = _sample_timeline(ledger.timeline(pool), res.elapsed,
+                                    args.width)
+            out.write(f"  {pool:<8} {sparkline(vals)}  "
+                      f"peak {format_bytes(ledger.peaks.get(pool, 0))}\n")
+        if args.entries:
+            rows = [[f"{e['t']:.6f}", e["op"], e["pool"], e["name"],
+                     format_bytes(e["nbytes"]), format_bytes(e["balance"])]
+                    for e in doc["entries"]]
+            out.write("\n" + render_table(
+                ["t [s]", "op", "pool", "name", "size", "balance"], rows,
+                title=f"ledger entries ({len(rows)})") + "\n")
+    _write_html(args.html, "memory dashboard",
+                lambda path: write_memory_dashboard(
+                    doc, path, title=f"{res.approach} on "
+                                     f"{res.platform_name}"), out)
+    _finish(args, out, res)
+    return 0
+
+
+def _cmd_flows(args, out) -> int:
+    from repro.obs.flows import (attribute_contention, concurrency_series,
+                                 link_peaks, link_timelines)
+    from repro.reporting import (format_bytes, sparkline,
+                                 write_flows_dashboard)
+    res = _run(args, out)
+    ledger = res.flow_ledger
+    doc = ledger.to_dict()
+    if args.json:
+        out.write(canonical_json(doc) + "\n")
+    else:
+        out.write(res.summary() + "\n\n")
+        peaks = link_peaks(doc)
+        rows = []
+        for name in sorted(peaks):
+            d = peaks[name]
+            cap = d["capacity_bytes_per_s"]
+            rows.append([
+                name,
+                format_bytes(cap) + "/s" if cap is not None else "-",
+                format_bytes(d["peak_bytes_per_s"]) + "/s",
+                f"{d['peak_utilization']:.0%}"])
+        contention = attribute_contention(doc)
+        out.write(render_table(
+            ["link", "capacity", "peak rate", "peak util"], rows,
+            title=f"interconnect ({ledger.n_flows} flows, "
+                  f"{format_bytes(ledger.bytes_moved)} moved, "
+                  f"{contention['total_contention_s']:.6f} s contention)")
+            + "\n")
+        out.write("\nlink bandwidth timelines (0 .. makespan, "
+                  "bucket maxima):\n")
+        for name, pts in link_timelines(doc).items():
+            vals = _sample_timeline(pts, res.elapsed, args.width)
+            out.write(f"  {name:<10} {sparkline(vals)}  peak "
+                      f"{format_bytes(peaks[name]['peak_bytes_per_s'])}"
+                      "/s\n")
+        conc = concurrency_series(doc)
+        vals = _sample_timeline(conc, res.elapsed, args.width)
+        out.write(f"  {'in flight':<10} {sparkline(vals)}  "
+                  f"peak {max((c for _, c in conc), default=0)} flows\n")
+        contended = sorted(contention["flows"],
+                           key=lambda f: (-f["slowdown_s"], f["id"]))
+        rows = []
+        for f in contended[:args.top]:
+            charges = sorted(((k, v) for k, v in f["parts"].items()
+                              if k != "isolation" and v > 0.0),
+                             key=lambda kv: -kv[1])
+            top = ", ".join(f"{k} {v:.6f}s" for k, v in charges[:3])
+            rows.append([f["id"], f["label"],
+                         "-" if f["span"] is None else f["span"],
+                         f"{f['duration_s']:.6f}",
+                         f"{f['isolation_s']:.6f}",
+                         f"{f['slowdown_s']:.6f}", top or "-"])
+        out.write("\n" + render_table(
+            ["id", "flow", "span", "duration [s]", "isolation [s]",
+             "slowdown [s]", "charged to"], rows,
+            title=f"top contended flows ({len(rows)} of "
+                  f"{contention['n_flows']})") + "\n")
+    _write_html(args.html, "flows dashboard",
+                lambda path: write_flows_dashboard(
+                    doc, path, title=f"{res.approach} on "
+                                     f"{res.platform_name}"), out)
+    _finish(args, out, res)
+    return 0
+
+
+def _cmd_plan_mem(args, out) -> int:
+    from repro.errors import PlanError
+    from repro.obs import plan_memory
+    from repro.obs.memory import MEMPLAN_SCHEMA
+    from repro.reporting import format_bytes
+    try:
+        memplan = plan_memory(
+            get_platform(args.platform), int(args.n), n_gpus=args.gpus,
+            approach=args.approach, n_streams=args.streams,
+            batch_size=int(args.batch_size) if args.batch_size else None,
+            pinned_elements=int(args.pinned))
+    except PlanError as exc:
+        if args.json:
+            out.write(canonical_json(
+                {"schema": MEMPLAN_SCHEMA, "ok": False,
+                 "rejected": str(exc)}) + "\n")
+        else:
+            out.write(f"repro plan-mem: REJECTED: {exc}\n")
+        return 2
+    conf = None
+    if args.verify and memplan["ok"]:
+        from repro.obs import measured_peaks, memory_conformance
+        conf = memory_conformance(memplan, measured_peaks(_run(args, out)),
+                                  tolerance=args.tolerance)
+    if args.json:
+        doc = dict(memplan)
+        if conf is not None:
+            doc["conformance"] = conf
+        out.write(canonical_json(doc) + "\n")
+        return 0 if memplan["ok"] and (conf is None or conf["ok"]) else 1
+    pt = memplan["point"]
+    workers = ", ".join(f"gpu{g[3:]}x{c}" if g.startswith("gpu") else g
+                        for g, c in memplan["workers"].items())
+    out.write(f"plan: {pt['approach']} on {pt['platform']}, "
+              f"n={pt['n']:.3g}, batch={pt['batch_size']:.3g}, "
+              f"streams={pt['n_streams']}, "
+              f"pinned={pt['pinned_elements']:.3g}\n"
+              f"workers: {workers or 'none'} -- "
+              f"{format_bytes(memplan['per_worker']['device_bytes'])} "
+              f"device + "
+              f"{format_bytes(memplan['per_worker']['pinned_bytes'])} "
+              f"pinned each\n\n")
+    rows = [[pool, format_bytes(p["predicted_bytes"]),
+             format_bytes(p["capacity_bytes"]),
+             format_bytes(p["headroom_bytes"]),
+             "ok" if p["ok"] else "OVERSUBSCRIBED"]
+            for pool, p in memplan["pools"].items()]
+    out.write(render_table(
+        ["pool", "predicted peak", "capacity", "headroom", "verdict"],
+        rows, title="predicted peak occupancy") + "\n")
+    for v in memplan["violations"]:
+        out.write(f"  VIOLATION: {v}\n")
+    if not memplan["ok"]:
+        out.write("plan-mem: configuration does NOT fit\n")
+        return 1
+    if conf is None:
+        out.write("plan-mem: configuration fits\n")
+        return 0
+    rows = [[pool, format_bytes(p["predicted_bytes"]),
+             format_bytes(p["measured_bytes"]),
+             f"{p['residual_bytes']:+d} B",
+             f"{p['rel']:+.2%}" if p["rel"] is not None else "-",
+             "ok" if p["ok"] else "MISMATCH"]
+            for pool, p in conf["pools"].items()]
+    out.write("\n" + render_table(
+        ["pool", "predicted", "measured", "residual", "rel", "verdict"],
+        rows, title=f"predicted vs measured peaks "
+                    f"(tolerance {conf['tolerance']:g})") + "\n")
+    if not conf["ok"]:
+        out.write("plan-mem: measured peaks deviate from the prediction\n")
+        return 1
+    out.write("plan-mem: measured peaks match the prediction\n")
+    return 0
+
+
+def _cmd_chaos(args, out) -> int:
+    if (args.fault_seed is None) == (args.plan is None):
+        args.parser.error("pass exactly one of --fault-seed or --plan")
+    from repro.errors import ReproError
+    from repro.obs import entry_from_result
+    from repro.sim.faults import FaultPlan
+    plan = (FaultPlan.load(args.plan) if args.plan is not None
+            else FaultPlan.random(args.fault_seed, n_gpus=args.gpus))
+    if args.plan_out:
+        with _writes(args.plan_out, "fault plan"):
+            plan.save(args.plan_out)
+        if not args.json:     # keep --json stdout pure JSON
+            out.write(f"wrote fault plan to {args.plan_out}\n")
+    sinks = _event_log(args.events)
+    verdict = {"schema": "repro.chaos/v1", "plan": plan.to_dict(),
+               "approach": args.approach, "platform": args.platform,
+               "n": args.functional}
+    try:
+        res = _run(args, out, sinks=sinks, faults=plan)
+    except ReproError as exc:
+        verdict.update(survived=False, error=type(exc).__name__,
+                       message=str(exc))
+        if args.json:
+            out.write(canonical_json(verdict) + "\n")
+        else:
+            out.write(f"chaos: run FAILED with {type(exc).__name__}: "
+                      f"{exc}\n")
+        return 3
+    verdict.update(survived=True, elapsed_s=res.elapsed,
+                   faults=res.meta.get("faults", {"fired": 0}),
+                   degrades=len(res.meta.get("degrades", [])))
+    if args.json:
+        out.write(canonical_json(verdict) + "\n")
+    else:
+        fired = verdict["faults"].get("fired", 0)
+        out.write(f"chaos: survived -- output verified sorted "
+                  f"({fired} fault(s) fired, "
+                  f"{verdict['degrades']} degradation(s), "
+                  f"elapsed {res.elapsed:.6f} s)\n")
+    gate = {"gate": "chaos", "ok": True, "failures": []}
+    _finish(args, out, res, lambda: [entry_from_result(
+        res, source="chaos",
+        label=f"chaos {args.approach} n={args.functional}",
+        verdicts=[gate])], events_note=not args.json)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# Document commands: reports, ledgers, logs and archives
+# ---------------------------------------------------------------------------
+
+def _cmd_diff(args, out) -> int:
+    from repro.errors import ReportError
+    from repro.obs import diff_reports, load_report, render_diff
+    try:
+        a = load_report(args.report_a)
+        b = load_report(args.report_b)
+    except OSError as exc:
+        out.write(f"repro diff: cannot read report: {exc}\n")
+        return 2
+    except ValueError as exc:
+        out.write(f"repro diff: report is not valid JSON: {exc}\n")
+        return 2
+    except ReportError as exc:
+        out.write(f"repro diff: {exc}\n")
+        return 2
+    diff = diff_reports(a, b, tolerance=args.tolerance)
+    if args.json:
+        out.write(canonical_json(diff) + "\n")
+    else:
+        out.write(render_diff(diff, min_rel=args.min_rel) + "\n")
+    if args.fail_on_regression and (diff["regression"]
+                                    or diff["structural_change"]):
+        return 1
+    return 0
+
+
+def _cmd_sweep(args, out) -> int:
+    from repro.obs import entry_from_ledger
+    from repro.obs.sweep import run_sweep, sweep_points, write_ledger
+    points = sweep_points(args.grid)
+    model_n = (int(args.model_n) if args.model_n is not None
+               else GRIDS[args.grid][1])
+    progress = None if args.quiet else \
+        (lambda line: out.write(line + "\n"))
+    records = run_sweep(points, model_n=model_n, progress=progress)
+    with _writes(args.ledger, "sweep ledger"):
+        write_ledger(records, args.ledger)
+    out.write(f"wrote {len(records)} ledger lines to {args.ledger}\n")
+    _finish(args, out, entries=lambda: [entry_from_ledger(r)
+                                        for r in records])
+    return 0
+
+
+def _cmd_conformance(args, out) -> int:
+    from repro.errors import LedgerError
+    from repro.obs import conformance_summary, load_ledger
+    from repro.reporting import write_dashboard
+    try:
+        records = load_ledger(args.ledger)
+    except (OSError, LedgerError) as exc:
+        out.write(f"repro conformance: cannot load ledger: {exc}\n")
+        return 2
+    summary = conformance_summary(records, z_threshold=args.z_threshold,
+                                  rel_tolerance=args.tolerance)
+    if args.json:
+        out.write(canonical_json(summary) + "\n")
+    else:
+        rows = []
+        for key, g in summary["groups"].items():
+            paper = (f"{g['paper_slope'] * 1e9:.3f}"
+                     if g["paper_slope"] else "-")
+            rows.append([key, g["n_runs"],
+                         f"{g['fitted_slope'] * 1e9:.3f}",
+                         f"{g['fitted_intercept'] * 1e3:.2f}",
+                         f"{g['r2']:.5f}",
+                         f"{g['model_slope'] * 1e9:.3f}", paper,
+                         len(g["anomalies"])])
+        out.write(render_table(
+            ["group", "runs", "fit [ns/el]", "icpt [ms]", "R^2",
+             "model [ns/el]", "paper [ns/el]", "anomalies"], rows,
+            title=f"conformance: {summary['n_runs']} runs, "
+                  f"{summary['n_groups']} groups, mean model/measured "
+                  f"{summary['mean_slowdown']:.3f}") + "\n")
+        for a in summary["anomalies"]:
+            out.write(f"  ANOMALY {a['run_id']} ({a['group']}): measured "
+                      f"{a['measured_s']:.4f} s vs fit "
+                      f"{a['expected_s']:.4f} s "
+                      f"({a['deviation_s']:+.4f} s, z={a['z']:+.2f}, "
+                      f"{'/'.join(a['flags'])})\n")
+    _write_html(args.html, "dashboard",
+                lambda path: write_dashboard(records, summary, path), out)
+    if args.fail_on_anomaly and summary["n_anomalies"] > 0:
+        out.write(f"FAIL: {summary['n_anomalies']} anomalous run(s)\n")
+        return 1
+    return 0
+
+
+def _cmd_watch(args, out) -> int:
+    from repro.errors import EventLogError
+    from repro.obs import LiveAggregator, read_events, validate_events
+    from repro.reporting import render_plain_line, render_snapshot
+    try:
+        _, events = read_events(args.events)
+        validate_events(events)
+    except OSError as exc:
+        out.write(f"repro watch: cannot read event log: {exc}\n")
+        return 2
+    except EventLogError as exc:
+        out.write(f"repro watch: invalid event log: {exc}\n")
+        return 2
+    agg = LiveAggregator()
+    next_t = args.interval
+    for ev in events:
+        agg.emit(ev)
+        if not args.json and ev.t >= next_t:
+            out.write(render_plain_line(agg.snapshot()) + "\n")
+            while next_t <= ev.t:
+                next_t += args.interval
+    if args.json:
+        out.write(canonical_json(agg.snapshot()) + "\n")
+    else:
+        out.write(render_snapshot(agg.snapshot()) + "\n")
+    return 0
+
+
+def _load_archive_or_exit(path, out, prog: str):
+    from repro.errors import ArchiveError
+    from repro.obs import load_archive
+    try:
+        return load_archive(path)
+    except OSError as exc:
+        out.write(f"{prog}: cannot read archive: {exc}\n")
+    except ArchiveError as exc:
+        out.write(f"{prog}: invalid archive: {exc}\n")
+    return None
+
+
+def _pick_entry(entries, token: str, out):
+    """The unique entry whose id starts with ``token`` (or None + a
+    message listing the ambiguity)."""
+    hits = [e for e in entries if e["entry"].startswith(token)]
+    if len(hits) == 1:
+        return hits[0]
+    if not hits:
+        out.write(f"repro archive: no entry matches {token!r}\n")
+    else:
+        ids = ", ".join(e["entry"] for e in hits[:5])
+        out.write(f"repro archive: {token!r} is ambiguous "
+                  f"({len(hits)} entries: {ids}...)\n")
+    return None
+
+
+def _cmd_archive(args, out) -> int:
+    from repro.errors import ArchiveError
+    from repro.obs import compare_entries, render_diff, validate_archive
+    entries = _load_archive_or_exit(args.archive, out, "repro archive")
+    if entries is None:
+        return 2
+    if args.diff:
+        a = _pick_entry(entries, args.diff[0], out)
+        b = _pick_entry(entries, args.diff[1], out)
+        if a is None or b is None:
+            return 2
+        try:
+            diff = compare_entries(a, b, tolerance=args.tolerance)
+        except ArchiveError as exc:
+            out.write(f"repro archive: {exc}\n")
+            return 2
+        if args.json:
+            out.write(canonical_json(diff) + "\n")
+        else:
+            out.write(render_diff(diff, min_rel=args.min_rel) + "\n")
+        return 0
+    try:
+        summary = validate_archive(args.archive)
+    except ArchiveError as exc:
+        out.write(f"repro archive: INVALID: {exc}\n")
+        return 1
+    if args.json:
+        doc = dict(summary)
+        if args.list:
+            doc["entries"] = [
+                {"entry": e["entry"], "fingerprint": e["fingerprint"],
+                 "source": e["source"], "label": e["label"],
+                 "metrics": e["metrics"]} for e in entries]
+        out.write(canonical_json(doc) + "\n")
+        return 0
+    srcs = ", ".join(f"{s} x{c}" for s, c in summary["sources"].items())
+    out.write(f"archive OK: {summary['n_entries']} entries, "
+              f"{summary['n_fingerprints']} workload fingerprint(s) "
+              f"[{srcs}]\n")
+    if args.list:
+        rows = []
+        for e in entries:
+            mk = e["metrics"].get("makespan_s")
+            rows.append([e["entry"], e["fingerprint"][:8], e["source"],
+                         e["label"],
+                         f"{mk:.6f}" if mk is not None else "-",
+                         len(e["verdicts"])])
+        out.write(render_table(
+            ["entry", "fingerprint", "source", "label", "makespan [s]",
+             "verdicts"], rows, title="archived runs (append order)")
+            + "\n")
+    return 0
+
+
+def _cmd_trends(args, out) -> int:
+    from repro.obs import trend_summary
+    from repro.reporting import sparkline, write_trend_dashboard
+    entries = _load_archive_or_exit(args.archive, out, "repro trends")
+    if entries is None:
+        return 2
+    fp = args.fingerprint
+    if fp is not None:
+        full = sorted({e["fingerprint"] for e in entries
+                       if e["fingerprint"].startswith(fp)})
+        if len(full) != 1:
+            out.write(f"repro trends: fingerprint {fp!r} matches "
+                      f"{len(full)} workload(s)\n")
+            return 2
+        fp = full[0]
+    trends = trend_summary(entries, args.metric or None,
+                           alpha=args.ewma, k=args.k,
+                           min_rel=args.min_rel, fingerprint=fp)
+    if args.json:
+        out.write(canonical_json(trends) + "\n")
+    else:
+        out.write(f"trends: {trends['n_fingerprints']} workload(s), "
+                  f"{trends['n_series']} series, "
+                  f"{trends['n_changepoints']} changepoint(s), "
+                  f"{trends['n_proposals']} re-baseline proposal(s)\n")
+        for fprint, blk in trends["fingerprints"].items():
+            out.write(f"\n{blk['label'] or fprint}  "
+                      f"[{fprint[:8]}] -- {blk['n_entries']} run(s)\n")
+            for metric, tr in blk["metrics"].items():
+                marks = [c["index"] for c in tr["changepoints"]]
+                spark = sparkline(tr["values"], marks)
+                out.write(f"  {metric:<22} {spark}  "
+                          f"median {tr['median']:.6g}, "
+                          f"last {tr['last']:.6g}\n")
+                for c in tr["changepoints"]:
+                    out.write(f"    changepoint at run {c['index'] + 1}: "
+                              f"{c['before']:.6g} -> {c['after']:.6g} "
+                              f"({c['ratio']:.2f}x, "
+                              f"score {c['score']:.1f})\n")
+                for i in tr["anomalies"]:
+                    out.write(f"    anomaly at run {i + 1}: "
+                              f"{tr['values'][i]:.6g}\n")
+                if tr["ratchet"]:
+                    out.write(f"    RATCHET: "
+                              f"{tr['ratchet']['message']}\n")
+    _write_html(args.html, "trend dashboard",
+                lambda path: write_trend_dashboard(trends, path), out)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# repro serve
+# ---------------------------------------------------------------------------
+
+#: Default ``repro serve`` tenant specs (see ``_parse_tenant``): a
+#: latency-sensitive gold tenant with an SLO, a mid-priority silver
+#: tenant, and a low-priority bulk tenant with bigger jobs.
+_SERVE_DEMO_TENANTS = ("gold:2:2:40:3:200000:0.5",
+                       "silver:1:1:30:3:200000",
+                       "batch:0:0.5:20:3:400000")
 
 
 def _parse_tenant(spec: str):
@@ -561,18 +1306,15 @@ def _parse_tenant(spec: str):
                   slo_s=float(parts[6]) if len(parts) == 7 else None)
 
 
-def _run_serve(argv, out) -> int:
-    parser = build_serve_parser()
-    args = parser.parse_args(argv)
+def _cmd_serve(args, out) -> int:
     from repro.errors import SimulationError, ValidationError
-    from repro.obs import canonical_json
-    from repro.reporting import format_bytes
-    from repro.service import (ServiceConfig, archive_entry, run_service)
+    from repro.reporting import format_bytes, write_service_dashboard
+    from repro.service import ServiceConfig, archive_entry, run_service
     try:
         tenants = tuple(_parse_tenant(s) for s in
                         (args.tenant or _SERVE_DEMO_TENANTS))
     except (ValueError, ValidationError) as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     cfg = ServiceConfig(allocator=args.allocator, seed=args.seed,
                         functional=not args.timing,
                         gpus_per_job=args.gpus_per_job,
@@ -582,11 +1324,7 @@ def _run_serve(argv, out) -> int:
                         pinned_elements=int(args.pinned),
                         controller=not args.no_controller,
                         epoch_s=args.epoch, reclaim=args.reclaim)
-    sinks: list = []
-    if args.events:
-        from repro.obs import JsonlSink
-        with _writes(args.events, "event log"):
-            sinks.append(JsonlSink(args.events))
+    sinks = _event_log(args.events)
     try:
         res = run_service(tenants, cfg,
                           platform=get_platform(args.platform),
@@ -630,1008 +1368,16 @@ def _run_serve(argv, out) -> int:
                       f"{ctl['epochs_reclaiming']} reclaiming, mean "
                       f"reclaimed fraction "
                       f"{ctl['mean_reclaimed_fraction']:.0%}\n")
-    if args.html:
-        from repro.reporting import write_service_dashboard
-        _write_html(args.html, "service dashboard",
-                    lambda path: write_service_dashboard(
-                        verdict, path,
-                        title=f"{verdict['allocator']} on "
-                              f"{verdict['platform']}, seed "
-                              f"{verdict['seed']}"),
-                    out)
-    if args.archive:
-        _maybe_archive(args.archive,
-                       [archive_entry(verdict, label=args.label)], out)
-    return 0
-
-
-def build_plan_mem_parser() -> argparse.ArgumentParser:
-    from repro.obs.memory import PLAN_TOLERANCE
-    p = argparse.ArgumentParser(
-        prog="repro-hetsort plan-mem",
-        description="Analytic capacity planner: predict peak device and "
-                    "pinned occupancy from the batch plan alone -- no "
-                    "simulation -- and check it against the platform's "
-                    "capacities.  Exit 0: the configuration fits; "
-                    "exit 1: predicted oversubscription (or a --verify "
-                    "residual outside tolerance); exit 2: the planner "
-                    "rejected the configuration outright.")
-    p.add_argument("--platform", default="PLATFORM1",
-                   help="PLATFORM1 (GP100) or PLATFORM2 (2x K40m)")
-    p.add_argument("--gpus", type=int, default=1, help="GPUs to use")
-    p.add_argument("--approach", default="pipemerge",
-                   choices=Approach.ALL)
-    p.add_argument("--n", type=float, required=True,
-                   help="input size to plan for (e.g. 5e9)")
-    p.add_argument("--batch-size", type=float, default=None,
-                   help="b_s elements per batch (default: maximal)")
-    p.add_argument("--streams", type=int, default=2,
-                   help="n_s streams per GPU")
-    p.add_argument("--pinned", type=float, default=1e6,
-                   help="p_s pinned staging elements")
-    p.add_argument("--verify", action="store_true",
-                   help="also run the (timing) sort and confront the "
-                        "prediction with the measured peaks")
-    p.add_argument("--tolerance", type=float, default=PLAN_TOLERANCE,
-                   help="--verify relative residual tolerance "
-                        f"(default {PLAN_TOLERANCE:g})")
-    p.add_argument("--json", action="store_true",
-                   help="print the repro.memplan/v1 document (plus the "
-                        "--verify conformance block) as canonical JSON")
-    return p
-
-
-def _sample_timeline(steps, t_end: float, width: int) -> list[float]:
-    """Resample a ledger step series ``[(t, balance)]`` into ``width``
-    buckets, keeping each bucket's *maximum* balance so narrow occupancy
-    spikes (and therefore the watermark) survive the downsampling."""
-    if t_end <= 0.0 or width <= 0:
-        return [float(b) for _, b in steps] or [0.0]
-    vals: list[float] = []
-    cur = 0.0
-    j = 0
-    for i in range(width):
-        hi = t_end * (i + 1) / width
-        peak = cur
-        while j < len(steps) and steps[j][0] <= hi:
-            cur = float(steps[j][1])
-            peak = max(peak, cur)
-            j += 1
-        vals.append(peak)
-    return vals
-
-
-def _run_mem(argv, out) -> int:
-    parser = build_mem_parser()
-    args = parser.parse_args(argv)
-    if (args.n is None) == (args.functional is None):
-        parser.error("pass exactly one of --n or --functional")
-    _reject_json_report(parser, args)
-    from repro.errors import FaultPlanError
-    from repro.reporting import format_bytes, sparkline
-    try:
-        res = _run_sort(args)
-    except FaultPlanError as exc:
-        out.write(f"repro mem: {exc}\n")
-        return 2
-    ledger = res.memory_ledger
-    if ledger is None:
-        out.write("repro mem: this run recorded no memory ledger\n")
-        return 2
-    doc = ledger.to_dict()
-    if args.json:
-        from repro.obs import canonical_json
-        out.write(canonical_json(doc) + "\n")
-        _write_mem_dashboard(args, doc, res, out)
-        _maybe_write_trace(args, res, out)
-        return 0
-    out.write(res.summary() + "\n\n")
-    rows = []
-    for pool, p in doc["pools"].items():
-        cap, head = p["capacity_bytes"], p["headroom_bytes"]
-        rows.append([
-            pool, format_bytes(p["peak_bytes"]),
-            format_bytes(cap) if cap is not None else "-",
-            format_bytes(head) if head is not None else "-",
-            p["n_allocs"], p["n_frees"],
-            "ok" if p["balance_bytes"] == 0
-            else f"LEAK {p['balance_bytes']} B"])
-    verdict = "balanced" if doc["balanced"] else "LEAKED"
-    out.write(render_table(
-        ["pool", "peak", "capacity", "headroom", "allocs", "frees",
-         "verdict"], rows,
-        title=f"memory occupancy ({ledger.n_allocs} allocs, "
-              f"{ledger.n_frees} frees, {verdict})") + "\n")
-    out.write("\noccupancy timelines (0 .. makespan, bucket maxima):\n")
-    for pool in ledger.pools():
-        vals = _sample_timeline(ledger.timeline(pool), res.elapsed,
-                                args.width)
-        out.write(f"  {pool:<8} {sparkline(vals)}  "
-                  f"peak {format_bytes(ledger.peaks.get(pool, 0))}\n")
-    if args.entries:
-        rows = [[f"{e['t']:.6f}", e["op"], e["pool"], e["name"],
-                 format_bytes(e["nbytes"]), format_bytes(e["balance"])]
-                for e in doc["entries"]]
-        out.write("\n" + render_table(
-            ["t [s]", "op", "pool", "name", "size", "balance"], rows,
-            title=f"ledger entries ({len(rows)})") + "\n")
-    _write_mem_dashboard(args, doc, res, out)
-    _maybe_write_trace(args, res, out)
-    return 0
-
-
-def _write_mem_dashboard(args, doc, res, out) -> None:
-    from repro.reporting import write_memory_dashboard
-    _write_html(args.html, "memory dashboard",
-                lambda path: write_memory_dashboard(
-                    doc, path,
-                    title=f"{res.approach} on {res.platform_name}"),
+    _write_html(args.html, "service dashboard",
+                lambda path: write_service_dashboard(
+                    verdict, path,
+                    title=f"{verdict['allocator']} on "
+                          f"{verdict['platform']}, seed "
+                          f"{verdict['seed']}"),
                 out)
-
-
-def _run_flows(argv, out) -> int:
-    parser = build_flows_parser()
-    args = parser.parse_args(argv)
-    if (args.n is None) == (args.functional is None):
-        parser.error("pass exactly one of --n or --functional")
-    _reject_json_report(parser, args)
-    from repro.errors import FaultPlanError
-    from repro.obs.flows import (attribute_contention, concurrency_series,
-                                 link_peaks, link_timelines)
-    from repro.reporting import format_bytes, sparkline
-    try:
-        res = _run_sort(args)
-    except FaultPlanError as exc:
-        out.write(f"repro flows: {exc}\n")
-        return 2
-    ledger = res.flow_ledger
-    if ledger is None:
-        out.write("repro flows: this run recorded no flow ledger\n")
-        return 2
-    doc = ledger.to_dict()
-    if args.json:
-        from repro.obs import canonical_json
-        out.write(canonical_json(doc) + "\n")
-        _write_flows_dashboard(args, doc, res, out)
-        _maybe_write_trace(args, res, out)
-        return 0
-    out.write(res.summary() + "\n\n")
-    peaks = link_peaks(doc)
-    rows = []
-    for name in sorted(peaks):
-        d = peaks[name]
-        cap = d["capacity_bytes_per_s"]
-        rows.append([
-            name,
-            format_bytes(cap) + "/s" if cap is not None else "-",
-            format_bytes(d["peak_bytes_per_s"]) + "/s",
-            f"{d['peak_utilization']:.0%}"])
-    contention = attribute_contention(doc)
-    out.write(render_table(
-        ["link", "capacity", "peak rate", "peak util"], rows,
-        title=f"interconnect ({ledger.n_flows} flows, "
-              f"{format_bytes(ledger.bytes_moved)} moved, "
-              f"{contention['total_contention_s']:.6f} s contention)")
-        + "\n")
-    out.write("\nlink bandwidth timelines (0 .. makespan, "
-              "bucket maxima):\n")
-    for name, pts in link_timelines(doc).items():
-        vals = _sample_timeline(pts, res.elapsed, args.width)
-        out.write(f"  {name:<10} {sparkline(vals)}  "
-                  f"peak {format_bytes(peaks[name]['peak_bytes_per_s'])}"
-                  "/s\n")
-    conc = concurrency_series(doc)
-    vals = _sample_timeline(conc, res.elapsed, args.width)
-    out.write(f"  {'in flight':<10} {sparkline(vals)}  "
-              f"peak {max((c for _, c in conc), default=0)} flows\n")
-    contended = sorted(contention["flows"],
-                       key=lambda f: (-f["slowdown_s"], f["id"]))
-    rows = []
-    for f in contended[:args.top]:
-        charges = sorted(((k, v) for k, v in f["parts"].items()
-                          if k != "isolation" and v > 0.0),
-                         key=lambda kv: -kv[1])
-        top = ", ".join(f"{k} {v:.6f}s" for k, v in charges[:3])
-        rows.append([f["id"], f["label"],
-                     "-" if f["span"] is None else f["span"],
-                     f"{f['duration_s']:.6f}", f"{f['isolation_s']:.6f}",
-                     f"{f['slowdown_s']:.6f}", top or "-"])
-    out.write("\n" + render_table(
-        ["id", "flow", "span", "duration [s]", "isolation [s]",
-         "slowdown [s]", "charged to"], rows,
-        title=f"top contended flows ({len(rows)} of "
-              f"{contention['n_flows']})") + "\n")
-    _write_flows_dashboard(args, doc, res, out)
-    _maybe_write_trace(args, res, out)
+    _finish(args, out, entries=lambda: [archive_entry(verdict,
+                                                      label=args.label)])
     return 0
-
-
-def _write_flows_dashboard(args, doc, res, out) -> None:
-    from repro.reporting import write_flows_dashboard
-    _write_html(args.html, "flows dashboard",
-                lambda path: write_flows_dashboard(
-                    doc, path,
-                    title=f"{res.approach} on {res.platform_name}"),
-                out)
-
-
-def _run_plan_mem(argv, out) -> int:
-    args = build_plan_mem_parser().parse_args(argv)
-    from repro.errors import PlanError
-    from repro.obs import canonical_json, plan_memory
-    from repro.obs.memory import MEMPLAN_SCHEMA
-    from repro.reporting import format_bytes
-    platform = get_platform(args.platform)
-    kw = dict(approach=args.approach, n_streams=args.streams,
-              batch_size=int(args.batch_size) if args.batch_size else None,
-              pinned_elements=int(args.pinned))
-    try:
-        memplan = plan_memory(platform, int(args.n), n_gpus=args.gpus,
-                              **kw)
-    except PlanError as exc:
-        if args.json:
-            out.write(canonical_json(
-                {"schema": MEMPLAN_SCHEMA, "ok": False,
-                 "rejected": str(exc)}) + "\n")
-        else:
-            out.write(f"repro plan-mem: REJECTED: {exc}\n")
-        return 2
-    conf = None
-    if args.verify and memplan["ok"]:
-        from repro.obs import measured_peaks, memory_conformance
-        res = HeterogeneousSorter(platform, n_gpus=args.gpus,
-                                  **kw).sort(n=int(args.n),
-                                             approach=args.approach)
-        conf = memory_conformance(memplan, measured_peaks(res),
-                                  tolerance=args.tolerance)
-    if args.json:
-        doc = dict(memplan)
-        if conf is not None:
-            doc["conformance"] = conf
-        out.write(canonical_json(doc) + "\n")
-        return 0 if memplan["ok"] and (conf is None or conf["ok"]) else 1
-    pt = memplan["point"]
-    workers = ", ".join(f"gpu{g[3:]}x{c}" if g.startswith("gpu") else g
-                        for g, c in memplan["workers"].items())
-    out.write(f"plan: {pt['approach']} on {pt['platform']}, "
-              f"n={pt['n']:.3g}, batch={pt['batch_size']:.3g}, "
-              f"streams={pt['n_streams']}, "
-              f"pinned={pt['pinned_elements']:.3g}\n"
-              f"workers: {workers or 'none'} -- "
-              f"{format_bytes(memplan['per_worker']['device_bytes'])} "
-              f"device + "
-              f"{format_bytes(memplan['per_worker']['pinned_bytes'])} "
-              f"pinned each\n\n")
-    rows = [[pool, format_bytes(p["predicted_bytes"]),
-             format_bytes(p["capacity_bytes"]),
-             format_bytes(p["headroom_bytes"]),
-             "ok" if p["ok"] else "OVERSUBSCRIBED"]
-            for pool, p in memplan["pools"].items()]
-    out.write(render_table(
-        ["pool", "predicted peak", "capacity", "headroom", "verdict"],
-        rows, title="predicted peak occupancy") + "\n")
-    for v in memplan["violations"]:
-        out.write(f"  VIOLATION: {v}\n")
-    if not memplan["ok"]:
-        out.write("plan-mem: configuration does NOT fit\n")
-        return 1
-    if args.verify and conf is not None:
-        rows = [[pool, format_bytes(p["predicted_bytes"]),
-                 format_bytes(p["measured_bytes"]),
-                 f"{p['residual_bytes']:+d} B",
-                 f"{p['rel']:+.2%}" if p["rel"] is not None else "-",
-                 "ok" if p["ok"] else "MISMATCH"]
-                for pool, p in conf["pools"].items()]
-        out.write("\n" + render_table(
-            ["pool", "predicted", "measured", "residual", "rel",
-             "verdict"], rows,
-            title=f"predicted vs measured peaks "
-                  f"(tolerance {conf['tolerance']:g})") + "\n")
-        if not conf["ok"]:
-            out.write("plan-mem: measured peaks deviate from the "
-                      "prediction\n")
-            return 1
-        out.write("plan-mem: measured peaks match the prediction\n")
-        return 0
-    out.write("plan-mem: configuration fits\n")
-    return 0
-
-
-def _load_archive_or_exit(path, out, prog: str):
-    from repro.errors import ArchiveError
-    from repro.obs import load_archive
-    try:
-        return load_archive(path)
-    except OSError as exc:
-        out.write(f"{prog}: cannot read archive: {exc}\n")
-    except ArchiveError as exc:
-        out.write(f"{prog}: invalid archive: {exc}\n")
-    return None
-
-
-def _pick_entry(entries, token: str, out):
-    """The unique entry whose id starts with ``token`` (or None + a
-    message listing the ambiguity)."""
-    hits = [e for e in entries if e["entry"].startswith(token)]
-    if len(hits) == 1:
-        return hits[0]
-    if not hits:
-        out.write(f"repro archive: no entry matches {token!r}\n")
-    else:
-        ids = ", ".join(e["entry"] for e in hits[:5])
-        out.write(f"repro archive: {token!r} is ambiguous "
-                  f"({len(hits)} entries: {ids}...)\n")
-    return None
-
-
-def _run_archive_cmd(argv, out) -> int:
-    args = build_archive_parser().parse_args(argv)
-    from repro.errors import ArchiveError
-    from repro.obs import canonical_json, compare_entries, validate_archive
-    entries = _load_archive_or_exit(args.archive, out, "repro archive")
-    if entries is None:
-        return 2
-    if args.diff:
-        a = _pick_entry(entries, args.diff[0], out)
-        b = _pick_entry(entries, args.diff[1], out)
-        if a is None or b is None:
-            return 2
-        try:
-            diff = compare_entries(a, b, tolerance=args.tolerance)
-        except ArchiveError as exc:
-            out.write(f"repro archive: {exc}\n")
-            return 2
-        if args.json:
-            out.write(canonical_json(diff) + "\n")
-        else:
-            from repro.obs import render_diff
-            out.write(render_diff(diff, min_rel=args.min_rel) + "\n")
-        return 0
-    try:
-        summary = validate_archive(args.archive)
-    except ArchiveError as exc:
-        out.write(f"repro archive: INVALID: {exc}\n")
-        return 1
-    if args.json:
-        doc = dict(summary)
-        if args.list:
-            doc["entries"] = [
-                {"entry": e["entry"], "fingerprint": e["fingerprint"],
-                 "source": e["source"], "label": e["label"],
-                 "metrics": e["metrics"]} for e in entries]
-        out.write(canonical_json(doc) + "\n")
-        return 0
-    srcs = ", ".join(f"{s} x{c}" for s, c in summary["sources"].items())
-    out.write(f"archive OK: {summary['n_entries']} entries, "
-              f"{summary['n_fingerprints']} workload fingerprint(s) "
-              f"[{srcs}]\n")
-    if args.list:
-        rows = []
-        for e in entries:
-            mk = e["metrics"].get("makespan_s")
-            rows.append([e["entry"], e["fingerprint"][:8], e["source"],
-                         e["label"],
-                         f"{mk:.6f}" if mk is not None else "-",
-                         len(e["verdicts"])])
-        out.write(render_table(
-            ["entry", "fingerprint", "source", "label", "makespan [s]",
-             "verdicts"], rows, title="archived runs (append order)")
-            + "\n")
-    return 0
-
-
-def _run_trends_cmd(argv, out) -> int:
-    args = build_trends_parser().parse_args(argv)
-    from repro.obs import canonical_json, trend_summary
-    entries = _load_archive_or_exit(args.archive, out, "repro trends")
-    if entries is None:
-        return 2
-    fp = args.fingerprint
-    if fp is not None:
-        full = sorted({e["fingerprint"] for e in entries
-                       if e["fingerprint"].startswith(fp)})
-        if len(full) != 1:
-            out.write(f"repro trends: fingerprint {fp!r} matches "
-                      f"{len(full)} workload(s)\n")
-            return 2
-        fp = full[0]
-    trends = trend_summary(entries, args.metric or None,
-                           alpha=args.ewma, k=args.k,
-                           min_rel=args.min_rel, fingerprint=fp)
-    if args.json:
-        out.write(canonical_json(trends) + "\n")
-    else:
-        from repro.reporting import sparkline
-        out.write(f"trends: {trends['n_fingerprints']} workload(s), "
-                  f"{trends['n_series']} series, "
-                  f"{trends['n_changepoints']} changepoint(s), "
-                  f"{trends['n_proposals']} re-baseline proposal(s)\n")
-        for fprint, blk in trends["fingerprints"].items():
-            out.write(f"\n{blk['label'] or fprint}  "
-                      f"[{fprint[:8]}] -- {blk['n_entries']} run(s)\n")
-            for metric, tr in blk["metrics"].items():
-                marks = [c["index"] for c in tr["changepoints"]]
-                spark = sparkline(tr["values"], marks)
-                out.write(f"  {metric:<22} {spark}  "
-                          f"median {tr['median']:.6g}, "
-                          f"last {tr['last']:.6g}\n")
-                for c in tr["changepoints"]:
-                    out.write(f"    changepoint at run {c['index'] + 1}: "
-                              f"{c['before']:.6g} -> {c['after']:.6g} "
-                              f"({c['ratio']:.2f}x, "
-                              f"score {c['score']:.1f})\n")
-                for i in tr["anomalies"]:
-                    out.write(f"    anomaly at run {i + 1}: "
-                              f"{tr['values'][i]:.6g}\n")
-                if tr["ratchet"]:
-                    out.write(f"    RATCHET: "
-                              f"{tr['ratchet']['message']}\n")
-    if args.html:
-        from repro.reporting import write_trend_dashboard
-        _write_html(args.html, "trend dashboard",
-                    lambda path: write_trend_dashboard(trends, path), out)
-    return 0
-
-
-def _run_chaos(argv, out) -> int:
-    parser = build_chaos_parser()
-    args = parser.parse_args(argv)
-    if (args.fault_seed is None) == (args.plan is None):
-        parser.error("pass exactly one of --fault-seed or --plan")
-    from repro.errors import FaultPlanError, ReproError
-    from repro.sim.faults import FaultPlan
-    if args.plan is not None:
-        try:
-            plan = FaultPlan.load(args.plan)
-        except FaultPlanError as exc:
-            out.write(f"repro chaos: {exc}\n")
-            return 2
-    else:
-        plan = FaultPlan.random(args.fault_seed, n_gpus=args.gpus)
-    if args.plan_out:
-        with _writes(args.plan_out, "fault plan"):
-            plan.save(args.plan_out)
-        if not args.json:     # keep --json stdout pure JSON
-            out.write(f"wrote fault plan to {args.plan_out}\n")
-
-    sorter = _make_sorter(args)
-    sinks: list = []
-    if args.events:
-        from repro.obs import JsonlSink
-        with _writes(args.events, "event log"):
-            sinks.append(JsonlSink(args.events))
-    data = generate(args.functional, args.distribution, seed=args.seed)
-    verdict = {"schema": "repro.chaos/v1", "plan": plan.to_dict(),
-               "approach": args.approach, "platform": args.platform,
-               "n": args.functional}
-    try:
-        res = sorter.sort(data, approach=args.approach, sinks=sinks,
-                          faults=plan)
-    except ReproError as exc:
-        verdict.update(survived=False, error=type(exc).__name__,
-                       message=str(exc))
-        if args.json:
-            from repro.obs import canonical_json
-            out.write(canonical_json(verdict) + "\n")
-        else:
-            out.write(f"chaos: run FAILED with {type(exc).__name__}: "
-                      f"{exc}\n")
-        return 3
-    verdict.update(survived=True, elapsed_s=res.elapsed,
-                   faults=res.meta.get("faults", {"fired": 0}),
-                   degrades=len(res.meta.get("degrades", [])))
-    if args.json:
-        from repro.obs import canonical_json
-        out.write(canonical_json(verdict) + "\n")
-    else:
-        fired = verdict["faults"].get("fired", 0)
-        out.write(f"chaos: survived -- output verified sorted "
-                  f"({fired} fault(s) fired, "
-                  f"{verdict['degrades']} degradation(s), "
-                  f"elapsed {res.elapsed:.6f} s)\n")
-        if args.events:
-            out.write(f"wrote event log to {args.events}\n")
-    if args.archive:
-        from repro.obs import entry_from_result
-        gate = {"gate": "chaos", "ok": True, "failures": []}
-        entry = entry_from_result(
-            res, source="chaos",
-            label=f"chaos {args.approach} n={args.functional}",
-            verdicts=[gate])
-        _maybe_archive(args.archive, [entry], out)
-    return 0
-
-
-def _run_watch(argv, out) -> int:
-    args = build_watch_parser().parse_args(argv)
-    from repro.errors import EventLogError
-    from repro.obs import (LiveAggregator, canonical_json, read_events,
-                           validate_events)
-    from repro.reporting import render_plain_line, render_snapshot
-    try:
-        _, events = read_events(args.events)
-        validate_events(events)
-    except OSError as exc:
-        out.write(f"repro watch: cannot read event log: {exc}\n")
-        return 2
-    except EventLogError as exc:
-        out.write(f"repro watch: invalid event log: {exc}\n")
-        return 2
-    agg = LiveAggregator()
-    next_t = args.interval
-    for ev in events:
-        agg.emit(ev)
-        if not args.json and ev.t >= next_t:
-            out.write(render_plain_line(agg.snapshot()) + "\n")
-            while next_t <= ev.t:
-                next_t += args.interval
-    if args.json:
-        out.write(canonical_json(agg.snapshot()) + "\n")
-    else:
-        out.write(render_snapshot(agg.snapshot()) + "\n")
-    return 0
-
-
-def _build_sinks(args, out) -> list:
-    """Streaming-telemetry sinks for the default run mode (--live /
-    --events / --deadline); empty when none was requested."""
-    if not (args.live or args.events or args.deadline is not None):
-        return []
-    from repro.obs import JsonlSink, TtySink, WatchdogSink
-    sinks: list = [WatchdogSink(deadline_s=args.deadline)]
-    if args.events:
-        with _writes(args.events, "event log"):
-            sinks.append(JsonlSink(args.events))
-    if args.live:
-        from repro.model.lowerbound import measure_bline_throughput
-        model = measure_bline_throughput(get_platform(args.platform),
-                                         n_gpus=args.gpus)
-        # ~20 plain progress lines over the model-predicted duration, so
-        # non-TTY output is useful at any run scale.
-        n = int(args.n) if args.n is not None else args.functional
-        sinks.append(TtySink(out=out, model_slope=model.slope,
-                             plain_interval_s=model.seconds(n) / 20))
-    return sinks
-
-
-def _load_faults(args):
-    """The --faults plan (or None).  A missing/foreign file raises
-    :class:`~repro.errors.FaultPlanError` (exit 2 at the call sites)."""
-    if getattr(args, "faults", None) is None:
-        return None
-    from repro.sim.faults import FaultPlan
-    return FaultPlan.load(args.faults)
-
-
-def _make_sorter(args) -> HeterogeneousSorter:
-    platform = get_platform(args.platform)
-    return HeterogeneousSorter(
-        platform, n_gpus=args.gpus,
-        approach=args.approach,
-        n_streams=args.streams,
-        batch_size=int(args.batch_size) if args.batch_size else None,
-        pinned_elements=int(args.pinned),
-        memcpy_threads=args.memcpy_threads)
-
-
-def _run_one(args, out) -> int:
-    sorter = _make_sorter(args)
-    sinks = _build_sinks(args, out)
-    from repro.errors import FaultPlanError
-    try:
-        faults = _load_faults(args)
-    except FaultPlanError as exc:
-        out.write(f"repro: {exc}\n")
-        return 2
-    if args.functional is not None:
-        data = generate(args.functional, args.distribution,
-                        seed=args.seed)
-        res = sorter.sort(data, approach=args.approach, sinks=sinks,
-                          faults=faults)
-    else:
-        res = sorter.sort(n=int(args.n), approach=args.approach,
-                          sinks=sinks, faults=faults)
-    if args.json:
-        from repro.obs import canonical_json
-        out.write(canonical_json(res.to_dict()) + "\n")
-        _maybe_write_trace(args, res, out)
-        if args.events:
-            out.write(f"wrote event log to {args.events}\n")
-        _archive_run(args, res, out)
-        return 0
-    if args.functional is not None:
-        out.write("output validated: sorted permutation of the input\n")
-    out.write(res.summary() + "\n")
-    if args.gantt:
-        out.write(render_gantt(res.trace) + "\n")
-    _maybe_write_trace(args, res, out)
-    if args.events:
-        out.write(f"wrote event log to {args.events}\n")
-    _archive_run(args, res, out)
-    return 0
-
-
-def _archive_run(args, res, out) -> None:
-    if not getattr(args, "archive", None):
-        return
-    from repro.obs import entry_from_result
-    entry = entry_from_result(res, source="run", label=args.approach)
-    _maybe_archive(args.archive, [entry], out)
-
-
-def _maybe_write_trace(args, res, out) -> None:
-    if args.trace_json:
-        from repro.reporting import write_chrome_trace
-        counters = res.recorder
-        ledger = getattr(res, "flow_ledger", None)
-        if ledger is not None:
-            # Merge the interconnect observatory's link-bandwidth step
-            # series (`link.<name>.bw_bytes_per_s`) into the recorder's
-            # counter tracks for the Perfetto export.
-            from repro.obs.flows import flow_rate_counters
-            series = dict(getattr(counters, "series", None) or {})
-            series.update(flow_rate_counters(ledger.to_dict()))
-            counters = series
-        with _writes(args.trace_json, "trace JSON"):
-            count = write_chrome_trace(res.trace, args.trace_json,
-                                       counters=counters)
-        out.write(f"wrote {count} trace events to {args.trace_json}\n")
-    if args.report:
-        from repro.obs import run_report, write_report
-        with _writes(args.report, "run report"):
-            write_report(run_report(res), args.report)
-        out.write(f"wrote run report to {args.report}\n")
-
-
-def _maybe_archive(path, entries, out) -> None:
-    """Append run entries to a ``repro.archive/v1`` archive (+ manifest)
-    and report what was new; the shared exit ramp of every --archive
-    flag."""
-    if not path:
-        return
-    from repro.errors import ArchiveError
-    from repro.obs import append_entries
-    with _writes(path, "archive"):
-        try:
-            fresh = append_entries(path, entries)
-        except ArchiveError as exc:
-            raise SystemExit(
-                f"repro: cannot append to archive {path!r}: {exc}"
-            ) from None
-    skipped = len(entries) - len(fresh)
-    note = f" ({skipped} already archived)" if skipped else ""
-    out.write(f"archived {len(fresh)} entr"
-              f"{'y' if len(fresh) == 1 else 'ies'} to {path}{note}\n")
-
-
-def _run_sort(args):
-    """Run one sort for the causal subcommands (timing or functional)."""
-    sorter = _make_sorter(args)
-    faults = _load_faults(args)
-    if args.functional is not None:
-        data = generate(args.functional, args.distribution, seed=args.seed)
-        return sorter.sort(data, approach=args.approach, faults=faults)
-    return sorter.sort(n=int(args.n), approach=args.approach, faults=faults)
-
-
-def _run_critical_path(argv, out) -> int:
-    parser = build_critical_path_parser()
-    args = parser.parse_args(argv)
-    if (args.n is None) == (args.functional is None):
-        parser.error("pass exactly one of --n or --functional")
-    _reject_json_report(parser, args)
-    from repro.obs import critical_path_report
-    res = _run_sort(args)
-    graph = res.causal_graph()
-    report = critical_path_report(graph)
-    if args.json:
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        _maybe_write_trace(args, res, out)
-        return 0
-    out.write(res.summary() + "\n\n")
-    makespan = report["makespan"] or 1.0
-    out.write(render_table(
-        ["category", "time [ms]", "% of makespan"],
-        [[c, f"{v * 1e3:.4f}", f"{v / makespan:.1%}"]
-         for c, v in report["by_category"].items()],
-        title=f"critical path: {report['n_spans']} of "
-              f"{report['n_trace_spans']} spans, "
-              f"{report['duration'] * 1e3:.4f} ms "
-              f"(= makespan), wait {report['wait'] * 1e3:.4f} ms") + "\n")
-    out.write("\n" + render_table(
-        ["lane", "time [ms]", "% of makespan"],
-        [[l, f"{v * 1e3:.4f}", f"{v / makespan:.1%}"]
-         for l, v in report["by_lane"].items()],
-        title="critical path by lane") + "\n")
-    steps = report["path"]
-    shown = steps if args.limit <= 0 else steps[:args.limit]
-    rows = [[s["id"], s["category"], s["label"], s["lane"],
-             f"{s['start'] * 1e3:.4f}", f"{s['duration'] * 1e3:.4f}",
-             f"{s['wait_before'] * 1e3:.4f}"] for s in shown]
-    title = "path steps" if len(shown) == len(steps) else \
-        f"path steps (first {len(shown)} of {len(steps)})"
-    out.write("\n" + render_table(
-        ["id", "category", "label", "lane", "start [ms]", "dur [ms]",
-         "wait [ms]"], rows, title=title) + "\n")
-    if args.gantt:
-        out.write("\n" + render_gantt(res.trace,
-                                      critical=graph.critical_path(),
-                                      slack=graph.slack()) + "\n")
-    _maybe_write_trace(args, res, out)
-    return 0
-
-
-def _parse_scales(pairs, error) -> dict[str, float]:
-    scale: dict[str, float] = {}
-    for item in pairs:
-        cat, sep, k = item.partition("=")
-        if not sep:
-            error(f"--scale expects CAT=K, got {item!r}")
-        try:
-            scale[cat] = float(k)
-        except ValueError:
-            error(f"--scale factor must be a number, got {k!r}")
-    return scale
-
-
-def _run_whatif(argv, out) -> int:
-    parser = build_whatif_parser()
-    args = parser.parse_args(argv)
-    if (args.n is None) == (args.functional is None):
-        parser.error("pass exactly one of --n or --functional")
-    _reject_json_report(parser, args)
-    from repro.obs import sensitivity_report, whatif_report
-    scale = _parse_scales(args.scale, parser.error)
-    res = _run_sort(args)
-    graph = res.causal_graph()
-    if scale:
-        report = whatif_report(graph, scale)
-        if args.json:
-            out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            return 0
-        out.write(res.summary() + "\n\n")
-        # One combined prediction row labelled with every scaled category.
-        label = " ".join(f"{c}x{k:g}" for c, k in report["scale"].items())
-        rows = [[label, f"{report['measured_makespan'] * 1e3:.4f}",
-                 f"{report['predicted_makespan'] * 1e3:.4f}",
-                 f"{report['delta'] * 1e3:+.4f}",
-                 f"{report['speedup']:.3f}"]]
-        out.write(render_table(
-            ["scenario", "measured [ms]", "predicted [ms]", "delta [ms]",
-             "speedup"], rows, title="what-if prediction") + "\n")
-        return 0
-    report = sensitivity_report(graph)
-    if args.json:
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return 0
-    out.write(res.summary() + "\n\n")
-    rows = [[r["category"], f"{r['factor']:g}",
-             f"{r['predicted_makespan'] * 1e3:.4f}",
-             f"{r['delta'] * 1e3:+.4f}", f"{r['speedup']:.3f}"]
-            for r in report["rows"]]
-    out.write(render_table(
-        ["category", "factor", "predicted [ms]", "delta [ms]", "speedup"],
-        rows,
-        title=f"what-if sensitivity (measured "
-              f"{report['measured_makespan'] * 1e3:.4f} ms)") + "\n")
-    return 0
-
-
-def _run_diff(argv, out) -> int:
-    parser = build_diff_parser()
-    args = parser.parse_args(argv)
-    from repro.obs import diff_reports, load_report, render_diff
-    try:
-        a = load_report(args.report_a)
-        b = load_report(args.report_b)
-    except OSError as exc:
-        out.write(f"repro diff: cannot read report: {exc}\n")
-        return 2
-    except json.JSONDecodeError as exc:
-        out.write(f"repro diff: report is not valid JSON: {exc}\n")
-        return 2
-    diff = diff_reports(a, b, tolerance=args.tolerance)
-    if args.json:
-        out.write(json.dumps(diff, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(render_diff(diff, min_rel=args.min_rel) + "\n")
-    if args.fail_on_regression and (diff["regression"]
-                                    or diff["structural_change"]):
-        return 1
-    return 0
-
-
-def _run_sweep_cmd(argv, out) -> int:
-    args = build_sweep_parser().parse_args(argv)
-    from repro.obs.sweep import (GRIDS, run_sweep, sweep_points,
-                                 write_ledger)
-    points = sweep_points(args.grid)
-    model_n = (int(args.model_n) if args.model_n is not None
-               else GRIDS[args.grid][1])
-    progress = None if args.quiet else \
-        (lambda line: out.write(line + "\n"))
-    records = run_sweep(points, model_n=model_n, progress=progress)
-    with _writes(args.ledger, "sweep ledger"):
-        write_ledger(records, args.ledger)
-    out.write(f"wrote {len(records)} ledger lines to {args.ledger}\n")
-    if args.archive:
-        from repro.obs import entry_from_ledger
-        _maybe_archive(args.archive,
-                       [entry_from_ledger(r) for r in records], out)
-    return 0
-
-
-def _run_conformance_cmd(argv, out) -> int:
-    args = build_conformance_parser().parse_args(argv)
-    from repro.errors import LedgerError
-    from repro.obs import canonical_json, conformance_summary, load_ledger
-    try:
-        records = load_ledger(args.ledger)
-    except (OSError, LedgerError) as exc:
-        out.write(f"repro conformance: cannot load ledger: {exc}\n")
-        return 2
-    summary = conformance_summary(records, z_threshold=args.z_threshold,
-                                  rel_tolerance=args.tolerance)
-    if args.json:
-        out.write(canonical_json(summary) + "\n")
-    else:
-        rows = []
-        for key, g in summary["groups"].items():
-            paper = (f"{g['paper_slope'] * 1e9:.3f}"
-                     if g["paper_slope"] else "-")
-            rows.append([key, g["n_runs"],
-                         f"{g['fitted_slope'] * 1e9:.3f}",
-                         f"{g['fitted_intercept'] * 1e3:.2f}",
-                         f"{g['r2']:.5f}",
-                         f"{g['model_slope'] * 1e9:.3f}", paper,
-                         len(g["anomalies"])])
-        out.write(render_table(
-            ["group", "runs", "fit [ns/el]", "icpt [ms]", "R^2",
-             "model [ns/el]", "paper [ns/el]", "anomalies"], rows,
-            title=f"conformance: {summary['n_runs']} runs, "
-                  f"{summary['n_groups']} groups, mean model/measured "
-                  f"{summary['mean_slowdown']:.3f}") + "\n")
-        for a in summary["anomalies"]:
-            out.write(f"  ANOMALY {a['run_id']} ({a['group']}): measured "
-                      f"{a['measured_s']:.4f} s vs fit "
-                      f"{a['expected_s']:.4f} s "
-                      f"({a['deviation_s']:+.4f} s, z={a['z']:+.2f}, "
-                      f"{'/'.join(a['flags'])})\n")
-    if args.html:
-        from repro.reporting import write_dashboard
-        with _writes(args.html, "dashboard"):
-            write_dashboard(records, summary, args.html)
-        out.write(f"wrote dashboard to {args.html}\n")
-    if args.fail_on_anomaly and summary["n_anomalies"] > 0:
-        out.write(f"FAIL: {summary['n_anomalies']} anomalous run(s)\n")
-        return 1
-    return 0
-
-
-def _reject_json_report(parser, args) -> None:
-    """One-line, non-zero rejection of --json together with --report
-    (one run, one machine-readable output -- they would race on who
-    owns the canonical document)."""
-    if getattr(args, "json", False) and getattr(args, "report", None):
-        parser.error("--json and --report are mutually exclusive; "
-                     "--json prints the document, --report writes it")
-
-
-def _run_metrics(argv, out) -> int:
-    parser = build_metrics_parser()
-    args = parser.parse_args(argv)
-    if (args.n is None) == (args.functional is None):
-        parser.error("pass exactly one of --n or --functional")
-    _reject_json_report(parser, args)
-    sorter = _make_sorter(args)
-    profiling = args.profile and args.functional is not None
-    if profiling:
-        from repro.obs import enable_profiling, reset_profiling
-        reset_profiling()
-        enable_profiling()
-    try:
-        if args.functional is not None:
-            data = generate(args.functional, args.distribution,
-                            seed=args.seed)
-            res = sorter.sort(data, approach=args.approach)
-        else:
-            res = sorter.sort(n=int(args.n), approach=args.approach)
-    finally:
-        if profiling:
-            from repro.obs import disable_profiling
-            disable_profiling()
-    if args.json:
-        from repro.obs import canonical_json
-        out.write(canonical_json(res.metrics) + "\n")
-        return 0
-    out.write(res.summary() + "\n\n")
-    out.write(render_metrics_table(res.metrics) + "\n")
-    if profiling:
-        from repro.obs import profiling_stats
-        rows = [[s.name, s.calls, f"{s.total_s * 1e3:.3f}",
-                 f"{s.mean_s * 1e6:.1f}", f"{s.elements_per_s:.3g}"]
-                for s in sorted(profiling_stats().values(),
-                                key=lambda s: -s.total_s)]
-        if rows:
-            out.write("\n" + render_table(
-                ["kernel", "calls", "total [ms]", "mean [us]", "elem/s"],
-                rows, title="kernel wall-clock profile (real numpy)") + "\n")
-    _maybe_write_trace(args, res, out)
-    return 0
-
-
-def _run_compare(args, out) -> int:
-    platform = get_platform(args.platform)
-    n = int(args.n)
-    ref = cpu_reference_sort(platform, n=n)
-    runs = [{"approach": "cpu reference", "elapsed_s": ref.elapsed,
-             "speedup": 1.0}]
-    for approach in ("blinemulti", "pipedata", "pipemerge"):
-        for threads in ((1, args.memcpy_threads)
-                        if args.memcpy_threads > 1 else (1,)):
-            sorter = _make_sorter(args).config.with_(
-                approach=approach, memcpy_threads=threads)
-            res = HeterogeneousSorter(
-                platform, n_gpus=args.gpus, config=sorter).sort(
-                n=n, approach=approach)
-            tag = approach + ("+parmemcpy" if threads > 1 else "")
-            runs.append({"approach": tag, "elapsed_s": res.elapsed,
-                         "speedup": ref.elapsed / res.elapsed})
-    if args.json:
-        from repro.obs import canonical_json
-        doc = {"schema": "repro.compare/v1", "platform": platform.name,
-               "n": n, "n_gpus": args.gpus, "runs": runs}
-        out.write(canonical_json(doc) + "\n")
-        return 0
-    rows = [[r["approach"], f"{r['elapsed_s']:.3f}",
-             f"{r['speedup']:.2f}"] for r in runs]
-    out.write(render_table(["approach", "time [s]", "speedup"], rows,
-                           title=f"{platform.name}, n={n:.2e}") + "\n")
-    return 0
-
-
-def main(argv: list[str] | None = None, out=None) -> int:
-    """CLI entry point; returns a process exit code."""
-    out = out if out is not None else sys.stdout
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "metrics":
-        return _run_metrics(argv[1:], out)
-    if argv and argv[0] == "critical-path":
-        return _run_critical_path(argv[1:], out)
-    if argv and argv[0] == "whatif":
-        return _run_whatif(argv[1:], out)
-    if argv and argv[0] == "diff":
-        return _run_diff(argv[1:], out)
-    if argv and argv[0] == "sweep":
-        return _run_sweep_cmd(argv[1:], out)
-    if argv and argv[0] == "conformance":
-        return _run_conformance_cmd(argv[1:], out)
-    if argv and argv[0] == "watch":
-        return _run_watch(argv[1:], out)
-    if argv and argv[0] == "chaos":
-        return _run_chaos(argv[1:], out)
-    if argv and argv[0] == "archive":
-        return _run_archive_cmd(argv[1:], out)
-    if argv and argv[0] == "trends":
-        return _run_trends_cmd(argv[1:], out)
-    if argv and argv[0] == "mem":
-        return _run_mem(argv[1:], out)
-    if argv and argv[0] == "flows":
-        return _run_flows(argv[1:], out)
-    if argv and argv[0] == "plan-mem":
-        return _run_plan_mem(argv[1:], out)
-    if argv and argv[0] == "serve":
-        return _run_serve(argv[1:], out)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if (args.n is None) == (args.functional is None):
-        parser.error("pass exactly one of --n or --functional")
-    _reject_json_report(parser, args)
-    if args.compare:
-        if args.n is None:
-            parser.error("--compare needs --n")
-        return _run_compare(args, out)
-    return _run_one(args, out)
 
 
 if __name__ == "__main__":  # pragma: no cover

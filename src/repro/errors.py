@@ -122,3 +122,10 @@ class GoldenError(ReproError):
     truncated JSON, an unknown schema, a missing or unknown
     (scenario, artifact) pair, a digest that is not 64 hex digits, or a
     tolerance band value that is not a finite number."""
+
+
+class ReportError(ReproError):
+    """A run report handed to ``repro diff`` is valid JSON but not a
+    ``repro.report/v1`` document: not an object, an unknown schema, a
+    makespan that is not a number, or a section that is not an object
+    of numbers."""

@@ -238,6 +238,36 @@ def _poly(points: list[tuple[float, float]]) -> str:
     return " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
 
 
+def _page(title: str, heading: str, sub: str,
+          tiles: _t.Iterable[tuple[str, str, str]], body: str) -> str:
+    """The page shell every dashboard shares: head and stylesheet, the
+    heading and its sub line, the ``(label, value, class)`` stat tiles,
+    ``body``, then the tooltip element and its script."""
+    tile_html = "".join(
+        f'<div class="tile"><div class="label">{_esc(lab)}</div>'
+        f'<div class="value {cls}">{_esc(val)}</div></div>'
+        for lab, val, cls in tiles)
+    return f"""<!DOCTYPE html>
+<html lang="en"><head><meta charset="utf-8">
+<title>{title}</title>
+<meta name="viewport" content="width=device-width, initial-scale=1">
+<style>{_CSS}</style></head>
+<body class="viz-root">
+<h1>{heading}</h1>
+<p class="sub">{sub}</p>
+<div class="tiles">{tile_html}</div>
+{body}
+<div id="tip" role="status"></div>
+<script>{_TIP_JS}</script>
+</body></html>
+"""
+
+
+def _write(path, page: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(page)
+
+
 # ---------------------------------------------------------------------------
 # Panels
 # ---------------------------------------------------------------------------
@@ -666,36 +696,18 @@ def render_memory_dashboard(doc: dict, title: str = "") -> str:
         ("leak check", "balanced" if balanced else "LEAK",
          "ok" if balanced else "bad"),
     ]
-    tile_html = "".join(
-        f'<div class="tile"><div class="label">{_esc(lab)}</div>'
-        f'<div class="value {cls}">{_esc(val)}</div></div>'
-        for lab, val, cls in tiles)
     sub = _esc(title) if title else ("byte-exact allocation ledger over "
                                      "the simulated cudaMalloc / "
                                      "cudaMallocHost paths")
-    return f"""<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<title>Memory observatory</title>
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<style>{_CSS}</style></head>
-<body class="viz-root">
-<h1>Memory observatory</h1>
-<p class="sub">{sub}</p>
-<div class="tiles">{tile_html}</div>
-<h2>Occupancy</h2>
-<div class="cards">{_memory_panel(doc)}</div>
-<h2>Pools</h2>
-{_memory_table(doc)}
-<div id="tip" role="status"></div>
-<script>{_TIP_JS}</script>
-</body></html>
-"""
+    return _page("Memory observatory", "Memory observatory", sub, tiles,
+                 f'<h2>Occupancy</h2>\n<div class="cards">'
+                 f'{_memory_panel(doc)}</div>\n<h2>Pools</h2>\n'
+                 + _memory_table(doc))
 
 
 def write_memory_dashboard(doc: dict, path, title: str = "") -> None:
     """Render and write the memory observatory to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(render_memory_dashboard(doc, title=title))
+    _write(path, render_memory_dashboard(doc, title=title))
 
 
 # ---------------------------------------------------------------------------
@@ -890,33 +902,16 @@ def render_flows_dashboard(doc: dict, title: str = "") -> str:
          "bad" if peak_util >= 1.0 else ""),
         ("contention", _fmt_s(contention["total_contention_s"]), ""),
     ]
-    tile_html = "".join(
-        f'<div class="tile"><div class="label">{_esc(lab)}</div>'
-        f'<div class="value {cls}">{_esc(val)}</div></div>'
-        for lab, val, cls in tiles)
     sub = _esc(title) if title else ("per-flow bandwidth grants from the "
                                      "max-min fair fluid-flow network")
-    return f"""<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<title>Interconnect observatory</title>
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<style>{_CSS}</style></head>
-<body class="viz-root">
-<h1>Interconnect observatory</h1>
-<p class="sub">{sub}</p>
-<div class="tiles">{tile_html}</div>
-<h2>Link occupancy</h2>
-{_flows_section(doc)}
-<div id="tip" role="status"></div>
-<script>{_TIP_JS}</script>
-</body></html>
-"""
+    return _page("Interconnect observatory", "Interconnect observatory",
+                 sub, tiles, "<h2>Link occupancy</h2>\n"
+                 + _flows_section(doc))
 
 
 def write_flows_dashboard(doc: dict, path, title: str = "") -> None:
     """Render and write the interconnect observatory to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(render_flows_dashboard(doc, title=title))
+    _write(path, render_flows_dashboard(doc, title=title))
 
 
 # ---------------------------------------------------------------------------
@@ -1041,36 +1036,18 @@ def render_service_dashboard(verdict: dict, title: str = "") -> str:
     if ctl is not None:
         tiles.append(("reclaimed / epoch",
                       f"{ctl['mean_reclaimed_fraction']:.0%}", ""))
-    tile_html = "".join(
-        f'<div class="tile"><div class="label">{_esc(lab)}</div>'
-        f'<div class="value {cls}">{_esc(val)}</div></div>'
-        for lab, val, cls in tiles)
     sub = _esc(title) if title else (
         "per-tenant QoS under the "
         f"{_esc(verdict.get('allocator', '?'))} bandwidth allocator")
-    return f"""<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<title>Sort service</title>
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<style>{_CSS}</style></head>
-<body class="viz-root">
-<h1>Multi-tenant sort service</h1>
-<p class="sub">{sub}</p>
-<div class="tiles">{tile_html}</div>
-<h2>Job latencies</h2>
-<div class="cards">{_service_jobs_panel(verdict)}</div>
-<h2>Tenants</h2>
-{_service_tenant_table(verdict)}
-<div id="tip" role="status"></div>
-<script>{_TIP_JS}</script>
-</body></html>
-"""
+    return _page("Sort service", "Multi-tenant sort service", sub, tiles,
+                 f'<h2>Job latencies</h2>\n<div class="cards">'
+                 f'{_service_jobs_panel(verdict)}</div>\n<h2>Tenants</h2>\n'
+                 + _service_tenant_table(verdict))
 
 
 def write_service_dashboard(verdict: dict, path, title: str = "") -> None:
     """Render and write the service dashboard to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(render_service_dashboard(verdict, title=title))
+    _write(path, render_service_dashboard(verdict, title=title))
 
 
 # ---------------------------------------------------------------------------
@@ -1227,33 +1204,17 @@ def render_trend_dashboard(trends: dict) -> str:
         ("re-baseline proposals", f"{n_props}",
          "bad" if n_props else "ok"),
     ]
-    tile_html = "".join(
-        f'<div class="tile"><div class="label">{_esc(lab)}</div>'
-        f'<div class="value {cls}">{val}</div></div>'
-        for lab, val, cls in tiles)
-    return f"""<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<title>Trend observatory</title>
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<style>{_CSS}</style></head>
-<body class="viz-root">
-<h1>Trend observatory</h1>
-<p class="sub">per-metric history over the run archive, grouped by
-workload fingerprint; steps detected by robust (MAD-scored) binary
-segmentation, anomalies flagged regime-locally</p>
-<div class="tiles">{tile_html}</div>
-<h2>Metric history</h2>
-{_trend_section(trends)}
-<div id="tip" role="status"></div>
-<script>{_TIP_JS}</script>
-</body></html>
-"""
+    return _page("Trend observatory", "Trend observatory",
+                 "per-metric history over the run archive, grouped by\n"
+                 "workload fingerprint; steps detected by robust "
+                 "(MAD-scored) binary\nsegmentation, anomalies flagged "
+                 "regime-locally", tiles,
+                 "<h2>Metric history</h2>\n" + _trend_section(trends))
 
 
 def write_trend_dashboard(trends: dict, path) -> None:
     """Render and write the trend observatory to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(render_trend_dashboard(trends))
+    _write(path, render_trend_dashboard(trends))
 
 
 # ---------------------------------------------------------------------------
@@ -1287,10 +1248,6 @@ def render_dashboard(records: _t.Sequence[dict], summary: dict,
          f"{summary.get('mean_slowdown', 0.0):.3f}", ""),
         ("worst gap vs measured", f"{worst_rel_gap:.0%}", ""),
     ]
-    tile_html = "".join(
-        f'<div class="tile"><div class="label">{_esc(lab)}</div>'
-        f'<div class="value {cls}">{val}</div></div>'
-        for lab, val, cls in tiles)
     scatter = "".join(
         _scatter_panel(key, grp, records)
         for key, grp in summary.get("groups", {}).items())
@@ -1310,18 +1267,7 @@ def render_dashboard(records: _t.Sequence[dict], summary: dict,
         'style="background:var(--s1);border:2px solid var(--critical);'
         'border-radius:50%"></span>anomalous run</span></div>')
     fig8 = _fig8_panel(records)
-    doc = f"""<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<title>Model-conformance dashboard</title>
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<style>{_CSS}</style></head>
-<body class="viz-root">
-<h1>Model-conformance dashboard</h1>
-<p class="sub">lower-bound model vs. measured makespans across the sweep
-ledger (Sec. IV-G / Fig. 11 methodology); gap attribution along the
-causal critical path</p>
-<div class="tiles">{tile_html}</div>
-<h2>Measured vs. model (Fig. 11)</h2>
+    body = f"""<h2>Measured vs. model (Fig. 11)</h2>
 {scatter_legend}
 <div class="cards">{scatter}</div>
 {'<h2>Missing overhead (Fig. 8)</h2><div class="cards">' + fig8 +
@@ -1340,12 +1286,11 @@ causal critical path</p>
  if flows else ''}
 {('<h2>Performance over time</h2>' + _trend_section(trends))
  if trends else ''}
-{_paper_band_note(summary)}
-<div id="tip" role="status"></div>
-<script>{_TIP_JS}</script>
-</body></html>
-"""
-    return doc
+{_paper_band_note(summary)}"""
+    return _page("Model-conformance dashboard", "Model-conformance dashboard",
+                 "lower-bound model vs. measured makespans across the sweep"
+                 "\nledger (Sec. IV-G / Fig. 11 methodology); gap "
+                 "attribution along the\ncausal critical path", tiles, body)
 
 
 def write_dashboard(records: _t.Sequence[dict], summary: dict,
@@ -1353,6 +1298,5 @@ def write_dashboard(records: _t.Sequence[dict], summary: dict,
                     memory: dict | None = None,
                     flows: dict | None = None) -> None:
     """Render and write the dashboard to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(render_dashboard(records, summary, trends, memory=memory,
+    _write(path, render_dashboard(records, summary, trends, memory=memory,
                                   flows=flows))

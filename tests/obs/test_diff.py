@@ -65,6 +65,24 @@ def test_report_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda rep: [rep],
+    lambda rep: {**rep, "schema": "repro.flows/v1"},
+    lambda rep: {k: v for k, v in rep.items() if k != "makespan_s"},
+    lambda rep: {**rep, "elapsed_s": True},
+    lambda rep: {**rep, "lanes": {"gpu0": "busy"}},
+    lambda rep: {**rep, "critical_path": {"by_category": []}},
+])
+def test_load_report_rejects_non_reports(tmp_path, mutate):
+    from repro.errors import ReportError, ReproError
+    path = tmp_path / "report.json"
+    write_report(mutate(run_report(small_run())), path)
+    with pytest.raises(ReportError) as exc:
+        load_report(path)
+    assert isinstance(exc.value, ReproError)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 # ---------------------------------------------------------------------------
 # Diffing
 # ---------------------------------------------------------------------------

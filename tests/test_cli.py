@@ -207,6 +207,8 @@ def test_json_is_canonical():
     ("metrics", "--n", "1e6", "--json", "--report", "r.json"),
     ("critical-path", "--n", "1e6", "--json", "--report", "r.json"),
     ("whatif", "--n", "1e6", "--json", "--report", "r.json"),
+    ("mem", "--n", "1e6", "--json", "--report", "r.json"),
+    ("flows", "--n", "1e6", "--json", "--report", "r.json"),
 ])
 def test_json_and_report_conflict(argv):
     with pytest.raises(SystemExit) as exc:
@@ -633,3 +635,108 @@ def test_flows_trace_carries_link_counter_tracks(tmp_path):
     names = {e["name"] for e in events if e["ph"] == "C"}
     assert "link.host_bus.bw_bytes_per_s" in names
     assert "link.pcie.htod.bw_bytes_per_s" in names
+
+
+# ---------------------------------------------------------------------------
+# The command tree: one registration and one run path per command
+# ---------------------------------------------------------------------------
+
+COMMANDS = ("metrics", "critical-path", "whatif", "diff", "sweep",
+            "conformance", "watch", "chaos", "archive", "trends", "mem",
+            "plan-mem", "flows", "serve")
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_every_command_is_registered(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        f"usage: repro-hetsort {cmd} ")
+
+
+def test_root_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert all(f"    {cmd} " in text for cmd in COMMANDS)
+
+
+def test_run_options_must_follow_the_command_name():
+    with pytest.raises(SystemExit) as exc:
+        main(["--n", "1e6", "metrics"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cmd", ["", "metrics", "critical-path", "whatif",
+                                 "mem", "flows"])
+def test_missing_fault_plan_is_a_one_line_exit_2(cmd):
+    argv = [cmd] if cmd else []
+    code, text = run_cli(*argv, "--n", "1e6", "--batch-size", "2.5e5",
+                         "--faults", "/nonexistent/plan.json")
+    assert code == 2
+    assert len(text.strip().splitlines()) == 1
+    assert text.startswith(" ".join(["repro", *argv]) + ": ")
+    assert "fault plan" in text
+
+
+def test_metrics_applies_the_fault_plan(tmp_path):
+    plan = tmp_path / "plan.json"
+    assert run_cli("chaos", "--fault-seed", "17", "--functional", "100000",
+                   "--plan-out", str(plan))[0] == 0
+    argv = ("metrics", "--functional", "100000", "--batch-size", "25000",
+            "--pinned", "1e4")
+    code, clean = run_cli(*argv)
+    assert code == 0
+    assert "Retry=" not in clean
+    code, text = run_cli(*argv, "--faults", str(plan))
+    assert code == 0
+    assert "Retry=" in text.splitlines()[2]     # the components line
+
+
+@pytest.mark.parametrize("scale", [(), ("--scale", "GPUSort=0.5")])
+def test_whatif_writes_trace_and_report(tmp_path, scale):
+    import json
+    trace, report = tmp_path / "t.json", tmp_path / "r.json"
+    code, text = run_cli("whatif", "--n", "1e6", "--batch-size", "2.5e5",
+                         "--pinned", "5e4", *scale,
+                         "--trace-json", str(trace), "--report", str(report))
+    assert code == 0
+    assert f"trace events to {trace}" in text
+    assert f"wrote run report to {report}" in text
+    assert json.loads(trace.read_text())["traceEvents"]
+    assert json.loads(report.read_text())["schema"] == "repro.report/v1"
+
+
+@pytest.mark.parametrize("flag", [
+    ("--report", "r.json"), ("--trace-json", "t.json"),
+    ("--events", "e.jsonl"), ("--archive", "a.jsonl"),
+    ("--faults", "plan.json"), ("--live",), ("--deadline", "1"),
+])
+def test_compare_rejects_single_run_flags(flag, tmp_path, capsys):
+    argv = ["--n", "1e9", "--compare", *flag]
+    with pytest.raises(SystemExit) as exc:
+        main([a if a.startswith("-") or a[0].isdigit()
+              else str(tmp_path / a) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.endswith(f"--compare runs several sorts and takes no "
+                        f"single-run flag: {flag[0]}")
+    assert list(tmp_path.iterdir()) == []          # nothing written
+
+
+@pytest.mark.parametrize("content", [
+    "[]",
+    "{}",
+    '{"schema": "repro.flows/v1"}',
+    '{"schema": "repro.report/v1", "makespan_s": 1.0, "elapsed_s": 1.0, '
+    '"span_index": []}',
+])
+def test_diff_rejects_a_document_that_is_not_a_report(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    code, text = run_cli("diff", str(bad), str(bad))
+    assert code == 2
+    assert len(text.strip().splitlines()) == 1
+    assert text.startswith(f"repro diff: {bad}: ")
