@@ -31,10 +31,6 @@ class SortResult:
     trace: Trace
     output: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-    #: Derived observability metrics (see :mod:`repro.obs.metrics`):
-    #: per-lane utilisation, the category-overlap matrix, overlap
-    #: efficiency, link throughput and live counter summaries.
-    metrics: dict = field(default_factory=dict)
     #: The run's :class:`~repro.obs.counters.MetricsRecorder` (full
     #: counter time series, for Perfetto counter-track export).
     recorder: _t.Any = None
@@ -46,6 +42,27 @@ class SortResult:
     #: bandwidth timelines, for ``repro flows`` and the HTML link
     #: panels).
     flow_ledger: _t.Any = None
+    #: Builds :attr:`metrics` on its first read; dropped once it has run.
+    metrics_builder: _t.Callable[[], dict] | None = field(
+        default=None, repr=False, compare=False)
+    _metrics: dict | None = field(default=None, init=False, repr=False,
+                                  compare=False)
+
+    @property
+    def metrics(self) -> dict:
+        """Derived observability metrics (see :mod:`repro.obs.metrics`):
+        per-lane utilisation, the category-overlap matrix, overlap
+        efficiency, link throughput, live counter summaries and the
+        memory, flow and engine blocks.
+
+        Built on the first read and cached as a plain ``dict``, so a run
+        nobody asks for metrics pays nothing for them; writes into it
+        (``metrics["conformance"]``) persist like any dict's.
+        """
+        if self._metrics is None:
+            build, self.metrics_builder = self.metrics_builder, None
+            self._metrics = build() if build is not None else {}
+        return self._metrics
 
     # -- component accounting ------------------------------------------------
 

@@ -176,17 +176,6 @@ class HeterogeneousSorter:
         if validate and data is not None:
             check_sorted_permutation(np.asarray(data, dtype=np.float64),
                                      output)
-        metrics = compute_metrics(machine.trace, elapsed=env.now,
-                                  counters=ctx.obs.summary(env.now))
-        metrics["memory"] = machine.memory.summary()
-        metrics["flows"] = machine.net.ledger.summary()
-        # Engine throughput, in simulated terms only (wall-clock events
-        # per second would break run-to-run metric determinism).
-        metrics["engine"] = {
-            "processed_events": env.processed_events,
-            "events_per_sim_s": (env.processed_events / env.now
-                                 if env.now > 0 else 0.0),
-        }
         return SortResult(
             platform_name=self.platform.name,
             approach=cfg.approach,
@@ -196,11 +185,42 @@ class HeterogeneousSorter:
             trace=machine.trace,
             output=output,
             meta=dict(ctx.meta),
-            metrics=metrics,
             recorder=ctx.obs,
             memory_ledger=machine.memory,
             flow_ledger=machine.net.ledger,
+            metrics_builder=_metrics_builder(
+                machine.trace, env.now, ctx.obs, machine.memory,
+                machine.net.ledger, env.processed_events),
         )
+
+
+def _metrics_builder(trace, elapsed: float, recorder,
+                     memory_ledger: MemoryLedger | None = None,
+                     flow_ledger: FlowLedger | None = None,
+                     processed_events: int = 0) -> _t.Callable[[], dict]:
+    """The deferred body of ``SortResult.metrics`` for one finished run.
+
+    It closes over the run's outputs only -- never the ``Environment`` or
+    the ``Machine`` -- so a result does not keep the event heap and the
+    device graph alive.  Runs without ledgers (the CPU reference) get
+    the trace-derived metrics alone.
+    """
+    def build() -> dict:
+        metrics = compute_metrics(trace, elapsed=elapsed,
+                                  counters=recorder.summary(elapsed))
+        if memory_ledger is None:
+            return metrics
+        metrics["memory"] = memory_ledger.summary()
+        metrics["flows"] = flow_ledger.summary()
+        # Engine throughput, in simulated terms only (wall-clock events
+        # per second would break run-to-run metric determinism).
+        metrics["engine"] = {
+            "processed_events": processed_events,
+            "events_per_sim_s": (processed_events / elapsed
+                                 if elapsed > 0 else 0.0),
+        }
+        return metrics
+    return build
 
 
 def cpu_reference_sort(platform: PlatformSpec = PLATFORM1,
@@ -244,8 +264,7 @@ def cpu_reference_sort(platform: PlatformSpec = PLATFORM1,
         trace=machine.trace,
         output=out.get("output"),
         meta={"threads": threads, "n": n_elems},
-        metrics=compute_metrics(
-            machine.trace, elapsed=env.now,
-            counters=machine.recorder.summary(env.now)),
         recorder=machine.recorder,
+        metrics_builder=_metrics_builder(machine.trace, env.now,
+                                         machine.recorder),
     )

@@ -199,11 +199,16 @@ class FlowLedger:
         }
 
     def summary(self) -> dict:
-        """Scalar summary for ``SortResult.metrics['flows']``."""
-        doc = self.to_dict()
+        """Scalar summary for ``SortResult.metrics['flows']``.
+
+        The analyses only read their document, so they run on a shallow
+        view of the live records rather than a :meth:`to_dict` copy.
+        """
+        view = {"flows": self.flows, "capacities": self.capacities,
+                "capacity_events": self.capacity_events}
         peaks = {name: d["peak_utilization"]
-                 for name, d in link_peaks(doc).items()}
-        contention = attribute_contention(doc)
+                 for name, d in link_peaks(view).items()}
+        contention = attribute_contention(view)
         return {
             "n_flows": len(self.flows),
             "bytes_moved": self.bytes_moved,
@@ -253,13 +258,20 @@ def link_timelines(doc: dict) -> dict[str, list[tuple[float, float]]]:
 def link_utilization(doc: dict) -> dict[str, list[tuple[float, float]]]:
     """Per-link saturation (granted rate / capacity in effect) step
     series; links with unknown capacity are omitted."""
+    return _utilization(doc, link_timelines(doc))
+
+
+def _utilization(doc: dict, timelines: dict[str, list[tuple[float, float]]]
+                 ) -> dict[str, list[tuple[float, float]]]:
     events: dict[str, list[tuple[float, float]]] = {}
     for t, name, cap in doc.get("capacity_events", []):
         events.setdefault(name, []).append((t, cap))
     out: dict[str, list[tuple[float, float]]] = {}
-    for name, pts in link_timelines(doc).items():
+    for name, pts in timelines.items():
         cap = doc.get("capacities", {}).get(name)
-        evs = sorted(events.get(name, []))
+        # Stable on time alone: of several same-instant changes, the
+        # last one written is the capacity in effect.
+        evs = sorted(events.get(name, []), key=lambda e: e[0])
         if cap is None and not evs:
             continue
         series = []
@@ -276,9 +288,10 @@ def link_utilization(doc: dict) -> dict[str, list[tuple[float, float]]]:
 def link_peaks(doc: dict) -> dict[str, dict]:
     """Per-link headline numbers: capacity, peak granted rate, peak
     utilization."""
-    util = link_utilization(doc)
+    timelines = link_timelines(doc)
+    util = _utilization(doc, timelines)
     out = {}
-    for name, pts in link_timelines(doc).items():
+    for name, pts in timelines.items():
         out[name] = {
             "capacity_bytes_per_s": doc.get("capacities", {}).get(name),
             "peak_bytes_per_s": max((v for _, v in pts), default=0.0),

@@ -18,7 +18,8 @@ of the resilience story (recovery policies live in
   ``alloc.device``          a ``cudaMalloc`` call fails (retryable)
   ``gpu.lost``              the device dies permanently at ``at_s``
   ``bandwidth.degrade``     a link's capacity is scaled by ``factor`` over
-                            ``[at_s, at_s + duration_s]``
+                            ``[at_s, at_s + duration_s]`` (overlapping
+                            windows: the latest opened one still open wins)
   ========================  =================================================
 
 * :class:`FaultInjector` -- the stateful runtime: op-ordinal matching for
@@ -287,6 +288,10 @@ class FaultInjector:
         self.fired: list[dict] = []
         self._counters = [_Counter(s) for s in plan.faults
                           if s.kind in FaultKind.COUNTED]
+        #: Per link: its capacity before any window opened, and the
+        #: factors of its open windows in the order they opened.
+        self._nominal: dict[str, float] = {}
+        self._windows: dict[str, dict[object, float]] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -361,13 +366,21 @@ class FaultInjector:
         link = links[spec.link]
         if spec.at_s > 0:
             yield env.timeout(spec.at_s)
-        original = link.capacity
-        self.machine.net.set_capacity(link, original * spec.factor)
+        nominal = self._nominal.setdefault(spec.link, link.capacity)
+        windows = self._windows.setdefault(spec.link, {})
+        window = object()
+        windows[window] = spec.factor
+        self.machine.net.set_capacity(link, nominal * spec.factor)
         self._fire(spec, link=spec.link, factor=spec.factor,
                    duration_s=spec.duration_s)
         yield env.timeout(spec.duration_s)
-        # Overlapping windows on one link are last-writer-wins.
-        self.machine.net.set_capacity(link, original)
+        # Overlapping windows on one link are last-writer-wins: the most
+        # recently opened window still open sets the capacity, and the
+        # link is back at nominal once none is.
+        del windows[window]
+        factor = next(reversed(windows.values()), None)
+        self.machine.net.set_capacity(
+            link, nominal if factor is None else nominal * factor)
 
     # -- accounting ----------------------------------------------------------
 

@@ -118,6 +118,19 @@ def test_capacity_change_is_ledgered():
     assert verify_rate_integral(doc)["ok"]
 
 
+def test_same_instant_capacity_changes_last_written_wins():
+    doc = {"schema": "repro.flows/v1", "capacities": {"l": 10.0},
+           "capacity_events": [[1.0, "l", 8.0], [1.0, "l", 4.0]],
+           "n_flows": 1,
+           "flows": [{"id": 0, "label": "x", "nbytes": 8.0,
+                      "links": [["l", 1.0]], "cap": None, "iso_rate": 10.0,
+                      "start": 0.0, "end": 2.0, "span": None, "moved": 8.0,
+                      "rates": [[0.0, 4.0, 0.0], [1.0, 4.0, 4.0]]}]}
+    assert link_utilization(doc)["l"] == [(0.0, 0.4), (1.0, 1.0),
+                                          (2.0, 0.0)]
+    assert link_peaks(doc)["l"]["peak_utilization"] == 1.0
+
+
 def test_ledger_mirrors_bus_events():
     sink = _Collect()
     env, net, links = _net_with_ledger({"l": 10.0})

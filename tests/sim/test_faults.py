@@ -220,6 +220,39 @@ def test_bandwidth_window_restores_capacity(env, link):
     assert inj.summary()["by_kind"] == {"bandwidth.degrade": 1}
 
 
+# (windows as (at_s, duration_s, factor), probes as (t, expected factor))
+_OVERLAPS = {
+    "abutting": ([(0.001, 0.001, 0.5), (0.002, 0.001, 0.5)],
+                 [(0.0015, 0.5), (0.0025, 0.5)]),
+    "staggered": ([(0.001, 0.002, 0.5), (0.002, 0.002, 0.25)],
+                  [(0.0015, 0.5), (0.0025, 0.25), (0.0035, 0.25)]),
+    "nested": ([(0.001, 0.004, 0.5), (0.002, 0.001, 0.25)],
+               [(0.0015, 0.5), (0.0025, 0.25), (0.004, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERLAPS))
+@pytest.mark.parametrize("link", FaultKind.LINKS)
+def test_overlapping_bandwidth_windows_restore_nominal(env, link, case):
+    """The most recently opened window still open sets the capacity, and
+    the link is back at exactly nominal once the last one closes."""
+    machine = Machine(env, PLATFORM1)
+    target = {"host_bus": machine.host_bus,
+              "pcie.htod": machine.pcie["HtoD"],
+              "pcie.dtoh": machine.pcie["DtoH"]}[link]
+    nominal = target.capacity
+    windows, probes = _OVERLAPS[case]
+    plan = FaultPlan(faults=tuple(
+        FaultSpec(kind="bandwidth.degrade", link=link, at_s=at,
+                  duration_s=dur, factor=f) for at, dur, f in windows))
+    FaultInjector(plan).attach(machine).start(env)
+    for t, factor in probes:
+        env.run(until=t)
+        assert target.capacity == nominal * factor, t
+    env.run(until=0.01)
+    assert target.capacity == nominal
+
+
 def test_empty_plan_schedules_and_matches_nothing(env):
     machine = Machine(env, PLATFORM1)
     inj = FaultInjector(FaultPlan()).attach(machine)
