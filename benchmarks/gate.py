@@ -24,7 +24,9 @@ value: memory (balanced ledger, zero planner residual), flows (rate
 integral, contention sums, span reconciliation), verdict (rate integral,
 balanced ledger, identical tenant bytes under every allocator) and
 ledger (no run flagged anomalous).  ``--update`` re-freezes the golden
-file and refuses to when an invariant fails.
+file and refuses to when an invariant fails; ``--update PAIR ...``
+re-freezes only the named pairs and leaves every other entry, with its
+wall-clock bands, byte for byte as it was.
 
 With ``--archive PATH`` every measurement is also appended to a
 ``repro.archive/v1`` run archive (content-addressed, so deterministic
@@ -35,6 +37,7 @@ Usage::
 
     python benchmarks/gate.py                  # check every pair
     python benchmarks/gate.py --update         # re-freeze golden.json
+    python benchmarks/gate.py --update flow_stress/events  # one pair only
     python benchmarks/gate.py --out DIR        # + Perfetto traces, profile
     python benchmarks/gate.py --json --archive runs.jsonl
 
@@ -51,6 +54,7 @@ import math
 import os
 import re
 import sys
+import typing as _t
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(_HERE, os.pardir, "src"))
@@ -80,6 +84,11 @@ SCENARIOS = [
      "artifacts": ("memory", "flows"),
      "platform": "PLATFORM2", "approach": "pipedata", "n": 2_000_000,
      "batch_size": 250_000, "pinned_elements": 50_000, "n_gpus": 2},
+    # GPU-side merging: three PCIe crossings per key and pair merges whose
+    # flows start in the same instant.
+    {"name": "gpumerge_2m", "kind": "sort", "artifacts": ("report", "flows"),
+     "platform": "PLATFORM1", "approach": "gpumerge", "n": 2_000_000,
+     "batch_size": 250_000, "pinned_elements": 50_000},
     # One service run per allocator over the identical seeded job stream.
     *({"name": f"serve_{alloc.replace('-', '_')}", "kind": "serve",
        "artifacts": ("verdict",), "allocator": alloc}
@@ -377,9 +386,10 @@ def _finite(where: str, value) -> None:
                           f"got {value!r}")
 
 
-def load_golden(path: str) -> dict:
+def load_golden(path: str, refreeze: _t.Collection[str] = ()) -> dict:
     """Read and validate a ``repro.golden/v1`` document; raises
-    :class:`~repro.errors.GoldenError` on any malformation."""
+    :class:`~repro.errors.GoldenError` on any malformation.  Pairs named
+    in ``refreeze`` are about to be re-frozen and may be missing."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -395,7 +405,7 @@ def load_golden(path: str) -> dict:
         _finite(f"{path}: tolerances.{key}", value)
     if not isinstance(pairs, dict):
         raise GoldenError(f"{path}: 'pairs' must be an object")
-    missing = [p for p in PAIRS if p not in pairs]
+    missing = [p for p in PAIRS if p not in pairs and p not in refreeze]
     unknown = sorted(set(pairs) - set(PAIRS))
     if missing or unknown:
         raise GoldenError(f"{path}: missing pairs {missing}, "
@@ -487,9 +497,10 @@ def _classify(failures: dict, entries: dict, history: list[dict]) -> None:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--update", action="store_true",
-                   help="re-run the corpus and rewrite golden.json "
-                        "(refused when an invariant fails)")
+    p.add_argument("--update", nargs="*", metavar="PAIR",
+                   help="re-run the corpus and rewrite golden.json, or "
+                        "only the named PAIRs of it (refused when an "
+                        "invariant fails)")
     p.add_argument("--json", action="store_true",
                    help="print one repro.gate/v1 document on stdout "
                         "(progress lines go to stderr)")
@@ -502,16 +513,19 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     info = sys.stderr if args.json else sys.stdout
 
+    unknown = sorted(set(args.update or ()) - set(PAIRS))
+    if unknown:
+        p.error(f"unknown pairs {unknown}; choose from {PAIRS}")
     golden = None
-    if not args.update:
+    if args.update != []:
         try:
-            golden = load_golden(GOLDEN)
+            golden = load_golden(GOLDEN, refreeze=args.update or ())
         except GoldenError as exc:
             print(f"golden file rejected: {exc}", file=sys.stderr)
             return 1
     measured = run_corpus(args.out)
 
-    if args.update:
+    if args.update is not None:
         broken = [f"{pair}: {msg}" for pair, m in measured.items()
                   for msg in m["invariants"]]
         for msg in broken:
@@ -520,10 +534,15 @@ def main(argv=None) -> int:
             print("refusing to freeze a golden file from a run that broke "
                   "an invariant", file=sys.stderr)
             return 1
+        fresh = freeze(measured)
+        if args.update:
+            for pair in args.update:
+                golden["pairs"][pair] = fresh["pairs"][pair]
+            fresh = golden
         with open(GOLDEN, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(freeze(measured)) + "\n")
-        print(f"golden file updated: {GOLDEN} ({len(measured)} pairs)",
-              file=info)
+            fh.write(canonical_json(fresh) + "\n")
+        print(f"golden file updated: {GOLDEN} "
+              f"({len(args.update or measured)} pairs)", file=info)
         return 0
 
     failures = check(golden, measured)

@@ -39,7 +39,8 @@ gate = _load_gate_module()
 #: sweep ledger), and the other three allocators never take the
 #: fair-share fill.
 ULP_FLIPS = {"bline_1m/flows", "pipemerge_2m/flows",
-             "pipedata_2gpu_2m/flows", "serve_fair_share/verdict"}
+             "pipedata_2gpu_2m/flows", "gpumerge_2m/flows",
+             "serve_fair_share/verdict"}
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +195,29 @@ def test_update_refuses_to_freeze_a_broken_invariant(tmp_path, monkeypatch,
     assert not target.exists()
     assert ("INVARIANT: bline_1m/memory: ledger did not balance to zero"
             in capsys.readouterr().err)
+
+
+def test_update_named_pairs_rewrites_only_those(tmp_path, monkeypatch,
+                                                measured):
+    doc = copy.deepcopy(GOLDEN_DOC)
+    doc["pairs"]["bline_1m/report"]["sha256"] = "0" * 64
+    doc["pairs"]["pipedata_hotpath/events"]["events_per_s"] = 1.5
+    del doc["pairs"]["gpumerge_2m/flows"]
+    target = tmp_path / "golden.json"
+    target.write_text(gate.canonical_json(doc) + "\n")
+    monkeypatch.setattr(gate, "GOLDEN", str(target))
+    monkeypatch.setattr(gate, "run_corpus", lambda out_dir=None: measured)
+    assert gate.main(["--update", "pipedata_hotpath/events",
+                      "gpumerge_2m/flows"]) == 0
+    fresh = gate.freeze(measured)["pairs"]
+    for pair in ("pipedata_hotpath/events", "gpumerge_2m/flows"):
+        doc["pairs"][pair] = fresh[pair]
+    # Everything else, the tampered digest included, is kept as it was.
+    assert target.read_text() == gate.canonical_json(doc) + "\n"
+
+
+def test_update_rejects_an_unknown_pair(monkeypatch):
+    monkeypatch.setattr(gate, "run_corpus", None)
+    with pytest.raises(SystemExit) as exc:
+        gate.main(["--update", "nope/report"])
+    assert exc.value.code == 2
