@@ -14,8 +14,7 @@ import typing as _t
 
 from repro.errors import ReproError
 from repro.sim import CAT
-from repro.sim.engine import Environment
-from repro.sim.events import Event
+from repro.sim.engine import Environment, Process
 
 __all__ = ["Stream"]
 
@@ -29,7 +28,7 @@ class Stream:
         self.gpu_index = gpu_index
         self.index = index
         self.name = f"stream{index}@gpu{gpu_index}"
-        self._tail: Event | None = None
+        self._tail: Process | None = None
         #: First failure since the last :meth:`synchronize` reported one
         #: (CUDA's sticky stream error).
         self._error: ReproError | None = None
@@ -43,8 +42,9 @@ class Stream:
         self.last_span = None
 
     def submit(self, factory: _t.Callable[[], _t.Generator],
-               label: str = "op") -> Event:
-        """Enqueue an operation; returns its completion event.
+               label: str = "op") -> Process:
+        """Enqueue an operation; returns its completion event, which is
+        the operation's own :class:`~repro.sim.engine.Process`.
 
         ``factory`` produces the operation's process generator; it starts
         only after every previously submitted operation has completed.
@@ -62,7 +62,6 @@ class Stream:
         in-order timing, and succeed or fail on their own (the recovery
         layer re-uses streams after a fallback).
         """
-        done = Event(self.env)
         prev = self._tail
 
         def runner():
@@ -71,22 +70,25 @@ class Stream:
                     yield prev
                 except ReproError:
                     pass
-            try:
-                value = yield from factory()
-            except ReproError as exc:
-                if self._error is None:
-                    self._error = exc
-                done.fail(exc)
-                done.defuse()
-                return
-            if value is not None:
-                self.last_span = value
-            done.succeed(value)
+            return (yield from factory())
 
-        self.env.process(runner(), name=f"{self.name}:{label}")
-        self._tail = done
+        op = self.env.process(runner(), name=f"{self.name}:{label}")
+        # The first callback, so it runs before any waiter resumes.
+        op.callbacks.append(self._settle)  # type: ignore[union-attr]
+        self._tail = op
         self.ops_submitted += 1
-        return done
+        return op
+
+    def _settle(self, op: Process) -> None:
+        """Completion callback: record the op's span, or keep its
+        failure as the sticky error and defuse it."""
+        if op._ok:
+            if op._value is not None:
+                self.last_span = op._value
+        elif isinstance(op._value, ReproError):
+            if self._error is None:
+                self._error = op._value
+            op._defused = True
 
     def synchronize(self, deps: _t.Sequence = ()):
         """Process: block the calling host thread until the stream drains

@@ -109,9 +109,13 @@ class MetricsRecorder:
 
     def sample(self, name: str, value: float, unit: str = "") -> None:
         """Record a gauge sample at the current simulated time."""
-        self.series_for(name, unit=unit).add(self.clock(), float(value))
+        s = self.series.get(name)
+        if s is None:
+            s = self.series[name] = CounterSeries(name, unit=unit)
+        value = float(value)
+        s.add(self.clock(), value)
         if self.bus is not None:
-            self.bus.counter(name, float(value), unit=unit)
+            self.bus.counter(name, value, unit=unit)
 
     def incr(self, name: str, delta: float = 1.0, unit: str = "") -> None:
         """Advance a monotonically accumulating counter by ``delta``."""

@@ -23,9 +23,19 @@ rates bit-for-bit.  Filling is canonically **per component** so the
 incremental result is exactly (to the last ulp) what a from-scratch
 recompute produces; ``tests/sim/test_bandwidth_incremental_property.py``
 pins that equality against the :meth:`FlowNetwork._recompute_full`
-reference.  Two further hot-path refinements, both behind the same
+reference.  Four further hot-path refinements, all behind the same
 contract:
 
+* a *single-component shortcut*: each link counts its active flows, and
+  when a link the seeds reach carries every active flow the closure is
+  the whole network, so component discovery is skipped (every machine
+  flow crosses the host bus, so this is the common case);
+* a *shape-keyed fill cache*: each flow is interned to a shape id built
+  from everything the fill reads of it (cap, weighted links, priority,
+  share), and a component's rates and link aggregates are cached under
+  the tuple of its flows' shape ids in insertion order.  Capacity,
+  policy and :meth:`FlowNetwork.reallocate` changes clear the cache, as
+  does reaching :data:`_FILL_CACHE_SIZE` entries;
 * a *cap-load fast path*: when every flow in a component has a finite rate
   cap and the summed cap-load leaves headroom on every link, all rates are
   exactly the caps -- no filling rounds at all (the common case for this
@@ -63,6 +73,10 @@ _EPS_RATE = 1e-9
 
 _INF = math.inf
 
+#: Entries the shape-keyed fill cache (and the shape table) may hold
+#: before it is cleared.  A paper-scale sort needs a few dozen.
+_FILL_CACHE_SIZE = 4096
+
 
 class Link:
     """A capacity-limited pipe (bytes/second).
@@ -75,7 +89,7 @@ class Link:
 
     __slots__ = ("name", "capacity", "policy", "_busy_byte_time",
                  "_last_update", "_current_rate", "_left", "_wsum",
-                 "_budget", "_mark", "_uf")
+                 "_budget", "_mark", "_uf", "_nflows")
 
     def __init__(self, name: str, capacity: float) -> None:
         if not (capacity > 0):
@@ -97,6 +111,8 @@ class Link:
         # parent; valid only inside _dirty_components().
         self._mark = 0
         self._uf: "Link" = self
+        #: Active flows crossing this link (each counted once).
+        self._nflows = 0
 
     def _account(self, now: float) -> None:
         self._busy_byte_time += self._current_rate * (now - self._last_update)
@@ -130,7 +146,7 @@ class Flow:
     """
 
     __slots__ = ("nbytes", "progressed", "remaining", "cap", "links", "rate",
-                 "event", "label", "start_time", "fid", "_mark",
+                 "event", "label", "start_time", "fid", "_mark", "_shape",
                  "priority", "share", "tenant")
 
     def __init__(self, nbytes: float, links: tuple[tuple[Link, float], ...],
@@ -148,6 +164,7 @@ class Flow:
         self.start_time = start_time
         self.fid = -1    # ledger-assigned flow id (-1 = not recorded)
         self._mark = 0   # component-discovery scratch
+        self._shape = -1  # fill-cache shape id (FlowNetwork._intern)
         # QoS attributes: consulted only by weighted/layered link
         # policies; FairShare links ignore them entirely.
         self.priority = priority
@@ -189,7 +206,17 @@ class FlowNetwork:
     def __init__(self, env: Environment) -> None:
         self.env = env
         self._links: list[Link] = []
+        self._link_set: set[Link] = set()
         self._flows: list[Flow] = []
+        # Fill cache: shape tuple -> shape id, and a component's shape-id
+        # tuple -> its rates and link aggregates.  Ids are never reused,
+        # so clearing the shape table can only cause misses, never a
+        # wrong hit.
+        self._shapes: dict[tuple, int] = {}
+        self._next_shape = 0
+        self._fills: dict[tuple[int, ...],
+                          tuple[tuple[float, ...],
+                                tuple[tuple[Link, float], ...]]] = {}
         self._last_update = env.now
         self._wakeup: Event | None = None
         self._gen = 0   # generation counter for component-discovery marks
@@ -207,6 +234,7 @@ class FlowNetwork:
         link = Link(name, capacity)
         link._last_update = self.env.now
         self._links.append(link)
+        self._link_set.add(link)
         return link
 
     # -- public API -------------------------------------------------------------
@@ -232,8 +260,11 @@ class FlowNetwork:
         existing single-run code, which never tags processes, is
         unaffected.
         """
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size {nbytes!r}")
+        # Validate everything before any state changes.  NaN fails every
+        # comparison, so each check is phrased to reject it.
+        if not 0 <= nbytes < _INF:
+            raise SimulationError(
+                f"transfer size must be finite and >= 0, got {nbytes!r}")
         if priority is None or share is None or tenant is None:
             proc = self.env._active
             tag = proc.tag if proc is not None else None
@@ -253,34 +284,39 @@ class FlowNetwork:
         weighted: list[tuple[Link, float]] = []
         for entry in links:
             link, weight = entry if isinstance(entry, tuple) else (entry, 1.0)
-            if link not in self._links:
+            if link not in self._link_set:
                 raise SimulationError(f"{link!r} not part of this network")
-            if weight <= 0:
-                raise SimulationError(f"link weight must be > 0, got {weight}")
+            if not 0 < weight < _INF:
+                raise SimulationError(
+                    f"link weight must be finite and > 0, got {weight}")
             weighted.append((link, float(weight)))
         if not weighted and not math.isfinite(cap):
             raise SimulationError(
                 "a flow needs at least one link or a finite rate cap")
-        if cap <= 0:
+        if not cap > 0:
             raise SimulationError(f"flow rate cap must be > 0, got {cap!r}")
 
         ev = Event(self.env)
+        now = self.env._now
         if nbytes <= _EPS_BYTES:
-            flow = Flow(nbytes, tuple(weighted), cap, ev, label, self.env.now,
+            flow = Flow(nbytes, tuple(weighted), cap, ev, label, now,
                         priority, share, tenant)
             self.completed_flows += 1
             if self.ledger is not None:
-                self.ledger.on_start(flow, self.env.now)
-                self.ledger.on_end(flow, self.env.now)
+                self.ledger.on_start(flow, now)
+                self.ledger.on_end(flow, now)
             ev.succeed(flow)
             return ev
 
         self._advance()
-        flow = Flow(nbytes, tuple(weighted), cap, ev, label, self.env.now,
+        flow = Flow(nbytes, tuple(weighted), cap, ev, label, now,
                     priority, share, tenant)
         self._flows.append(flow)
+        self._intern(flow)
+        for l in {l for l, _w in flow.links}:
+            l._nflows += 1
         if self.ledger is not None:
-            self.ledger.on_start(flow, self.env.now)
+            self.ledger.on_start(flow, now)
         # Only the component the new flow joins needs refilling.
         self._update(seed_flows=(flow,))
         return ev
@@ -293,13 +329,14 @@ class FlowNetwork:
         of the link's connected component are recomputed max-min fair under
         the new capacity and the next completion is rescheduled.
         """
-        if link not in self._links:
+        if link not in self._link_set:
             raise SimulationError(f"{link!r} not part of this network")
         if not (capacity > 0):
             raise SimulationError(
                 f"link {link.name!r} capacity must be > 0, got {capacity!r}")
         self._advance()
         link.capacity = float(capacity)
+        self._fills.clear()
         if self.ledger is not None:
             self.ledger.on_capacity(link.name, link.capacity, self.env.now)
         self._update(seed_links=(link,))
@@ -312,7 +349,7 @@ class FlowNetwork:
         Active flows are advanced at their old rates first, then the
         link's connected component is refilled under the new policy.
         """
-        if link not in self._links:
+        if link not in self._link_set:
             raise SimulationError(f"{link!r} not part of this network")
         if policy is not None and not isinstance(
                 policy, _alloc.BandwidthAllocator):
@@ -320,6 +357,7 @@ class FlowNetwork:
                 f"policy must be a BandwidthAllocator, got {policy!r}")
         self._advance()
         link.policy = policy
+        self._fills.clear()
         self._update(seed_links=(link,))
 
     def reallocate(self,
@@ -333,11 +371,17 @@ class FlowNetwork:
         without restarting them.  Progress accounting stays exact -- the
         advance happens before any rate changes, so the ledger's
         rate-integral invariant is preserved.
+
+        The fill cache is cleared (a policy's parameters, such as
+        :attr:`~repro.sim.allocators.FixedLevels.levels`, may have been
+        edited in place) and every flow is re-interned.
         """
         self._advance()
-        if mutate is not None:
-            for f in self._flows:
+        self._fills.clear()
+        for f in self._flows:
+            if mutate is not None:
                 mutate(f)
+            self._intern(f)
         self._update(seed_flows=self._flows, seed_links=self._links)
 
     @property
@@ -388,16 +432,29 @@ class FlowNetwork:
 
     def _advance(self) -> None:
         """Progress every active flow to the current time."""
-        now = self.env.now
+        now = self.env._now
         dt = now - self._last_update
         if dt > 0:
             for flow in self._flows:
                 flow.progressed += flow.rate * dt
                 rem = flow.nbytes - flow.progressed
                 flow.remaining = rem if rem > 0.0 else 0.0
-            for link in self._links:
-                link._account(now)
+            for link in self._links:   # Link._account, inlined
+                link._busy_byte_time += link._current_rate * (
+                    now - link._last_update)
+                link._last_update = now
         self._last_update = now
+
+    def _intern(self, flow: Flow) -> None:
+        """Give ``flow`` the shape id of everything the fill reads of it."""
+        shape = (flow.cap, flow.links, flow.priority, flow.share)
+        sid = self._shapes.get(shape)
+        if sid is None:
+            if len(self._shapes) >= _FILL_CACHE_SIZE:
+                self._shapes.clear()
+            sid = self._shapes[shape] = self._next_shape
+            self._next_shape += 1
+        flow._shape = sid
 
     @staticmethod
     def _find(link: Link) -> Link:
@@ -415,15 +472,19 @@ class FlowNetwork:
         Returns ``(components, touched_links)`` where each component is a
         list of flows in insertion order (components ordered by their first
         flow) and ``touched_links`` lists every link in the closure,
-        including seed links that currently carry no flow (their marks are
-        left at ``self._gen`` for the caller).  The partition is a pure
-        function of the current flow/link topology, so refilling a dirty
-        component here yields bit-identical rates to a from-scratch
-        recompute partitioning the whole network.
+        including seed links that currently carry no flow.  The partition
+        is a pure function of the current flow/link topology, so
+        refilling a dirty component here yields bit-identical rates to a
+        from-scratch recompute partitioning the whole network.
 
         Discovery state lives in ``_mark`` generation counters on the
         links and flows themselves -- no per-call sets or dicts, which
         keeps the common join/leave path at a few microseconds.
+
+        Shortcut: when a link the seeds reach carries every active flow,
+        all flows form one component, so the closure is the whole
+        network in insertion order -- exactly what the scan below would
+        find -- and every link is returned as touched.
         """
         gen = self._gen + 1
         self._gen = gen
@@ -438,8 +499,15 @@ class FlowNetwork:
                 if l._mark != gen:
                     l._mark = gen
                     touched.append(l)
-        # Fixpoint: grow the touched-link set through flows that straddle.
         flows = self._flows
+        n = len(flows)
+        if n:
+            for l in touched:
+                if l._nflows == n:
+                    # Every link then counts as touched: one without
+                    # flows that no seed reached already has rate 0.0.
+                    return [flows], self._links
+        # Fixpoint: grow the touched-link set through flows that straddle.
         changed = True
         while changed:
             changed = False
@@ -596,23 +664,35 @@ class FlowNetwork:
         """Refill the components the seeds can reach, refresh the touched
         links' aggregate rates, and reschedule the completion wakeup."""
         components, touched = self._dirty_components(seed_flows, seed_links)
-        fill = self._fill
-        for component in components:
-            fill(component)
-
-        # Aggregate link rates, accumulated in global flow order so the
-        # sum is bit-identical however many components were refilled.
-        # (A clean flow can never touch a dirty link -- it would have been
-        # pulled into the closure -- so summing dirty flows only is the
-        # same sequence of float adds as the full version's.)
-        gen = self._gen
         for link in touched:
             link._current_rate = 0.0
-        for f in self._flows:
-            rate = f.rate
-            for l, w in f.links:
-                if l._mark == gen:
-                    l._current_rate += rate * w
+        fills = self._fills
+        for component in components:
+            key = tuple([f._shape for f in component])
+            hit = fills.get(key)
+            if hit is None:
+                # Looked up at call time, so a patched _fill applies.
+                self._fill(component)
+                # Aggregate link rates.  A component's flows are the only
+                # ones on its links, so summing them in insertion order is
+                # the same sequence of float adds as a pass over every
+                # flow -- and a cached component's aggregates are exact.
+                for f in component:
+                    rate = f.rate
+                    for l, w in f.links:
+                        l._current_rate += rate * w
+                if len(fills) >= _FILL_CACHE_SIZE:
+                    fills.clear()
+                fills[key] = (
+                    tuple([f.rate for f in component]),
+                    tuple({l: l._current_rate
+                           for f in component for l, _w in f.links}.items()))
+            else:
+                rates, link_rates = hit
+                for f, rate in zip(component, rates):
+                    f.rate = rate
+                for l, rate in link_rates:
+                    l._current_rate = rate
 
         # Capture the granted rates *after* every refill, not just when a
         # flow's own rate changed: each _advance() accumulation step is
@@ -620,7 +700,7 @@ class FlowNetwork:
         # captures bracket exactly one `progressed += rate * dt` -- the
         # recorded rate integral reproduces the bytes moved bit for bit.
         if self.ledger is not None:
-            self.ledger.on_update(self.env.now, self._flows)
+            self.ledger.on_update(self.env._now, self._flows)
 
         self._reschedule_wakeup()
 
@@ -629,7 +709,9 @@ class FlowNetwork:
         link's aggregate rate.
 
         Semantically (and, by design, bit-for-bit) equivalent to the
-        incremental :meth:`_update`; the hypothesis battery in
+        incremental :meth:`_update`, and it bypasses the fill cache, so
+        comparing the two also checks every cached rate; the hypothesis
+        battery in
         ``tests/sim/test_bandwidth_incremental_property.py`` holds the two
         to ulp equality over random join/leave/degrade sequences.
         """
@@ -647,9 +729,14 @@ class FlowNetwork:
         self._reschedule_wakeup()
 
     def _reschedule_wakeup(self) -> None:
-        """Point the single wakeup event at the earliest completion."""
-        if self._wakeup is not None:
-            self.env.unschedule(self._wakeup)
+        """Point the single wakeup event at the earliest completion.
+
+        A fresh event per reschedule: its sequence number breaks ties
+        with other events at the same instant."""
+        wake = self._wakeup
+        if wake is not None:   # Environment.unschedule, inlined
+            wake._cancelled = True
+            wake.callbacks = None
             self._wakeup = None
         flows = self._flows
         if not flows:
@@ -666,7 +753,7 @@ class FlowNetwork:
         wake._ok = True
         wake._value = None
         wake.callbacks.append(self._on_wakeup)  # type: ignore[union-attr]
-        self.env.schedule(wake, delay=horizon)
+        self.env.schedule(wake, horizon)
         self._wakeup = wake
 
     def _on_wakeup(self, _event: Event) -> None:
@@ -678,15 +765,18 @@ class FlowNetwork:
         # of the event clock is ~ulp(T), so up to rate * ulp(T) bytes of
         # residue is pure round-off; without this the network can spiral
         # through infinitely many zero-length wakeups.
-        now = self.env.now
+        now = self.env._now
         time_eps = 1e-12 * (1.0 + now)
-        finished = [f for f in self._flows
+        flows = self._flows
+        finished = [f for f in flows
                     if f.remaining <= _EPS_BYTES
                     or f.remaining <= 1e-12 * f.nbytes
                     or (f.rate > 0 and f.remaining <= f.rate * time_eps)]
         if finished:
-            done = set(map(id, finished))
-            self._flows = [f for f in self._flows if id(f) not in done]
+            for f in finished:
+                flows.remove(f)
+                for l in {l for l, _w in f.links}:
+                    l._nflows -= 1
             self.completed_flows += len(finished)
             if self.ledger is not None:
                 for f in finished:

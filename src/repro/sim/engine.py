@@ -142,7 +142,8 @@ class Process(Event):
                     self.fail(SimulationError(
                         "yielded event belongs to a different environment"))
                     return
-                if target.callbacks is None:
+                callbacks = target.callbacks
+                if callbacks is None:
                     # Already processed: loop and advance again without a
                     # queue trip.
                     ok = target._ok
@@ -150,7 +151,7 @@ class Process(Event):
                     if not ok:
                         target._defused = True
                     continue
-                target.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 self._target = target
                 env._active = None
                 return
@@ -259,14 +260,17 @@ class Environment:
     def schedule(self, event: Event, delay: float = 0.0,
                  priority: int = NORMAL) -> None:
         """Put a triggered event on the queue ``delay`` seconds from now."""
-        seq = self._seq
-        self._seq = seq + 1
         if delay == 0.0:
+            seq = self._seq
+            self._seq = seq + 1
             (self._now_urgent if priority == URGENT
              else self._now_normal).append((self._now, priority, seq, event))
             return
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past ({delay!r})")
+        if not delay >= 0:   # also NaN, which would poison the clock
+            raise SimulationError(
+                f"delay must be >= 0, cannot schedule at {delay!r}")
+        seq = self._seq
+        self._seq = seq + 1
         when = self._now + delay
         if when == self._now:
             # A positive delay that underflows to "now" (ulp-scale at
@@ -403,13 +407,29 @@ class Environment:
                 raise SimulationError("run(until) lies in the past")
 
         # The hot loop: pop / advance clock / fire callbacks, with the
-        # stop checks folded in.  Mirrors step() -- kept inline because
-        # one Python call per event is measurable at fig11 scale.
+        # stop checks folded in.  Mirrors step() with _head() and _pop()
+        # inlined -- one Python call per event is measurable at fig11
+        # scale.
         monitors = self._monitors
+        nu, nn, fut = self._now_urgent, self._now_normal, self._future
+        heappop = heapq.heappop
         while True:
             if stop_event is not None and stop_event.callbacks is None:
                 break
-            rec = self._head()
+            # _head(): the urgent head beats the normal head; the future
+            # head wins only on the full (when, priority, seq) order.
+            while nu and nu[0][3]._cancelled:
+                nu.popleft()
+            if nu:
+                rec, src = nu[0], nu
+            else:
+                while nn and nn[0][3]._cancelled:
+                    nn.popleft()
+                rec, src = (nn[0], nn) if nn else (None, None)
+            while fut and fut[0][3]._cancelled:
+                heappop(fut)
+            if fut and (rec is None or fut[0] < rec):
+                rec, src = fut[0], None
             if rec is None:
                 break
             when = rec[0]
@@ -417,13 +437,10 @@ class Environment:
                 self._now = stop_time
                 return None
             event = rec[3]
-            nu, nn = self._now_urgent, self._now_normal
-            if nu and nu[0] is rec:
-                nu.popleft()
-            elif nn and nn[0] is rec:
-                nn.popleft()
+            if src is None:
+                heappop(fut)
             else:
-                heapq.heappop(self._future)
+                src.popleft()
             self._now = when
             callbacks = event.callbacks or ()
             event.callbacks = None

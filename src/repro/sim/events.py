@@ -151,8 +151,9 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: float,
                  value: _t.Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:   # also NaN, which would poison the clock
+            raise SimulationError(
+                f"timeout delay must be >= 0, got {delay!r}")
         super().__init__(env)
         self.delay = float(delay)
         self._ok = True

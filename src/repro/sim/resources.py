@@ -14,6 +14,7 @@ OpenMP-style scheduler and keeps simulations deterministic.
 
 from __future__ import annotations
 
+import operator
 import typing as _t
 from collections import deque
 
@@ -85,8 +86,9 @@ class Resource:
         return len(self._waiting)
 
     def _account(self) -> None:
-        now = self.env.now
-        self._busy_units_time += self.in_use * (now - self._last_change)
+        now = self.env._now
+        self._busy_units_time += ((self.capacity - self._available)
+                                  * (now - self._last_change))
         self._last_change = now
 
     def busy_unit_seconds(self) -> float:
@@ -96,8 +98,19 @@ class Resource:
 
     # -- acquire / release ---------------------------------------------------
 
+    def _units(self, units: int) -> int:
+        """``units`` as an exact integer; fractional units are refused."""
+        try:
+            return operator.index(units)
+        except TypeError:
+            raise SimulationError(
+                f"{self.name!r}: units must be an integer, got {units!r}"
+            ) from None
+
     def request(self, units: int = 1) -> Event:
         """Return an event that fires once ``units`` units are granted."""
+        if type(units) is not int:
+            units = self._units(units)
         if units < 1 or units > self.capacity:
             raise SimulationError(
                 f"cannot request {units} units of {self.name!r} "
@@ -118,15 +131,17 @@ class Resource:
         held the units; it is exposed as :attr:`last_release_span` so a
         request that was blocked can attribute its wait causally.
         """
+        if type(units) is not int:
+            units = self._units(units)
         if units < 1:
             raise SimulationError(f"cannot release {units} units")
+        if self._available + units > self.capacity:
+            raise SimulationError(
+                f"{self.name!r}: released more units than acquired")
         if span is not None:
             self.last_release_span = span
         self._account()
         self._available += units
-        if self._available > self.capacity:
-            raise SimulationError(
-                f"{self.name!r}: released more units than acquired")
         self._grant()
         if self.probe is not None:
             self.probe(self)

@@ -154,3 +154,22 @@ def test_settled_failure_surfaces_at_later_synchronize(env):
     proc = env.process(host())
     with pytest.raises(ReproError, match="copy fault"):
         env.run(proc)
+
+
+def test_submit_returns_the_ops_own_process(env):
+    """The op's Process is its completion event: one event per op, no
+    separate done event."""
+    from repro.sim.engine import Process
+    s = Stream(env, 0, 0)
+
+    def op():
+        yield env.timeout(1.0)
+        return "span"
+
+    events0 = env.processed_events
+    ev = s.submit(op, label="copy")
+    assert isinstance(ev, Process) and ev.name == "stream0@gpu0:copy"
+    env.run()
+    assert ev.value == "span" and s.last_span == "span"
+    # init, the timeout, and the completion itself.
+    assert env.processed_events - events0 == 3

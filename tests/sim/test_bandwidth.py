@@ -251,3 +251,34 @@ def test_identical_flows_finish_together(n_flows, capacity):
     env.run()
     assert len(set(round(e, 9) for e in ends)) == 1
     assert ends[0] == pytest.approx(100.0 * n_flows / capacity)
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("nbytes, links, cap", [
+    (_NAN, "l", _INF),            # used to join, then fail the reschedule
+    (_INF, "l", _INF),
+    (-1.0, "l", _INF),
+    (10.0, "l", _NAN),            # used to be accepted and complete
+    (10.0, "l", 0.0),
+    (10.0, ("l", _NAN), _INF),    # ditto
+    (10.0, ("l", _INF), _INF),
+    (10.0, ("l", 0.0), _INF),
+])
+def test_transfer_validates_before_any_state_changes(env, nbytes, links,
+                                                      cap):
+    from repro.obs.flows import FlowLedger
+    net = FlowNetwork(env)
+    link = net.add_link("l", 10.0)
+    net.ledger = FlowLedger(clock=lambda: env.now, capacities={"l": 10.0})
+    first = net.transfer(5.0, [link])
+    entry = link if links == "l" else (link, links[1])
+    before = (net.active_flows, net.ledger.to_dict(), net._last_update,
+              link._nflows, dict(net._shapes))
+    with pytest.raises(SimulationError):
+        net.transfer(nbytes, [entry], cap=cap)
+    assert (net.active_flows, net.ledger.to_dict(), net._last_update,
+            link._nflows, dict(net._shapes)) == before
+    env.run()
+    assert first.processed and env.now == 0.5 and net.active_flows == 0

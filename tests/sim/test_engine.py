@@ -260,3 +260,44 @@ def test_many_processes_interleave_deterministically():
     first, second = simulate(), simulate()
     assert first == second
     assert all(a[0] <= b[0] for a, b in zip(first, first[1:]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+def test_bad_timeout_leaves_queue_and_clock_alone(env, bad):
+    """NaN passed ``delay < 0`` and scheduled at time NaN: processes with
+    delays 2, NaN, 1, 3 ran in the order b, a, nan, c and the clock went
+    2.0 -> NaN -> 3.0."""
+    def p(env, delay):
+        yield env.timeout(delay)
+
+    env.process(p(env, 2.0))
+    env.run(until=0.5)
+    queue = (list(env._now_urgent), list(env._now_normal), list(env._future))
+    seq = env._seq
+    with pytest.raises(SimulationError, match="delay must be >= 0"):
+        env.timeout(bad)
+    with pytest.raises(SimulationError, match="delay must be >= 0"):
+        env.schedule(env.event(), delay=bad)
+    assert (list(env._now_urgent), list(env._now_normal),
+            list(env._future)) == queue
+    assert env._seq == seq
+    assert env.now == 0.5
+    env.run()
+    assert env.now == 2.0
+
+
+def test_nan_delay_fails_its_process_not_the_clock(env):
+    log = []
+
+    def p(env, name, delay):
+        yield env.timeout(delay)
+        log.append((name, env.now))
+
+    procs = [env.process(p(env, name, d))
+             for name, d in (("a", 2.0), ("nan", float("nan")),
+                             ("b", 1.0), ("c", 3.0))]
+    procs[1].defuse()
+    env.run()
+    assert log == [("b", 1.0), ("a", 2.0), ("c", 3.0)]
+    assert env.now == 3.0
+    assert isinstance(procs[1].value, SimulationError)

@@ -178,3 +178,41 @@ def test_store_try_get(env):
     store.put(1)
     assert store.try_get() == (True, 1)
     assert len(store) == 0
+
+
+def test_over_release_changes_nothing(env):
+    """The capacity check used to run after the pool was topped up:
+    capacity 2 was left at available=3, in_use=-1."""
+    cores = Resource(env, capacity=2)
+    cores.request(1)
+    env.run()
+    before = (cores.available, cores.in_use, cores.busy_unit_seconds())
+    with pytest.raises(SimulationError, match="released more units"):
+        cores.release(2)
+    assert (cores.available, cores.in_use,
+            cores.busy_unit_seconds()) == before == (1, 1, 0.0)
+    cores.release(1)
+    assert (cores.available, cores.in_use) == (2, 0)
+
+
+@pytest.mark.parametrize("units", [1.5, 1.0, "1"])
+def test_units_must_be_integers(env, units):
+    """``request(1.5)`` used to be granted and left available=2.5."""
+    cores = Resource(env, capacity=4)
+    with pytest.raises(SimulationError, match="must be an integer"):
+        cores.request(units)
+    assert (cores.available, cores.queue_length) == (4, 0)
+    cores.request(2)
+    with pytest.raises(SimulationError, match="must be an integer"):
+        cores.release(units)
+    assert cores.available == 2
+
+
+def test_integer_like_units_are_accepted(env):
+    import numpy as np
+    cores = Resource(env, capacity=4)
+    ev = cores.request(np.int64(3))
+    env.run()
+    assert ev.value == 3 and cores.available == 1
+    cores.release(np.int32(3))
+    assert cores.available == 4
