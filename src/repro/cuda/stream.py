@@ -113,14 +113,14 @@ class Stream:
             exc, self._error = self._error, None
             raise exc
         if self._sync_cost_s > 0:
-            start = self.env.now
+            start = self.env._now
             yield self.env.timeout(self._sync_cost_s)
             if self._trace is not None:
                 causal = [d for d in deps if d is not None]
                 if self.last_span is not None:
                     causal.append(self.last_span)
                 return self._trace.record(CAT.SYNC, f"sync:{self.name}",
-                                          start, self.env.now,
+                                          start, self.env._now,
                                           lane=self.name, deps=causal)
         return None
 

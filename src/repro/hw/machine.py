@@ -160,13 +160,13 @@ class Machine:
         grant = self.cores.request(1)
         waited = not grant.triggered
         yield grant
-        start = self.env.now
+        start = self.env._now
         cap = threads * self.platform.hostmem.per_core_copy_bw
         flow = yield self.net.transfer(nbytes, [self.host_bus], cap=cap,
                                        label=label)
         span = self.trace.record(
-            CAT.MCPY, label, start, self.env.now, lane=lane, nbytes=nbytes,
-            meta={"threads": threads},
+            CAT.MCPY, label, start, self.env._now, lane=lane, nbytes=nbytes,
+            meta=(("threads", threads),),
             deps=self._causal(
                 deps, self.cores.last_release_span if waited else None))
         if self.net.ledger is not None:
@@ -192,14 +192,14 @@ class Machine:
         grant = self.cores.request(threads)
         waited = not grant.triggered
         yield grant
-        start = self.env.now
+        start = self.env._now
         if model.spawn_overhead_s > 0:
             yield self.env.timeout(model.spawn_overhead_s * threads)
         flow = yield self.net.transfer(
             model.flow_bytes(n_elements, k), [self.host_bus],
             cap=model.flow_cap(threads, k), label=label)
         span = self.trace.record(
-            category, label, start, self.env.now, lane=lane,
+            category, label, start, self.env._now, lane=lane,
             elements=n_elements, nbytes=8.0 * n_elements,
             meta={"k": k, "threads": threads},
             deps=self._causal(
@@ -228,10 +228,10 @@ class Machine:
         grant = self.cores.request(threads)
         waited = not grant.triggered
         yield grant
-        start = self.env.now
+        start = self.env._now
         yield self.env.timeout(model.seconds(n, threads))
         span = self.trace.record(
-            CAT.CPUSORT, label, start, self.env.now, lane=lane, elements=n,
+            CAT.CPUSORT, label, start, self.env._now, lane=lane, elements=n,
             meta={"library": library, "threads": threads},
             deps=self._causal(
                 deps, self.cores.last_release_span if waited else None))
@@ -275,13 +275,13 @@ class Machine:
                 f"pinned allocation of {nbytes} B exceeds host capacity "
                 f"({self.host_reserved} B reserved for A/W/B, "
                 f"{self.pinned_bytes} B already pinned)")
-        start = self.env.now
+        start = self.env._now
         yield self.env.timeout(
             self.platform.hostmem.pinned_alloc_seconds(nbytes))
         self.pinned_bytes += nbytes
         self._gauge("host.pinned_bytes", self.pinned_bytes)
         return self.trace.record(CAT.PINNED_ALLOC, label, start,
-                                 self.env.now, lane="host", nbytes=nbytes,
+                                 self.env._now, lane="host", nbytes=nbytes,
                                  deps=self._causal(deps))
 
     def pinned_free(self, nbytes: float) -> None:
@@ -299,9 +299,9 @@ class Machine:
         (one of the overheads the related work omits, Sec. IV-E).
         Returns the recorded span."""
         cost = self.platform.runtime.stream_sync_s
-        start = self.env.now
+        start = self.env._now
         yield self.env.timeout(cost)
-        return self.trace.record(CAT.SYNC, label, start, self.env.now,
+        return self.trace.record(CAT.SYNC, label, start, self.env._now,
                                  lane=lane, deps=self._causal(deps))
 
     # ------------------------------------------------------------------
@@ -315,11 +315,11 @@ class Machine:
         (chained into the caller's causal deps) and published as a
         ``retry.attempt`` event.  Returns the span."""
         delay = self.retry.backoff_s(attempt)
-        start = self.env.now
+        start = self.env._now
         if delay > 0:
             yield self.env.timeout(delay)
         span = self.trace.record(CAT.RETRY, f"backoff[{what}]", start,
-                                 self.env.now, lane=lane,
+                                 self.env._now, lane=lane,
                                  meta={"attempt": attempt},
                                  deps=self._causal(deps))
         if self.bus is not None:
@@ -388,7 +388,7 @@ class Machine:
         grant = engine.request()
         waited = not grant.triggered
         yield grant
-        start = self.env.now
+        start = self.env._now
         self._inflight[direction] += 1
         self._gauge(f"pcie.{direction}.inflight", self._inflight[direction])
         hostmem_weight = (1.0 if pinned
@@ -402,7 +402,7 @@ class Machine:
         self._gauge(f"pcie.{direction}.inflight", self._inflight[direction])
         category = CAT.HTOD if direction == Direction.HTOD else CAT.DTOH
         span = self.trace.record(
-            category, label or direction, start, self.env.now,
+            category, label or direction, start, self.env._now,
             lane=lane or f"gpu{gpu.index}.{direction}", nbytes=nbytes,
             deps=self._causal(
                 deps, engine.last_release_span if waited else None))

@@ -249,6 +249,10 @@ def load_archive(path) -> list[dict]:
             except json.JSONDecodeError as exc:
                 raise ArchiveError(
                     f"{path}:{lineno}: not valid JSON ({exc})") from exc
+            if not isinstance(entry, dict):
+                raise ArchiveError(
+                    f"{path}:{lineno}: expected a JSON object, got "
+                    f"{type(entry).__name__}")
             if entry.get("schema") != ARCHIVE_SCHEMA:
                 raise ArchiveError(
                     f"{path}:{lineno}: unknown archive schema "

@@ -72,6 +72,13 @@ class FlowLedger:
     ``on_capacity``) are called by the network behind its single
     ``ledger is None`` check; :meth:`bind_span` is called by the machine
     primitives after the owning trace span is recorded.
+
+    Storage is columnar, so recording allocates no container per flow or
+    per capture: one list per flow attribute, indexed by flow id; one
+    flat capture list of ``fid, t, rate, progressed`` values; and a shape
+    table holding each distinct ``[name, weight]`` link path with its
+    ``cap`` and ``iso_rate`` once.  The :attr:`flows` records are built
+    from the columns on first read.
     """
 
     def __init__(self, clock: _t.Callable[[], float] | None = None,
@@ -79,8 +86,6 @@ class FlowLedger:
         self.clock = clock if clock is not None else (lambda: 0.0)
         self.capacities = {str(k): float(v)
                            for k, v in (capacities or {}).items()}
-        #: One record per flow, indexed by the ledger-assigned flow id.
-        self.flows: list[dict] = []
         #: ``[t, link, bytes_per_s]`` rows, one per ``set_capacity``.
         self.capacity_events: list[list] = []
         #: Streaming telemetry: optional
@@ -88,15 +93,56 @@ class FlowLedger:
         #: rate-change record is mirrored onto (``flow.start`` /
         #: ``flow.rate`` / ``flow.end``).
         self.bus = None
+        # Per-flow columns, indexed by the ledger-assigned flow id.
+        self._label: list[str] = []
+        self._nbytes: list[float] = []
+        self._shape: list[int] = []
+        self._start: list[float] = []
+        self._end: list[float | None] = []
+        self._span: list[int | None] = []
+        self._moved: list[float | None] = []
+        self._tenant: list[str | None] = []
+        #: Index in ``_captures`` of each flow's last capture (-1: none).
+        self._last: list[int] = []
+        #: Flat ``fid, t, rate, progressed`` values, four per capture.
+        self._captures: list = []
+        # Shape table: (links, cap, the links' capacities) -> shape id,
+        # and per id the ([name, weight] pairs, cap, iso_rate) it records.
+        self._shape_ids: dict[tuple, int] = {}
+        self._shapes: list[tuple[list[list], float | None, float | None]] = []
+        self._view: list[dict] | None = None
 
     # -- recording hooks (called by FlowNetwork) -----------------------------
 
     def on_start(self, flow, now: float) -> None:
         """A flow joined the network (or completed instantly, for the
         zero-byte path); assigns the flow its ledger id."""
-        fid = len(self.flows)
+        fid = len(self._label)
         flow.fid = fid
-        links = [[link.name, weight] for link, weight in flow.links]
+        key = (flow.links, flow.cap,
+               tuple([link.capacity for link, _w in flow.links]))
+        shape = self._shape_ids.get(key)
+        if shape is None:
+            shape = self._shape_ids[key] = self._add_shape(flow)
+        self._label.append(flow.label)
+        self._nbytes.append(flow.nbytes)
+        self._shape.append(shape)
+        self._start.append(now)
+        self._end.append(None)
+        self._span.append(None)
+        self._moved.append(None)
+        # Tenant attribution (multi-tenant service runs).  Records carry
+        # it only when present so untagged runs keep producing
+        # byte-identical repro.flows/v1 documents (the flows gate
+        # digests them).
+        self._tenant.append(getattr(flow, "tenant", None))
+        self._last.append(-1)
+        self._view = None
+        if self.bus is not None:
+            links = [list(pair) for pair in self._shapes[shape][0]]
+            self.bus.flow_start(fid, flow.nbytes, links, label=flow.label)
+
+    def _add_shape(self, flow) -> int:
         # Isolation rate: what the flow would be granted alone -- its own
         # cap or the tightest weighted link capacity, whichever binds.
         iso = flow.cap
@@ -104,56 +150,44 @@ class FlowLedger:
             alone = link.capacity / weight
             if alone < iso:
                 iso = alone
-        rec = {
-            "id": fid,
-            "label": flow.label,
-            "nbytes": flow.nbytes,
-            "links": links,
-            "cap": flow.cap if math.isfinite(flow.cap) else None,
-            "iso_rate": iso if math.isfinite(iso) else None,
-            "start": now,
-            "end": None,
-            "span": None,
-            "moved": None,
-            "rates": [],
-        }
-        # Tenant attribution (multi-tenant service runs).  Only recorded
-        # when present so untagged runs keep producing byte-identical
-        # repro.flows/v1 documents (the flows gate digests them).
-        tenant = getattr(flow, "tenant", None)
-        if tenant is not None:
-            rec["tenant"] = tenant
-        self.flows.append(rec)
-        if self.bus is not None:
-            self.bus.flow_start(fid, flow.nbytes, links, label=flow.label)
+        self._shapes.append((
+            [[link.name, weight] for link, weight in flow.links],
+            flow.cap if math.isfinite(flow.cap) else None,
+            iso if math.isfinite(iso) else None))
+        return len(self._shapes) - 1
 
     def on_update(self, now: float, flows: _t.Iterable) -> None:
         """The allocator refilled; capture every active flow's granted
         rate and progress.  Same-instant re-captures are deduplicated;
         only actual rate changes are mirrored onto the bus."""
-        records = self.flows
+        caps = self._captures
+        last = self._last
         bus = self.bus
         for f in flows:
-            rates = records[f.fid]["rates"]
-            if rates:
-                last = rates[-1]
-                if (last[0] == now and last[1] == f.rate
-                        and last[2] == f.progressed):
+            fid = f.fid
+            rate = f.rate
+            i = last[fid]
+            if i >= 0:
+                if (caps[i + 1] == now and caps[i + 2] == rate
+                        and caps[i + 3] == f.progressed):
                     continue
-                changed = last[1] != f.rate
+                changed = caps[i + 2] != rate
             else:
                 changed = True
-            rates.append([now, f.rate, f.progressed])
+            last[fid] = len(caps)
+            caps += (fid, now, rate, f.progressed)
             if changed and bus is not None:
-                bus.flow_rate(f.fid, f.rate)
+                bus.flow_rate(fid, rate)
+        self._view = None
 
     def on_end(self, flow, now: float) -> None:
         """A flow completed; freeze its end time and bytes moved."""
-        rec = self.flows[flow.fid]
-        rec["end"] = now
-        rec["moved"] = flow.progressed
+        fid = flow.fid
+        self._end[fid] = now
+        self._moved[fid] = flow.progressed
+        self._view = None
         if self.bus is not None:
-            self.bus.flow_end(flow.fid, flow.progressed)
+            self.bus.flow_end(fid, flow.progressed)
 
     def on_capacity(self, name: str, capacity: float, now: float) -> None:
         """A link's capacity changed mid-run (fault injection)."""
@@ -163,27 +197,76 @@ class FlowLedger:
         """Attach the owning causal-trace span to a recorded flow (the
         machine primitives call this after ``trace.record``)."""
         fid = getattr(flow, "fid", -1)
-        if not 0 <= fid < len(self.flows):
+        if not 0 <= fid < len(self._span):
             raise FlowLedgerError(
                 f"cannot bind span {span_id} to unrecorded flow "
                 f"{getattr(flow, 'label', flow)!r}")
-        self.flows[fid]["span"] = int(span_id)
+        self._span[fid] = int(span_id)
+        self._view = None
 
     # -- views ---------------------------------------------------------------
 
     @property
+    def flows(self) -> list[dict]:
+        """One record per flow, indexed by flow id: the ``flows`` entries
+        of :meth:`to_dict`.  Built from the columns on first read and
+        cached until the next recording hook."""
+        if self._view is None:
+            self._view = self._build_records()
+        return self._view
+
+    def _build_records(self) -> list[dict]:
+        rates: list[list[list]] = [[] for _ in self._label]
+        it = iter(self._captures)
+        for fid, t, rate, progressed in zip(it, it, it, it):
+            rates[fid].append([t, rate, progressed])
+        shapes = self._shapes
+        records = []
+        for fid, (label, nbytes, shape, start, end, span, moved,
+                  tenant) in enumerate(zip(
+                      self._label, self._nbytes, self._shape, self._start,
+                      self._end, self._span, self._moved, self._tenant)):
+            links, cap, iso = shapes[shape]
+            rec = {
+                "id": fid,
+                "label": label,
+                "nbytes": nbytes,
+                "links": [list(pair) for pair in links],
+                "cap": cap,
+                "iso_rate": iso,
+                "start": start,
+                "end": end,
+                "span": span,
+                "moved": moved,
+                "rates": rates[fid],
+            }
+            if tenant is not None:
+                rec["tenant"] = tenant
+            records.append(rec)
+        return records
+
+    @property
     def n_flows(self) -> int:
-        return len(self.flows)
+        return len(self._label)
 
     @property
     def bytes_moved(self) -> float:
         """Total bytes actually moved by completed flows."""
-        return sum(f["moved"] for f in self.flows
-                   if f["moved"] is not None)
+        return sum(m for m in self._moved if m is not None)
 
     @property
     def spans_bound(self) -> int:
-        return sum(1 for f in self.flows if f["span"] is not None)
+        return sum(1 for s in self._span if s is not None)
+
+    def bytes_by_tenant(self) -> dict[str, float]:
+        """Bytes moved per tenant, summed in flow order; untagged flows
+        are left out and a flow still in flight counts zero."""
+        out: dict[str, float] = {}
+        for tenant, moved in zip(self._tenant, self._moved):
+            if tenant is None:
+                continue
+            out[tenant] = out.get(tenant, 0.0) + (moved if moved else 0.0)
+        return out
 
     def to_dict(self) -> dict:
         """The full ledger as a ``repro.flows/v1`` document (canonical
@@ -192,17 +275,15 @@ class FlowLedger:
             "schema": FLOWS_SCHEMA,
             "capacities": dict(sorted(self.capacities.items())),
             "capacity_events": [list(e) for e in self.capacity_events],
-            "n_flows": len(self.flows),
-            "flows": [dict(rec, links=[list(l) for l in rec["links"]],
-                           rates=[list(p) for p in rec["rates"]])
-                      for rec in self.flows],
+            "n_flows": self.n_flows,
+            "flows": self._build_records(),
         }
 
     def summary(self) -> dict:
         """Scalar summary for ``SortResult.metrics['flows']``.
 
-        The analyses only read their document, so they run on a shallow
-        view of the live records rather than a :meth:`to_dict` copy.
+        The analyses only read their document, so they run on the cached
+        :attr:`flows` records rather than a :meth:`to_dict` copy.
         """
         view = {"flows": self.flows, "capacities": self.capacities,
                 "capacity_events": self.capacity_events}
@@ -210,7 +291,7 @@ class FlowLedger:
                  for name, d in link_peaks(view).items()}
         contention = attribute_contention(view)
         return {
-            "n_flows": len(self.flows),
+            "n_flows": self.n_flows,
             "bytes_moved": self.bytes_moved,
             "spans_bound": self.spans_bound,
             "peak_utilization": peaks,

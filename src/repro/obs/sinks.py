@@ -93,6 +93,10 @@ def read_events(path) -> tuple[dict, list[TelemetryEvent]]:
             except json.JSONDecodeError as exc:
                 raise EventLogError(
                     f"{path}:{lineno}: not valid JSON ({exc})") from exc
+            if not isinstance(doc, dict):
+                raise EventLogError(
+                    f"{path}:{lineno}: expected a JSON object, got "
+                    f"{type(doc).__name__}")
             if header is None:
                 if doc.get("schema") != EVENTS_SCHEMA:
                     raise EventLogError(

@@ -210,9 +210,14 @@ def write_ledger(records: _t.Sequence[dict], path) -> None:
             fh.write("\n")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def load_ledger(path) -> list[dict]:
     """Read a JSONL ledger back; raises :class:`LedgerError` on
-    malformed lines or unknown schemas."""
+    malformed lines, non-object lines, non-finite numbers (``NaN``,
+    ``Infinity``) or unknown schemas."""
     import json
     records = []
     with open(path) as fh:
@@ -221,10 +226,14 @@ def load_ledger(path) -> list[dict]:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+                rec = json.loads(line, parse_constant=_reject_constant)
+            except ValueError as exc:
                 raise LedgerError(
                     f"{path}:{lineno}: not valid JSON ({exc})") from exc
+            if not isinstance(rec, dict):
+                raise LedgerError(
+                    f"{path}:{lineno}: expected a JSON object, got "
+                    f"{type(rec).__name__}")
             if rec.get("schema") != LEDGER_SCHEMA:
                 raise LedgerError(
                     f"{path}:{lineno}: unknown ledger schema "

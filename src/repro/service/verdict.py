@@ -88,25 +88,13 @@ def archive_entry(verdict: dict, label: str,
                       metrics=metrics, verdicts=list(gate_verdicts))
 
 
-def _tenant_bytes(ledger) -> dict[str, float]:
-    out: dict[str, float] = {}
-    if ledger is None:
-        return out
-    for rec in ledger.flows:
-        tenant = rec.get("tenant")
-        if tenant is None:
-            continue
-        moved = rec["moved"]
-        out[tenant] = out.get(tenant, 0.0) + (moved if moved else 0.0)
-    return out
-
-
 def build_verdict(service) -> dict:
     """Assemble the verdict from a finished :class:`SortService` run."""
     rows = service._rows
     cfg = service.config
     ledger = service.machine.net.ledger
-    bytes_by_tenant = _tenant_bytes(ledger)
+    bytes_by_tenant = (ledger.bytes_by_tenant()
+                       if ledger is not None else {})
 
     by_tenant: dict[str, list[dict]] = {t.name: [] for t in service.tenants}
     for r in rows:

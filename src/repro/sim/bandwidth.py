@@ -108,9 +108,10 @@ class Link:
         self._wsum = 0.0
         self._budget = 0.0
         # Component-discovery scratch: generation mark and union-find
-        # parent; valid only inside _dirty_components().
+        # parent (None at a root, so no link points at itself); valid
+        # only inside _dirty_components().
         self._mark = 0
-        self._uf: "Link" = self
+        self._uf: "Link | None" = None
         #: Active flows crossing this link (each counted once).
         self._nflows = 0
 
@@ -143,6 +144,11 @@ class Flow:
     strand a flow with a tiny negative residual.  One accumulator keeps
     ``progressed + remaining == nbytes`` exact and ``remaining``
     non-negative by construction.
+
+    :attr:`event` is the completion event while the flow is active.  It
+    is cleared when the flow completes, just before the flow becomes
+    that event's value, so the two never form a reference cycle and
+    refcounting frees them as soon as the waiter drops the flow.
     """
 
     __slots__ = ("nbytes", "progressed", "remaining", "cap", "links", "rate",
@@ -305,6 +311,9 @@ class FlowNetwork:
             if self.ledger is not None:
                 self.ledger.on_start(flow, now)
                 self.ledger.on_end(flow, now)
+            # No Flow <-> Event cycle: the completed flow lets go of its
+            # event before becoming the event's value.
+            flow.event = None
             ev.succeed(flow)
             return ev
 
@@ -459,10 +468,15 @@ class FlowNetwork:
     @staticmethod
     def _find(link: Link) -> Link:
         """Union-find root of ``link`` (path-halving)."""
-        while link._uf is not link:
-            link._uf = link._uf._uf
-            link = link._uf
-        return link
+        while True:
+            parent = link._uf
+            if parent is None:
+                return link
+            grand = parent._uf
+            if grand is None:
+                return parent
+            link._uf = grand
+            link = grand
 
     def _dirty_components(self, seed_flows: _t.Sequence[Flow],
                           seed_links: _t.Sequence[Link],
@@ -532,7 +546,7 @@ class FlowNetwork:
         if len(dirty) <= 1:
             return ([dirty] if dirty else []), touched
         for l in touched:
-            l._uf = l
+            l._uf = None
         find = self._find
         for f in dirty:
             links = f.links
@@ -786,4 +800,5 @@ class FlowNetwork:
         self._update(seed_links=[l for f in finished for l, _w in f.links])
         for f in finished:
             f.remaining = 0.0
-            f.event.succeed(f)
+            ev, f.event = f.event, None   # no Flow <-> Event cycle
+            ev.succeed(f)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import typing as _t
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 __all__ = ["Span", "Trace", "CAT"]
 
@@ -64,6 +64,10 @@ def _normalize_meta(meta) -> tuple:
     """
     if not meta:
         return ()
+    if type(meta) is tuple and len(meta) == 1:
+        pair = meta[0]
+        if type(pair) is tuple and len(pair) == 2 and type(pair[0]) is str:
+            return meta   # one pair is already sorted
     items = meta.items() if isinstance(meta, Mapping) else meta
     return tuple(sorted((str(k), v) for k, v in items))
 
@@ -91,6 +95,14 @@ class Span:
     def meta_dict(self) -> dict:
         """Metadata as a plain dict."""
         return dict(self.meta)
+
+
+# Span's slot setters, in field order.  Trace.record builds spans through
+# them: the same frozen, slotted Span (same eq, hash and repr) without the
+# frozen __init__'s object.__setattr__ call per field.
+(_set_category, _set_label, _set_start, _set_end, _set_lane, _set_nbytes,
+ _set_elements, _set_meta, _set_id, _set_deps) = [
+    getattr(Span, f.name).__set__ for f in fields(Span)]
 
 
 class Trace:
@@ -129,9 +141,17 @@ class Trace:
                     f"span {label!r} depends on unrecorded span id {i}")
             if i not in dep_ids:
                 dep_ids.append(i)
-        span = Span(category, label, start, end, lane, nbytes, elements,
-                    _normalize_meta(meta), id=sid,
-                    deps=tuple(sorted(dep_ids)))
+        span = object.__new__(Span)
+        _set_category(span, category)
+        _set_label(span, label)
+        _set_start(span, start)
+        _set_end(span, end)
+        _set_lane(span, lane)
+        _set_nbytes(span, nbytes)
+        _set_elements(span, elements)
+        _set_meta(span, _normalize_meta(meta))
+        _set_id(span, sid)
+        _set_deps(span, tuple(sorted(dep_ids)))
         self.spans.append(span)
         if self.bus is not None:
             self.bus.span(span)

@@ -205,6 +205,18 @@ def test_validate_rejects_unknown_schema(tmp_path):
         load_archive(path)
 
 
+@pytest.mark.parametrize("line, kind", [
+    ("[]", "list"), ("1", "int"), ('"x"', "str"), ("null", "NoneType")])
+def test_load_archive_rejects_non_object_lines(tmp_path, line, kind):
+    path = tmp_path / "a.jsonl"
+    path.write_text(canonical_json(synthetic_entry(1.0), indent=None)
+                    + "\n" + line + "\n")
+    with pytest.raises(ArchiveError,
+                       match=f"a.jsonl:2: expected a JSON object, "
+                             f"got {kind}"):
+        load_archive(path)
+
+
 def test_archive_summary_pure():
     entries = [synthetic_entry(1.0), synthetic_entry(2.0, n=2)]
     s = archive_summary(entries)

@@ -222,6 +222,22 @@ def test_read_events_rejects_foreign_files(tmp_path):
         read_events(path)
 
 
+@pytest.mark.parametrize("reader", [read_events, validate_event_log])
+@pytest.mark.parametrize("line, kind", [
+    ("[]", "list"), ("1", "int"), ('"x"', "str")])
+@pytest.mark.parametrize("lineno", [1, 2])
+def test_event_log_readers_reject_non_object_lines(tmp_path, reader, line,
+                                                  kind, lineno):
+    # A non-object line as the schema header (line 1) or as an event.
+    path = tmp_path / "bad.events.jsonl"
+    header = '{"schema":"repro.events/v1"}\n'
+    path.write_text(header * (lineno - 1) + line + "\n")
+    with pytest.raises(EventLogError,
+                       match=f"bad.events.jsonl:{lineno}: expected a JSON "
+                             f"object, got {kind}"):
+        reader(path)
+
+
 def test_validate_event_log_on_real_run(tmp_path):
     buf = io.StringIO()
     run_once("bline", sinks=[JsonlSink(buf)])

@@ -167,6 +167,97 @@ def test_bind_span_rejects_unrecorded_flow():
         led.bind_span(Ghost(), 3)
 
 
+def _aggregates_from_records(records):
+    by_tenant = {}
+    for rec in records:
+        tenant = rec.get("tenant")
+        if tenant is not None:
+            moved = rec["moved"]
+            by_tenant[tenant] = by_tenant.get(tenant, 0.0) + (
+                moved if moved else 0.0)
+    return {"n_flows": len(records),
+            "bytes_moved": sum(r["moved"] for r in records
+                               if r["moved"] is not None),
+            "spans_bound": sum(1 for r in records if r["span"] is not None),
+            "bytes_by_tenant": by_tenant}
+
+
+def _aggregates_without_building(led, monkeypatch):
+    """The ledger's own aggregates, read with `_build_records`
+    replaced by a spy that fails the test if anything calls it."""
+    calls = []
+    monkeypatch.setattr(FlowLedger, "_build_records",
+                        lambda self: calls.append(1) or [])
+    got = {"n_flows": led.n_flows, "bytes_moved": led.bytes_moved,
+           "spans_bound": led.spans_bound,
+           "bytes_by_tenant": led.bytes_by_tenant()}
+    monkeypatch.undo()
+    assert calls == []
+    return got
+
+
+def test_flows_view_is_rebuilt_after_later_hooks(monkeypatch):
+    env, net, links = _net_with_ledger({"l": 10.0})
+    led = net.ledger
+    reads = []
+
+    def p(nbytes, delay, tenant, span_id):
+        yield env.timeout(delay)
+        flow = yield net.transfer(nbytes, [links["l"]], tenant=tenant)
+        led.bind_span(flow, span_id)
+
+    def reader():
+        yield env.timeout(2.0)
+        first = led.flows
+        assert led.flows is first          # cached until the next hook
+        aggregates = _aggregates_without_building(led, monkeypatch)
+        reads.append((first, canonical_json(first), aggregates))
+
+    env.process(p(50.0, 0.0, "gold", 7))
+    env.process(p(30.0, 1.0, None, 8))
+    env.process(p(20.0, 1.0, "batch", 9))
+    env.process(reader())
+    env.run()
+
+    first, first_json, mid = reads[0]
+    # Mid-run: three flows in flight, nothing ended or bound yet.
+    assert [(r["end"], r["span"], r["moved"]) for r in first] == \
+        [(None, None, None)] * 3
+    # Flow 0 is re-granted at each of the two joins at t=1.
+    assert [len(r["rates"]) for r in first] == [3, 2, 1]
+    assert "tenant" not in first[1]
+    assert mid == _aggregates_from_records(first)
+    # The mid-run view is a snapshot: later hooks build a new one.
+    assert canonical_json(first) == first_json
+    final = led.flows
+    assert final is not first
+    assert [r["span"] for r in final] == [7, 8, 9]
+    assert all(r["end"] is not None for r in final)
+    for early, late in zip(first, final):
+        assert late["rates"][:len(early["rates"])] == early["rates"]
+    # Later departures re-grant the flows still running: flow 2 ends
+    # first (flows 0 and 1 re-granted), then flow 1 (flow 0).
+    assert [len(r["rates"]) for r in final] == [5, 3, 1]
+    assert final == led.to_dict()["flows"]
+    end = _aggregates_without_building(led, monkeypatch)
+    assert end == _aggregates_from_records(final)
+    assert end["bytes_by_tenant"] == {"gold": 50.0, "batch": 20.0}
+
+
+def test_ledger_aggregates_match_records_on_a_service_run(monkeypatch):
+    from repro.service import ServiceConfig, Tenant, run_service
+    tenants = [Tenant("gold", priority=2, share=2.0, n_jobs=2,
+                      n_elements=50_000),
+               Tenant("batch", n_jobs=2, n_elements=100_000)]
+    res = run_service(tenants, ServiceConfig(
+        allocator="strict-priority", functional=False, batch_size=20_000,
+        pinned_elements=5_000))
+    led = res.flow_ledger
+    got = _aggregates_without_building(led, monkeypatch)
+    assert got == _aggregates_from_records(led.flows)
+    assert set(got["bytes_by_tenant"]) == {"gold", "batch"}
+
+
 def test_concurrency_series_returns_to_zero():
     env, net, links = _net_with_ledger({"l": 10.0})
 

@@ -88,6 +88,22 @@ def test_load_ledger_rejects_unknown_schema(tmp_path):
         load_ledger(path)
 
 
+@pytest.mark.parametrize("line, match", [
+    ("[]", "expected a JSON object, got list"),
+    ("1", "expected a JSON object, got int"),
+    ('"x"', "expected a JSON object, got str"),
+    ('{"schema": "repro.sweep/v1", "makespan_s": NaN}', "non-finite"),
+    ('{"schema": "repro.sweep/v1", "makespan_s": Infinity}', "non-finite"),
+    ('{"schema": "repro.sweep/v1", "makespan_s": -Infinity}', "non-finite"),
+])
+def test_load_ledger_rejects_non_object_and_non_finite_lines(
+        tmp_path, line, match):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"schema": "repro.sweep/v1"}\n' + line + "\n")
+    with pytest.raises(LedgerError, match=f"bad.jsonl:2: .*{match}"):
+        load_ledger(path)
+
+
 def test_run_sweep_reports_progress(tiny_records):
     lines = []
     run_sweep(sweep_points("tiny"), model_n=4_000_000,
