@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
-    from repro.errors import FaultPlanError
+    from repro.errors import FaultPlanError, PlanError
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -477,7 +477,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
                      f"{args.command!r}")
     try:
         return args.func(args, out)
-    except FaultPlanError as exc:
+    except (FaultPlanError, PlanError) as exc:
         prog = " ".join(filter(None, ("repro", args.command)))
         out.write(f"{prog}: {exc}\n")
         return 2

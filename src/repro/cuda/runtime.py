@@ -111,29 +111,31 @@ class Runtime:
         :func:`repro.hetsort.resilience.retry_call`).
         """
         self._check_gpu(gpu_index)
+        # Buffers address devices by the machine's (possibly per-job)
+        # index; the ledger, gauge and fault hook use the physical one.
+        gpu = self.machine.gpus[gpu_index]
         faults = self.machine.faults
-        if faults is not None and faults.on_device_alloc(gpu_index) is not None:
+        if faults is not None and faults.on_device_alloc(gpu.index):
             raise DeviceAllocFault(
-                f"injected cudaMalloc failure on gpu{gpu_index} ({name!r})")
-        self.machine.gpus[gpu_index].alloc(nbytes)
+                f"injected cudaMalloc failure on gpu{gpu.index} ({name!r})")
+        gpu.alloc(nbytes)
         mem = self.machine.memory
         if mem is not None:
-            mem.device_alloc(gpu_index, nbytes, name=name)
-        self.machine._gauge(f"gpu{gpu_index}.mem_bytes",
-                            self.machine.gpus[gpu_index].mem_used)
+            mem.device_alloc(gpu.index, nbytes, name=name)
+        self.machine._gauge(f"gpu{gpu.index}.mem_bytes", gpu.mem_used)
         return DeviceBuffer(gpu_index, nbytes, data=data, name=name)
 
     def free(self, buf: DeviceBuffer) -> None:
         """``cudaFree``."""
         if buf.freed:
             raise CudaInvalidValue(f"double free of {buf.name!r}")
-        self.machine.gpus[buf.gpu_index].free(buf.nbytes)
+        gpu = self.machine.gpus[buf.gpu_index]
+        gpu.free(buf.nbytes)
         buf.freed = True
         mem = self.machine.memory
         if mem is not None:
-            mem.device_free(buf.gpu_index, buf.nbytes, name=buf.name)
-        self.machine._gauge(f"gpu{buf.gpu_index}.mem_bytes",
-                            self.machine.gpus[buf.gpu_index].mem_used)
+            mem.device_free(gpu.index, buf.nbytes, name=buf.name)
+        self.machine._gauge(f"gpu{gpu.index}.mem_bytes", gpu.mem_used)
 
     def malloc_host(self, nbytes: int, name: str = "",
                     data: np.ndarray | None = None, deps=()):
@@ -211,7 +213,7 @@ class Runtime:
             raise CudaInvalidValue(
                 "cudaMemcpyAsync requires the host buffer to be pinned "
                 f"(got {src.kind if direction == Direction.HTOD else dst.kind})")
-        if gpu.index != stream.gpu_index:
+        if gpu is not self.machine.gpus[stream.gpu_index]:
             raise CudaInvalidValue(
                 f"stream on gpu{stream.gpu_index} cannot copy to/from "
                 f"gpu{gpu.index}")

@@ -91,17 +91,15 @@ class RunContext:
         #: Live counters/gauges for this run (queue depths, in-flight
         #: transfers, batch progress).  Recording is passive -- it never
         #: schedules events -- so the timeline is identical with or
-        #: without observers reading the series.
+        #: without observers reading the series.  A
+        #: :class:`~repro.hetsort.session.RunSession` makes it the
+        #: machine's recorder and probes ``sorted_runs`` into it.
         self.obs: MetricsRecorder = MetricsRecorder(clock=lambda: env.now)
-        machine.attach_recorder(self.obs)
-        self.sorted_runs.probe = self.obs.probe(
-            "sorted_runs.pending", lambda store: len(store))
 
         #: Streaming telemetry: an optional
-        #: :class:`~repro.obs.events.EventBus` (wired by
-        #: :func:`repro.obs.events.connect_context` when the caller
-        #: passed sinks).  ``None`` keeps every :meth:`phase` call a
-        #: single truthiness check.
+        #: :class:`~repro.obs.events.EventBus` (set by the run session
+        #: when the caller passed sinks).  ``None`` keeps every
+        #: :meth:`phase` call a single truthiness check.
         self.bus = None
 
     def phase(self, name: str, **data) -> None:

@@ -1,5 +1,11 @@
 """The public facade: :class:`HeterogeneousSorter` and the CPU reference.
 
+Both are thin callers of :class:`~repro.hetsort.session.RunSession`: a
+sort plans first (so an infeasible input raises
+:class:`~repro.errors.PlanError` before anything is built), then builds
+its :class:`~repro.hetsort.context.RunContext` on the session's machine
+and hands the approach runner to :meth:`RunSession.run`.
+
 >>> from repro import HeterogeneousSorter, PLATFORM1
 >>> import numpy as np
 >>> sorter = HeterogeneousSorter(PLATFORM1, batch_size=25_000)
@@ -26,8 +32,8 @@ from repro.hetsort.pipedata import run_pipedata
 from repro.hetsort.pipemerge import run_pipemerge
 from repro.hetsort.plan import make_plan
 from repro.hetsort.result import SortResult
+from repro.hetsort.session import RunSession
 from repro.hetsort.validate import check_sorted_permutation
-from repro.hw.machine import Machine
 from repro.hw.platforms import PLATFORM1
 from repro.hw.spec import PlatformSpec
 from repro.kernels.samplesort import sample_sort
@@ -35,7 +41,6 @@ from repro.obs.counters import MetricsRecorder
 from repro.obs.flows import FlowLedger
 from repro.obs.memory import MemoryLedger
 from repro.obs.metrics import compute_metrics
-from repro.sim.engine import Environment
 
 __all__ = ["HeterogeneousSorter", "APPROACH_RUNNERS", "cpu_reference_sort"]
 
@@ -110,67 +115,22 @@ class HeterogeneousSorter:
             cfg = cfg.with_(**overrides)
         n_elems = int(n) if n is not None else len(data)
 
-        env = Environment()
-        machine = Machine(env, self.platform, n_gpus=self.n_gpus)
-        rt = Runtime(machine)
         plan = make_plan(n_elems, self.platform, cfg, n_gpus=self.n_gpus)
-        ctx = RunContext(env, machine, rt, plan, cfg, data=data)
-        # The memory observatory: a passive, byte-exact allocation
-        # ledger.  Pinned capacity is what host DRAM leaves after the
-        # run's 3n pageable working set (reserved by the RunContext).
-        capacities = {f"gpu{g.index}": g.spec.mem_bytes
-                      for g in machine.gpus}
-        capacities["pinned"] = (self.platform.hostmem.capacity_bytes
-                                - machine.host_reserved)
-        machine.memory = MemoryLedger(clock=lambda: env.now,
-                                      capacities=capacities)
-        # The interconnect observatory: a passive per-flow bandwidth
-        # grant ledger on the fluid-flow network.
-        machine.net.ledger = FlowLedger(
-            clock=lambda: env.now,
-            capacities={lv.name: lv.capacity
-                        for lv in machine.net.link_snapshot()})
-
-        injector = None
-        if faults is not None:
-            from repro.hetsort.resilience import RetryPolicy
-            from repro.sim.faults import FaultInjector
-            injector = FaultInjector(faults).attach(machine)
-            machine.retry = retry if retry is not None else RetryPolicy()
-
-        bus = None
-        if sinks:
-            from repro.obs.events import EV, EventBus, connect_context
-            bus = EventBus(clock=lambda: env.now)
-            for sink in sinks:
-                bus.attach(sink)
-            connect_context(bus, ctx)
-            bus.emit(EV.RUN_START, platform=self.platform.name,
-                     approach=cfg.approach, n=plan.n,
-                     n_batches=plan.n_batches, batch_size=plan.batch_size,
-                     n_gpus=plan.n_gpus, n_streams=plan.n_streams,
-                     functional=ctx.functional)
-
-        runner = APPROACH_RUNNERS[cfg.approach]
-        if injector is not None:
-            injector.start(env)
-        proc = env.process(runner(ctx), name=cfg.approach)
-        env.run(proc)
-
-        if injector is not None and injector.fired_total:
-            ctx.meta["faults"] = injector.summary()
-
-        # Leak detection: every pool must balance back to zero by run
-        # end, degraded runs included (free_surviving releases a dead
-        # worker's buffers).
-        machine.memory.check_balanced()
-
-        if bus is not None:
-            from repro.obs.events import EV
-            bus.emit(EV.RUN_END, elapsed_s=env.now,
-                     makespan_s=machine.trace.makespan(),
-                     n_spans=len(machine.trace.spans))
-            bus.close()
+        session = RunSession(self.platform, self.n_gpus, sinks=sinks,
+                             faults=faults, retry=retry)
+        env, machine = session.env, session.machine
+        ctx = RunContext(env, machine, Runtime(machine), plan, cfg,
+                         data=data)
+        ctx.meta.update(session.run(
+            APPROACH_RUNNERS[cfg.approach](ctx), cfg.approach, ctx=ctx,
+            start=dict(platform=self.platform.name, approach=cfg.approach,
+                       n=plan.n, n_batches=plan.n_batches,
+                       batch_size=plan.batch_size, n_gpus=plan.n_gpus,
+                       n_streams=plan.n_streams,
+                       functional=ctx.functional),
+            end=lambda: dict(elapsed_s=env.now,
+                             makespan_s=machine.trace.makespan(),
+                             n_spans=len(machine.trace.spans))))
 
         output = ctx.B.data
         if validate and data is not None:
@@ -238,9 +198,9 @@ def cpu_reference_sort(platform: PlatformSpec = PLATFORM1,
     n_elems = int(n) if n is not None else len(data)
     threads = platform.reference_threads if threads is None else threads
 
-    env = Environment()
-    machine = Machine(env, platform, n_gpus=1)
-    machine.attach_recorder(MetricsRecorder(clock=lambda: env.now))
+    session = RunSession(platform, n_gpus=1)
+    env, machine = session.env, session.machine
+    recorder = MetricsRecorder(clock=lambda: env.now)
     out: dict = {}
 
     def work():
@@ -253,8 +213,7 @@ def cpu_reference_sort(platform: PlatformSpec = PLATFORM1,
                                     threads=threads,
                                     label=f"{library}::sort", work=work)
 
-    proc = env.process(runner(), name="cpu_reference")
-    env.run(proc)
+    session.run(runner(), "cpu_reference", recorder=recorder)
     return SortResult(
         platform_name=platform.name,
         approach=f"cpu:{library}",
@@ -264,7 +223,6 @@ def cpu_reference_sort(platform: PlatformSpec = PLATFORM1,
         trace=machine.trace,
         output=out.get("output"),
         meta={"threads": threads, "n": n_elems},
-        recorder=machine.recorder,
-        metrics_builder=_metrics_builder(machine.trace, env.now,
-                                         machine.recorder),
+        recorder=recorder,
+        metrics_builder=_metrics_builder(machine.trace, env.now, recorder),
     )

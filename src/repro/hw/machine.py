@@ -62,8 +62,9 @@ class Machine:
         #: allocations must fit in what remains of host DRAM.
         self.host_reserved = 0
         #: Optional :class:`~repro.obs.counters.MetricsRecorder`; when
-        #: attached, the machine samples pinned-buffer occupancy, in-flight
-        #: DMA transfers and core-pool pressure as counter time series.
+        #: set, the machine samples pinned-buffer occupancy and in-flight
+        #: DMA transfers as counter time series (the run session also
+        #: probes core-pool pressure into it).
         self.recorder = None
         self._inflight = {Direction.HTOD: 0, Direction.DTOH: 0}
         #: Fault injection: an optional
@@ -78,24 +79,13 @@ class Machine:
         self.retry = None
         #: Streaming telemetry: an optional
         #: :class:`~repro.obs.events.EventBus` for ``retry.attempt``
-        #: events (wired by :func:`repro.obs.events.connect_machine`).
+        #: events (set by :class:`~repro.hetsort.session.RunSession`).
         self.bus = None
         #: Memory observatory: an optional
         #: :class:`~repro.obs.memory.MemoryLedger` the runtime's
         #: allocation/release paths record into.  ``None`` (bare
         #: machines) costs one ``is None`` check per operation.
         self.memory = None
-
-    def attach_recorder(self, recorder) -> None:
-        """Wire a :class:`~repro.obs.counters.MetricsRecorder` into the
-        machine's probes (core pool, pinned memory, DMA engines)."""
-        self.recorder = recorder
-
-        def cores_probe(res) -> None:
-            recorder.sample("cpu.cores.in_use", res.in_use)
-            recorder.sample("cpu.cores.queue_depth", res.queue_length)
-
-        self.cores.probe = cores_probe
 
     def _gauge(self, name: str, value: float) -> None:
         if self.recorder is not None:

@@ -68,8 +68,7 @@ from repro.obs.diff import (canonical_json, check_regression, diff_reports,
                             load_report, render_diff, report_from_trace,
                             run_report, write_report)
 from repro.obs.events import (EV, EVENTS_SCHEMA, EventBus, Sink,
-                              TelemetryEvent, connect_context,
-                              connect_machine)
+                              TelemetryEvent)
 from repro.obs.flows import (CONTENTION_SCHEMA, FLOWS_SCHEMA,
                              FlowLedger, FlowRateSeries,
                              attribute_contention, concurrency_series,
@@ -119,7 +118,6 @@ __all__ = [
     "KernelStats", "profiling_snapshot", "merge_snapshots",
     "snapshot_to_jsonl",
     "EV", "EVENTS_SCHEMA", "TelemetryEvent", "Sink", "EventBus",
-    "connect_machine", "connect_context",
     "JsonlSink", "LiveAggregator", "TtySink", "WatchdogSink",
     "read_events", "replay_events", "validate_events",
     "validate_event_log",

@@ -35,6 +35,9 @@ the canonical run report -- the determinism tests pin this byte for
 byte.  With no bus attached every emission point is a single ``is
 None`` check (the same zero-overhead-when-disabled contract the
 counter probes and kernel profiler follow).
+
+The bus is wired into the simulator in one place,
+:class:`~repro.hetsort.session.RunSession`, with one hook per object.
 """
 
 from __future__ import annotations
@@ -42,8 +45,7 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass
 
-__all__ = ["EV", "TelemetryEvent", "Sink", "EventBus",
-           "connect_machine", "connect_context"]
+__all__ = ["EV", "TelemetryEvent", "Sink", "EventBus"]
 
 #: Schema identifier of the serialized event stream (see
 #: :class:`repro.obs.sinks.JsonlSink`).
@@ -275,44 +277,10 @@ class EventBus:
     # -- engine hook ---------------------------------------------------------
 
     def _on_step(self, env) -> None:
-        """Called by :meth:`repro.sim.engine.Environment.step` after each
-        processed event; fans out to the sinks' ``on_step`` hooks."""
+        """The engine monitor the run session registers: called after
+        each processed event; fans out to the sinks' ``on_step``
+        hooks."""
         self.steps += 1
         for sink in self._sinks:
             sink.on_step(self)
 
-
-# ---------------------------------------------------------------------------
-# Wiring
-# ---------------------------------------------------------------------------
-
-def connect_machine(bus: EventBus, machine) -> None:
-    """Wire ``bus`` into every emission point of a
-    :class:`~repro.hw.machine.Machine`: the engine step hook, the trace,
-    the core pool and each GPU's kernel/copy engines."""
-    machine.env.bus = bus
-    machine.trace.bus = bus
-    machine.cores.bus = bus
-    machine.bus = bus
-    for gpu in machine.gpus:
-        gpu.kernel_engine.bus = bus
-        for engine in gpu.copy_engines.values():
-            engine.bus = bus
-    if machine.recorder is not None:
-        machine.recorder.bus = bus
-    if machine.faults is not None:
-        machine.faults.bus = bus
-    if machine.memory is not None:
-        machine.memory.bus = bus
-    if machine.net.ledger is not None:
-        machine.net.ledger.bus = bus
-
-
-def connect_context(bus: EventBus, ctx) -> None:
-    """Wire ``bus`` into a :class:`~repro.hetsort.context.RunContext`:
-    the machine (see :func:`connect_machine`), the run's counter
-    recorder, and the sorted-run hand-off queue."""
-    connect_machine(bus, ctx.machine)
-    ctx.obs.bus = bus
-    ctx.sorted_runs.bus = bus
-    ctx.bus = bus

@@ -91,9 +91,9 @@ class MemoryLedger:
         self.peaks: dict[str, int] = {}
         self.n_allocs = 0
         self.n_frees = 0
-        #: Optional :class:`~repro.obs.events.EventBus` (wired by
-        #: :func:`repro.obs.events.connect_machine`); ``None`` costs one
-        #: ``is None`` check per recorded operation.
+        #: Optional :class:`~repro.obs.events.EventBus` (set by the run
+        #: session); ``None`` costs one ``is None`` check per recorded
+        #: operation.
         self.bus = None
 
     # -- recording -----------------------------------------------------------

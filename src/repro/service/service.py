@@ -2,9 +2,14 @@
 
 One shared :class:`~repro.hw.machine.Machine` (GPUs, core pool, pinned
 memory, interconnects) serves an open-loop stream of sort jobs from many
-tenants.  Each admitted job runs the *unmodified* single-run machinery --
-``RunContext`` + the approach runners of :mod:`repro.hetsort` -- against a
-per-job :class:`_MachineView` that exposes only the job's assigned GPUs.
+tenants.  The service is built and run by the same
+:class:`~repro.hetsort.session.RunSession` as a single sort (ledgers,
+fault injector with its timed faults, event bus), with the admission
+dispatcher as the root process.  Each admitted job runs the
+*unmodified* single-run machinery -- ``RunContext`` + the approach
+runners of :mod:`repro.hetsort` -- against a per-job
+:class:`_MachineView` that exposes only the job's assigned GPUs: jobs
+address devices by job index, the runtime records by physical index.
 QoS enters through the engine, not the runners: the service stamps a
 :class:`~repro.sim.allocators.QosTag` on each job's root process,
 processes inherit it, and every flow the job opens carries the tenant's
@@ -27,10 +32,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cuda import ELEM, Runtime
-from repro.errors import SimulationError, ValidationError
+from repro.errors import ValidationError
 from repro.hetsort.config import SortConfig
 from repro.hetsort.context import RunContext
 from repro.hetsort.plan import SortPlan, make_plan
+from repro.hetsort.session import RunSession
 from repro.hetsort.validate import check_sorted_permutation
 from repro.hw.machine import Machine
 from repro.hw.platforms import PLATFORM1
@@ -41,7 +47,7 @@ from repro.service.controller import AdaptiveController
 from repro.service.verdict import build_verdict
 from repro.service.workload import JobSpec, Tenant, build_jobs, job_data_seed
 from repro.sim.allocators import FixedLevels, QosTag, make_allocator
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Event
 from repro.workloads import generate
 
 __all__ = ["ServiceConfig", "ServiceResult", "SortService", "run_service"]
@@ -93,9 +99,8 @@ class _MachineView:
     """A per-job facade over the shared machine.
 
     * ``gpus`` is the job's assigned devices (so GPU index 0..n_gpus-1 in
-      the plan lands on the right physical devices);
-    * ``attach_recorder`` is a no-op -- the shared machine's probes stay
-      service-owned instead of being re-pointed by every admitted job;
+      the plan lands on the right physical devices; the runtime records
+      memory, gauges and fault hooks by each device's physical index);
     * everything else (core pool, flow network, pinned pool, fault hooks)
       delegates to the real machine, which is exactly the contention the
       service exists to model.
@@ -106,9 +111,6 @@ class _MachineView:
     def __init__(self, machine: Machine, gpus: _t.Sequence) -> None:
         self._machine = machine
         self.gpus = list(gpus)
-
-    def attach_recorder(self, recorder) -> None:
-        pass
 
     def __getattr__(self, name: str):
         return getattr(self._machine, name)
@@ -134,47 +136,15 @@ class SortService:
 
     def run(self, sinks: _t.Sequence = ()) -> ServiceResult:
         cfg = self.config
-        env = Environment()
-        machine = Machine(env, self.platform,
-                          n_gpus=self.platform.n_gpus)
-        if cfg.gpus_per_job > len(machine.gpus):
+        if cfg.gpus_per_job > self.platform.n_gpus:
             raise ValidationError(
                 f"gpus_per_job={cfg.gpus_per_job} but platform has "
-                f"{len(machine.gpus)} GPU(s)")
-        self.env = env
-        self.machine = machine
-
-        # Observatories: one ledger each for the whole service run.
-        capacities = {f"gpu{g.index}": g.spec.mem_bytes
-                      for g in machine.gpus}
-        capacities["pinned"] = self.platform.hostmem.capacity_bytes
-        machine.memory = MemoryLedger(clock=lambda: env.now,
-                                      capacities=capacities)
-        machine.net.ledger = FlowLedger(
-            clock=lambda: env.now,
-            capacities={lv.name: lv.capacity
-                        for lv in machine.net.link_snapshot()})
-
-        injector = None
-        if self.faults is not None:
-            from repro.hetsort.resilience import RetryPolicy
-            from repro.sim.faults import FaultInjector
-            injector = FaultInjector(self.faults).attach(machine)
-            machine.retry = (self.retry if self.retry is not None
-                             else RetryPolicy())
-
-        bus = None
-        if sinks:
-            from repro.obs.events import EV, EventBus, connect_machine
-            bus = EventBus(clock=lambda: env.now)
-            for sink in sinks:
-                bus.attach(sink)
-            connect_machine(bus, machine)
-            bus.emit(EV.RUN_START, platform=self.platform.name,
-                     service=True, allocator=cfg.allocator,
-                     n_tenants=len(self.tenants),
-                     functional=cfg.functional)
-        self.bus = bus
+                f"{self.platform.n_gpus} GPU(s)")
+        session = RunSession(self.platform, sinks=sinks, faults=self.faults,
+                             retry=self.retry)
+        self.env = env = session.env
+        self.machine = machine = session.machine
+        self.bus = bus = session.bus
 
         # Install the bandwidth policy on every link.
         self._links = [machine.host_bus, *machine.pcie.values()]
@@ -208,31 +178,24 @@ class SortService:
         self._rows: list[dict] = []
 
         env.process(self._arrivals(), name="service.arrivals")
-        dispatcher = env.process(self._dispatcher(), name="service.admit")
-        env.run(dispatcher)
-
-        machine.memory.check_balanced()
-        if injector is not None and injector.fired_total:
-            faults_meta = injector.summary()
-        else:
-            faults_meta = None
-
+        meta = session.run(
+            self._dispatcher(), "service.admit",
+            start=dict(platform=self.platform.name, service=True,
+                       allocator=cfg.allocator, n_tenants=len(self.tenants),
+                       functional=cfg.functional),
+            end=lambda: dict(elapsed_s=self._elapsed(),
+                             n_jobs=len(self._rows),
+                             makespan_s=machine.trace.makespan()))
         self._rows.sort(key=lambda r: (r["end_s"], r["job_id"]))
-        elapsed = max((r["end_s"] for r in self._rows), default=0.0)
         verdict = build_verdict(self)
-        if bus is not None:
-            from repro.obs.events import EV
-            bus.emit(EV.RUN_END, elapsed_s=elapsed,
-                     n_jobs=len(self._rows),
-                     makespan_s=machine.trace.makespan())
-            bus.close()
-        meta = {}
-        if faults_meta is not None:
-            meta["faults"] = faults_meta
         return ServiceResult(
-            verdict=verdict, jobs=list(self._rows), elapsed=elapsed,
+            verdict=verdict, jobs=list(self._rows), elapsed=self._elapsed(),
             trace=machine.trace, flow_ledger=machine.net.ledger,
             memory_ledger=machine.memory, controller=controller, meta=meta)
+
+    def _elapsed(self) -> float:
+        """Simulated end of the last job."""
+        return max((r["end_s"] for r in self._rows), default=0.0)
 
     # -- QoS plumbing ------------------------------------------------------
 

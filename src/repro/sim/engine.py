@@ -172,7 +172,7 @@ class Environment:
     """Coordinates events, time, and processes of one simulation run."""
 
     __slots__ = ("_now", "_future", "_now_urgent", "_now_normal", "_seq",
-                 "_monitors", "bus", "processed_events", "_active")
+                 "_monitors", "processed_events", "_active")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -192,13 +192,6 @@ class Environment:
         #: denominator; one increment per processed event).
         self.processed_events = 0
         self._monitors: list[_t.Callable[["Environment"], None]] = []
-        #: Streaming telemetry: an optional
-        #: :class:`~repro.obs.events.EventBus` notified after every
-        #: processed event (its sinks' ``on_step`` hooks drive watchdog
-        #: stall detection and display refresh).  ``None`` (the default)
-        #: costs one truthiness check per step; the bus is an observer
-        #: and must never schedule events.
-        self.bus = None
 
     # -- observability -------------------------------------------------------
 
@@ -362,8 +355,6 @@ class Environment:
         if self._monitors:
             for monitor in self._monitors:
                 monitor(self)
-        if self.bus is not None:
-            self.bus._on_step(self)
 
     def run(self, until: float | Event | None = None) -> _t.Any:
         """Run the simulation.
@@ -452,8 +443,6 @@ class Environment:
             if monitors:
                 for monitor in monitors:
                     monitor(self)
-            if self.bus is not None:
-                self.bus._on_step(self)
 
         if stop_event is not None:
             if not stop_event.triggered:

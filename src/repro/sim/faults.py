@@ -280,9 +280,8 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.machine = None
-        #: Optional telemetry bus (wired by
-        #: :func:`repro.obs.events.connect_machine`); fired faults are
-        #: published as ``fault.injected`` events.
+        #: Optional telemetry bus (set by the run session); fired
+        #: faults are published as ``fault.injected`` events.
         self.bus = None
         self.counts: dict[str, int] = {}
         self.fired: list[dict] = []

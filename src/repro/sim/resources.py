@@ -37,7 +37,7 @@ class Resource:
     """
 
     __slots__ = ("env", "capacity", "name", "_available", "_waiting",
-                 "_busy_units_time", "_last_change", "probe", "bus",
+                 "_busy_units_time", "_last_change", "probe",
                  "last_release_span")
 
     def __init__(self, env: Environment, capacity: int,
@@ -52,15 +52,12 @@ class Resource:
         # Utilisation accounting (for reports / tests).
         self._busy_units_time = 0.0
         self._last_change = env.now
-        #: Observability probe: called as ``probe(self)`` after every
+        #: The one observer hook: called as ``probe(self)`` after every
         #: state change (request queued, units granted, units released).
-        #: Must not schedule events; ``None`` costs nothing.
+        #: The run session installs it (counter samples, then a
+        #: ``queue`` event).  Must not schedule events; ``None`` costs
+        #: nothing.
         self.probe: _t.Callable[["Resource"], None] | None = None
-        #: Streaming telemetry: an optional
-        #: :class:`~repro.obs.events.EventBus` that queue-depth changes
-        #: are published to as ``queue`` events.  Like :attr:`probe`,
-        #: ``None`` costs nothing and publication is passive.
-        self.bus = None
         #: Causal tracing: the trace span (or span id) of the operation
         #: whose :meth:`release` most recently returned units.  A request
         #: that had to *wait* was unblocked by that release, so the waiter
@@ -120,8 +117,6 @@ class Resource:
         self._grant()
         if self.probe is not None:
             self.probe(self)
-        if self.bus is not None:
-            self._publish()
         return ev
 
     def release(self, units: int = 1, span: _t.Any = None) -> None:
@@ -145,8 +140,6 @@ class Resource:
         self._grant()
         if self.probe is not None:
             self.probe(self)
-        if self.bus is not None:
-            self._publish()
 
     def fail_waiters(self, exc: BaseException) -> None:
         """Fail every *queued* request with ``exc``.
@@ -164,12 +157,6 @@ class Resource:
             ev.fail(exc)
         if self.probe is not None:
             self.probe(self)
-        if self.bus is not None:
-            self._publish()
-
-    def _publish(self) -> None:
-        self.bus.queue(self.name, depth=len(self._waiting),
-                       in_use=self.in_use, capacity=self.capacity)
 
     def _grant(self) -> None:
         while self._waiting:
@@ -193,20 +180,17 @@ class Store:
     item (items are matched to getters in FIFO order).
     """
 
-    __slots__ = ("env", "name", "_items", "_getters", "probe", "bus")
+    __slots__ = ("env", "name", "_items", "_getters", "probe")
 
     def __init__(self, env: Environment, name: str = "store") -> None:
         self.env = env
         self.name = name
         self._items: deque[_t.Any] = deque()
         self._getters: deque[Event] = deque()
-        #: Observability probe: called as ``probe(self)`` after every put
-        #: or (successful) get.  Must not schedule events.
+        #: The one observer hook: called as ``probe(self)`` after every
+        #: put or get (installed by the run session, like
+        #: :attr:`Resource.probe`).  Must not schedule events.
         self.probe: _t.Callable[["Store"], None] | None = None
-        #: Streaming telemetry: optional
-        #: :class:`~repro.obs.events.EventBus` for ``queue`` events
-        #: (item depth and blocked getters after each put/get).
-        self.bus = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -224,8 +208,6 @@ class Store:
             self._items.append(item)
         if self.probe is not None:
             self.probe(self)
-        if self.bus is not None:
-            self._publish()
 
     def get(self) -> Event:
         """Return an event that fires with the next available item."""
@@ -236,8 +218,6 @@ class Store:
             self._getters.append(ev)
         if self.probe is not None:
             self.probe(self)
-        if self.bus is not None:
-            self._publish()
         return ev
 
     def try_get(self) -> tuple[bool, _t.Any]:
@@ -246,11 +226,5 @@ class Store:
             item = self._items.popleft()
             if self.probe is not None:
                 self.probe(self)
-            if self.bus is not None:
-                self._publish()
             return True, item
         return False, None
-
-    def _publish(self) -> None:
-        self.bus.queue(self.name, depth=len(self._items),
-                       getters=len(self._getters))

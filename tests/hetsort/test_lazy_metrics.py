@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import MemoryLedgerError
 from repro.hetsort import HeterogeneousSorter, cpu_reference_sort
+from repro.hetsort import session as session_mod
 from repro.hetsort import sorter as sorter_mod
 from repro.hw.platforms import PLATFORM1, PLATFORM2
 from repro.obs import (FlowLedger, attribute_contention, canonical_json,
@@ -76,7 +77,7 @@ def _run(name: str, monkeypatch):
             super().__init__(*a, **k)
             envs.append(self)
 
-    monkeypatch.setattr(sorter_mod, "Environment", _Recording)
+    monkeypatch.setattr(session_mod, "Environment", _Recording)
     sorter = HeterogeneousSorter(platform, n_gpus=n_gpus, **kw)
     if name == "functional":
         data = np.random.default_rng(3).uniform(size=200_000)

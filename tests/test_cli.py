@@ -681,6 +681,23 @@ def test_missing_fault_plan_is_a_one_line_exit_2(cmd):
     assert "fault plan" in text
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--n", "0"), "nothing to sort (n=0)"),
+    (("--n", "1e6", "--streams", "0"), "n_streams must be >= 1, got 0"),
+    (("--n", "6e9"), "host needs ~3n = 144000000000 B"),
+    (("--n", "1e9", "--batch-size", "3e10"), "of global memory"),
+    (("metrics", "--n", "6e9"), "host needs ~3n = 144000000000 B"),
+    (("--n", "1e6", "--gpus", "3"), "PLATFORM1 has 1 GPU(s); requested 3"),
+])
+def test_out_of_range_run_input_is_a_one_line_exit_2(argv, message):
+    code, text = run_cli(*argv)
+    assert code == 2
+    assert len(text.strip().splitlines()) == 1
+    prog = "repro metrics" if argv[0] == "metrics" else "repro"
+    assert text.startswith(f"{prog}: ")
+    assert message in text
+
+
 def test_metrics_applies_the_fault_plan(tmp_path):
     plan = tmp_path / "plan.json"
     assert run_cli("chaos", "--fault-seed", "17", "--functional", "100000",
