@@ -142,7 +142,7 @@ class Runtime:
         """Process: ``cudaMallocHost`` -- allocate pinned staging memory,
         charging the affine allocation cost (Sec. IV-E1).  Returns the
         :class:`PinnedBuffer` as the process value; the allocation's
-        trace span is attached as ``buf.alloc_span`` so the first use of
+        trace span id is attached as ``buf.alloc_span`` so the first use of
         the buffer can depend on it causally."""
         span = yield from self.machine.pinned_alloc(
             nbytes, label=name or "pinned", deps=deps)
@@ -150,8 +150,7 @@ class Runtime:
         buf.alloc_span = span
         mem = self.machine.memory
         if mem is not None:
-            mem.pinned_alloc(nbytes, name=name,
-                             span=span.id if span is not None else None)
+            mem.pinned_alloc(nbytes, name=name, span=span)
         return buf
 
     def free_host(self, buf: PinnedBuffer) -> None:
@@ -174,7 +173,7 @@ class Runtime:
         """Process: blocking ``cudaMemcpy`` -- the calling host thread
         does not resume until the copy completes (the BLINE /
         BLINEMULTI data-transfer mode, Sec. III-D).  Returns the copy's
-        trace span."""
+        trace span id."""
         direction, gpu, pinned = self._classify(dst, src, nbytes, kind,
                                                 dst_off, src_off)
         call = self.machine.platform.runtime.memcpy_blocking_call_s
@@ -201,7 +200,7 @@ class Runtime:
         overhead.  The host-memory end **must be pinned**, as in CUDA;
         otherwise :class:`~repro.errors.CudaInvalidValue` is raised.
 
-        The completion event's value is the copy's trace span.  Its deps
+        The completion event's value is the copy's trace span id.  Its deps
         combine the explicit ``deps`` (e.g. the staging copy that filled
         the pinned buffer) with the in-stream predecessor, read when the
         op actually starts."""
@@ -243,7 +242,7 @@ class Runtime:
         """Process: launch ``thrust::sort`` over ``n_elements`` 64-bit keys
         of ``buf`` on ``stream``; returns the completion event after the
         kernel-launch overhead.  The completion event's value is the
-        kernel's trace span.
+        kernel's trace span id.
 
         In functional mode the elements are really sorted with the
         runtime's sort kernel (LSD radix by default)."""

@@ -35,7 +35,7 @@ class Stream:
         self._trace = trace
         self._sync_cost_s = sync_cost_s
         self.ops_submitted = 0
-        #: Causal tracing: the span of the most recently *completed*
+        #: Causal tracing: the span id of the most recently *completed*
         #: operation on this stream.  The next op records it as a
         #: dependency, materialising the in-stream submission order as
         #: edges of the span DAG.
@@ -49,7 +49,7 @@ class Stream:
         ``factory`` produces the operation's process generator; it starts
         only after every previously submitted operation has completed.
         The completion event carries the factory's return value (the
-        recorded span for runtime-issued copies and kernels), and
+        recorded span id for runtime-issued copies and kernels), and
         :attr:`last_span` is updated with it.
 
         A failing operation fails its completion event instead: the
@@ -95,7 +95,7 @@ class Stream:
         (``cudaStreamSynchronize``), charging the per-call overhead that the
         related work's end-to-end accounting omits (Sec. IV-E).
 
-        Returns the recorded Sync span (``None`` when the platform models
+        Returns the recorded Sync span's id (``None`` when the platform models
         the call as free).  The span depends on the stream op it waited
         for plus any explicit ``deps`` (host program order).
 

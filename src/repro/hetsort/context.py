@@ -148,14 +148,13 @@ class RunContext:
     def finish_run(self, batch: Batch, producer=None) -> SortedRun:
         """Record a batch as sorted-and-landed-in-W.
 
-        ``producer`` is the trace span (or span id) of the operation that
-        completed the run; downstream merges depend on it causally.
+        ``producer`` is the trace span id of the operation that completed
+        the run; downstream merges depend on it causally.
         """
-        pid = getattr(producer, "id", producer)
         run = SortedRun(size=batch.size, w_offset=batch.offset,
-                        producer_id=pid)
+                        producer_id=producer)
         self.obs.incr("batches.completed")
         self.phase("run.sorted", batch=batch.index, gpu=batch.gpu,
-                   elements=batch.size, producer=pid)
+                   elements=batch.size, producer=producer)
         self.sorted_runs.put(run)
         return run

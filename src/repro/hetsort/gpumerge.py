@@ -79,7 +79,7 @@ def _gpu_pair_merge(ctx: RunContext, gpu_index: int, first: SortedRun,
             label="Stage->W(gpumerge)", lane=lane, deps=(dtoh,))
         prev = (last,)
         done += step
-    out.producer_id = last.id if last is not None else None
+    out.producer_id = last
 
     if ctx.functional:
         out.array = merge_two(first.data(ctx), second.data(ctx))
@@ -111,7 +111,7 @@ def _resilient_pair_merge(ctx: RunContext, gpu_index: int | None,
         label=f"fallback::pairmerge[L{level}.{idx}]", lane="cpu.fallback",
         category=CAT.PAIRMERGE, work=work,
         deps=(first.producer_id, second.producer_id))
-    out.producer_id = span.id
+    out.producer_id = span
     ctx.obs.incr("pair_merges.degraded")
 
 

@@ -109,7 +109,7 @@ def cpu_fallback_batch(ctx: RunContext, batch: Batch, out, *, reason: str,
     written straight into ``out`` (B or W); charged as a ``CPUSort`` at
     the platform's reference thread count.  With ``finish`` the batch is
     recorded as a sorted run (for pipelines whose GPU path would have
-    done so itself).  Returns the recorded span."""
+    done so itself).  Returns the recorded span's id."""
     threads = ctx.machine.platform.reference_threads
 
     def work():

@@ -260,7 +260,7 @@ def pair_merge_scheduler(ctx: RunContext):
             label=f"pairmerge[{len(merged)}]", lane="cpu.pipeline",
             category=CAT.PAIRMERGE, work=work,
             deps=(first.producer_id, second.producer_id))
-        out.producer_id = span.id
+        out.producer_id = span
         merged.append(out)
         ctx.obs.incr("pair_merges.completed")
         ctx.phase("merge.done", kind="pair", index=len(merged) - 1,

@@ -118,7 +118,7 @@ class SimGPU:
         allocated that scratch space (the batch planner enforces it).
 
         ``work`` (functional layer) runs when the kernel completes.
-        Returns the recorded span; serialisation of kernels from
+        Returns the recorded span's id; serialisation of kernels from
         different streams on the single compute engine is recorded as a
         causal edge from the kernel that freed it.
         """

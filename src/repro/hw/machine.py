@@ -138,7 +138,7 @@ class Machine:
         flow then competes with DMA and merges on the shared host bus,
         which is exactly the effect discussed in Sec. IV-F.
 
-        Returns the recorded :class:`~repro.sim.trace.Span`.
+        Returns the recorded span's id.
         """
         if threads < 1:
             raise SimulationError(f"memcpy threads must be >= 1: {threads}")
@@ -160,7 +160,7 @@ class Machine:
             deps=self._causal(
                 deps, self.cores.last_release_span if waited else None))
         if self.net.ledger is not None:
-            self.net.ledger.bind_span(flow, span.id)
+            self.net.ledger.bind_span(flow, span)
         self.cores.release(1, span=span)
         if work is not None:
             work()
@@ -175,7 +175,7 @@ class Machine:
 
         Modelled as a memory-bus flow so that pipelined pair-wise merges
         (PIPEMERGE) contend with concurrent staging copies and DMA.
-        Returns the recorded :class:`~repro.sim.trace.Span`.
+        Returns the recorded span's id.
         """
         model = self.platform.merge
         threads = min(threads, self.platform.cpu.cores)
@@ -195,7 +195,7 @@ class Machine:
             deps=self._causal(
                 deps, self.cores.last_release_span if waited else None))
         if self.net.ledger is not None:
-            self.net.ledger.bind_span(flow, span.id)
+            self.net.ledger.bind_span(flow, span)
         self.cores.release(threads, span=span)
         if work is not None:
             work()
@@ -209,7 +209,7 @@ class Machine:
         """Process: a CPU-only library sort (the reference implementation).
 
         Time-based (Amdahl + spawn overhead, Fig. 4 model); holds the
-        requested cores for its duration.  Returns the recorded span.
+        requested cores for its duration.  Returns the recorded span's id.
         """
         model = self.platform.sort_model(library)
         threads = self.platform.reference_threads if threads is None \
@@ -235,7 +235,7 @@ class Machine:
         """Process: allocate pinned host memory (cudaMallocHost).
 
         Costs the affine time of Sec. IV-E1 and counts against host DRAM.
-        Returns the recorded span.
+        Returns the recorded span's id.
 
         Injected transient failures (``alloc.pinned`` faults) are retried
         here with the machine's retry policy -- each drawn fault charges
@@ -287,7 +287,7 @@ class Machine:
                       deps: _t.Sequence = ()):
         """Process: per-call synchronisation cost of an async copy
         (one of the overheads the related work omits, Sec. IV-E).
-        Returns the recorded span."""
+        Returns the recorded span's id."""
         cost = self.platform.runtime.stream_sync_s
         start = self.env._now
         yield self.env.timeout(cost)
@@ -303,7 +303,7 @@ class Machine:
         """Process: one simulated exponential-backoff pause before a
         retry.  Charged to the sim clock, recorded as a ``Retry`` span
         (chained into the caller's causal deps) and published as a
-        ``retry.attempt`` event.  Returns the span."""
+        ``retry.attempt`` event.  Returns the span's id."""
         delay = self.retry.backoff_s(attempt)
         start = self.env._now
         if delay > 0:
@@ -359,7 +359,7 @@ class Machine:
         through the shared per-direction PCIe link *and* the host memory
         bus (DMA reads/writes host DRAM).  Pageable transfers are slower
         (driver staging) and touch host DRAM twice per byte.  Returns the
-        recorded span; serialisation on the copy engine is recorded as a
+        recorded span's id; serialisation on the copy engine is recorded as a
         causal edge from the transfer that freed the engine.
 
         Injected transient faults (``pcie.transient``) fail the attempt
@@ -397,7 +397,7 @@ class Machine:
             deps=self._causal(
                 deps, engine.last_release_span if waited else None))
         if self.net.ledger is not None:
-            self.net.ledger.bind_span(flow, span.id)
+            self.net.ledger.bind_span(flow, span)
         engine.release(span=span)
         if work is not None:
             work()

@@ -14,36 +14,48 @@ Series are exported as Perfetto/Chrome counter tracks by
 
 from __future__ import annotations
 
+import math
 import typing as _t
+from array import array
 
 __all__ = ["CounterSeries", "MetricsRecorder"]
 
+_INF = math.inf
+
 
 class CounterSeries:
-    """One named time series of ``(time, value)`` samples."""
+    """One named time series of ``(time, value)`` samples, stored as two
+    float64 arrays (a paper-scale run keeps ~10^5 samples)."""
 
     __slots__ = ("name", "unit", "times", "values")
 
     def __init__(self, name: str, unit: str = "") -> None:
         self.name = name
         self.unit = unit
-        self.times: list[float] = []
-        self.values: list[float] = []
+        self.times = array("d")
+        self.values = array("d")
 
     def __len__(self) -> int:
         return len(self.times)
 
     def add(self, t: float, value: float) -> None:
         """Append a sample; repeated samples at one instant keep the
-        latest value (state changes within a zero-width event cascade)."""
-        if self.times and t < self.times[-1]:
+        latest value (state changes within a zero-width event cascade).
+        ``t`` must be finite and no earlier than the last sample."""
+        if not -_INF < t < _INF:
             raise ValueError(
-                f"counter {self.name!r}: sample at {t} before {self.times[-1]}")
-        if self.times and t == self.times[-1]:
-            self.values[-1] = value
-        else:
-            self.times.append(t)
-            self.values.append(value)
+                f"counter {self.name!r}: non-finite sample time {t!r}")
+        times = self.times
+        if times:
+            last = times[-1]
+            if t < last:
+                raise ValueError(
+                    f"counter {self.name!r}: sample at {t} before {last}")
+            if t == last:
+                self.values[-1] = value
+                return
+        self.values.append(value)   # first: a bad value changes nothing
+        times.append(t)
 
     @property
     def last(self) -> float:

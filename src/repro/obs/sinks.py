@@ -237,14 +237,14 @@ def replay_events(events: _t.Sequence[TelemetryEvent]
     for ev in events:
         if ev.kind == EV.SPAN:
             d = ev.data
-            span = trace.record(
+            sid = trace.record(
                 d["category"], d["label"], d["start"], d["end"],
                 lane=d["lane"], nbytes=d["nbytes"],
                 elements=d["elements"],
                 meta=[tuple(kv) for kv in d["meta"]], deps=d["deps"])
-            if span.id != d["id"]:
+            if sid != d["id"]:
                 raise EventLogError(
-                    f"span id mismatch on replay: recorded {span.id}, "
+                    f"span id mismatch on replay: recorded {sid}, "
                     f"logged {d['id']} (incomplete span stream?)")
         elif ev.kind == EV.COUNTER:
             d = ev.data

@@ -58,7 +58,7 @@ class Resource:
         #: ``queue`` event).  Must not schedule events; ``None`` costs
         #: nothing.
         self.probe: _t.Callable[["Resource"], None] | None = None
-        #: Causal tracing: the trace span (or span id) of the operation
+        #: Causal tracing: the trace span id of the operation
         #: whose :meth:`release` most recently returned units.  A request
         #: that had to *wait* was unblocked by that release, so the waiter
         #: records a causal edge from this span to its own (see
@@ -122,7 +122,7 @@ class Resource:
     def release(self, units: int = 1, span: _t.Any = None) -> None:
         """Return ``units`` units to the pool and wake waiters.
 
-        ``span`` optionally names the trace span of the operation that
+        ``span`` optionally names the trace span id of the operation that
         held the units; it is exposed as :attr:`last_release_span` so a
         request that was blocked can attribute its wait causally.
         """

@@ -1,8 +1,7 @@
 """Timeline tracing and per-component time accounting.
 
-Every simulated operation records a :class:`Span` (category, label, start,
-end, bytes/elements, lane).  The paper's figures are all derived from such
-spans:
+Every simulated operation records a span (category, label, start, end,
+bytes/elements, lane).  The paper's figures are all derived from spans:
 
 * Fig. 7 / Fig. 8 -- per-component totals (``HtoD``, ``DtoH``, ``GPUSort``,
   ``MCpy``, ``PinnedAlloc``, ``Sync``) and the related-work "end-to-end"
@@ -22,15 +21,27 @@ host-worker program order.  Because a span can only depend on spans that
 already completed, ``deps`` ids are always smaller than the span's own id
 and the span graph is acyclic by construction.  :mod:`repro.obs.causal`
 turns this DAG into critical-path attribution and what-if predictions.
+
+Storage is columnar: a paper-scale run records ~60k spans, so the trace
+keeps typed arrays (times, byte and element counts), small-int columns
+for the few distinct categories, labels, lanes and metadata tuples, and
+one flat deps array with per-span offsets.  :meth:`Trace.record` returns
+the new span's id -- the handle callers pass on as a causal dependency --
+and :attr:`Trace.spans` is a read-only sequence view that builds the
+:class:`Span` objects on first read.
 """
 
 from __future__ import annotations
 
+import math
 import typing as _t
-from collections.abc import Mapping
+from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 
 __all__ = ["Span", "Trace", "CAT"]
+
+_INF = math.inf
 
 
 class CAT:
@@ -62,8 +73,6 @@ def _normalize_meta(meta) -> tuple:
     with equal metadata compare equal regardless of how the metadata was
     passed.
     """
-    if not meta:
-        return ()
     if type(meta) is tuple and len(meta) == 1:
         pair = meta[0]
         if type(pair) is tuple and len(pair) == 2 and type(pair[0]) is str:
@@ -97,7 +106,7 @@ class Span:
         return dict(self.meta)
 
 
-# Span's slot setters, in field order.  Trace.record builds spans through
+# Span's slot setters, in field order.  The trace builds spans through
 # them: the same frozen, slotted Span (same eq, hash and repr) without the
 # frozen __init__'s object.__setattr__ call per field.
 (_set_category, _set_label, _set_start, _set_end, _set_lane, _set_nbytes,
@@ -105,11 +114,73 @@ class Span:
     getattr(Span, f.name).__set__ for f in fields(Span)]
 
 
+class SpanView(Sequence):
+    """The read-only :class:`Span` sequence of a :class:`Trace`.
+
+    ``len()`` reads the column length and builds nothing.  Indexing,
+    slicing, iteration and ``==`` build the spans recorded so far once
+    and cache them on the trace, so ``trace.span_by_id(i) is
+    trace.spans[i]`` holds.  The view keeps no state of its own.
+    """
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: "Trace") -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace._start)
+
+    def __getitem__(self, index):
+        return self._trace._materialize()[index]
+
+    def __iter__(self) -> _t.Iterator[Span]:
+        return iter(self._trace._materialize())
+
+    def __reversed__(self) -> _t.Iterator[Span]:
+        return reversed(self._trace._materialize())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SpanView):
+            other = other._trace._materialize()
+        if isinstance(other, list):
+            return self._trace._materialize() == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._trace._materialize())
+
+
 class Trace:
-    """Collects spans and computes aggregates."""
+    """Collects spans as typed columns and computes aggregates."""
 
     def __init__(self) -> None:
-        self.spans: list[Span] = []
+        # One entry per span.
+        self._start = array("d")
+        self._end = array("d")
+        #: Each span's kind: an index into ``_kinds``.
+        self._kind = array("I")
+        #: Distinct ``(category, label, lane, nbytes, elements, meta,
+        #: type(nbytes))`` tuples in first-seen order.  A paper-scale run
+        #: has 30 for 60,024 spans, so per-span strings, byte counts and
+        #: metadata tuples are stored once.
+        self._kinds: list[tuple] = []
+        #: Kind ids by value.  Only kinds whose values are
+        #: interchangeable with any equal value are shared: an int
+        #: ``elements``, an int or float ``nbytes`` (never NaN or -0.0)
+        #: and ``str``/``int`` metadata values.  Any other span gets a
+        #: kind of its own, so ``1`` and ``1.0`` are never merged.
+        self._kind_ids: dict[tuple, int] = {}
+        # Causal deps: span i's deps are _deps[_dep_off[i]:_dep_off[i+1]].
+        self._deps = array("I")
+        self._dep_off = array("I", [0])
+        #: ``(start, end)`` of the spans whose times are not floats (an
+        #: int, say), by id; their column entries are float copies.
+        self._exact_times: dict[int, tuple] = {}
+        #: Spans built by the first read of :attr:`spans`, by id.
+        self._built: list[Span] = []
         #: Streaming telemetry: an optional
         #: :class:`~repro.obs.events.EventBus` that every recorded span
         #: is published to as a ``span`` event.  ``None`` (the default)
@@ -120,27 +191,99 @@ class Trace:
     def record(self, category: str, label: str, start: float, end: float,
                lane: str = "", nbytes: float = 0.0, elements: int = 0,
                meta: _t.Mapping | tuple = (),
-               deps: _t.Iterable["Span | int | None"] = ()) -> Span:
-        """Append a span (``end`` must be >= ``start``).
+               deps: _t.Iterable["Span | int | None"] = ()) -> int:
+        """Append a span and return its id.
 
-        ``meta`` may be a mapping or an iterable of pairs; it is stored as
-        a sorted tuple of pairs.  ``deps`` lists causal predecessors as
-        :class:`Span` objects or span ids (``None`` entries are ignored);
-        every dependency must already be recorded in this trace.
+        ``start`` and ``end`` must be finite with ``end >= start``;
+        ``category``, ``label`` and ``lane`` must be strings.  ``meta``
+        may be a mapping or an iterable of pairs; it is stored as a
+        sorted tuple of pairs.  ``deps`` lists causal predecessors as
+        span ids or :class:`Span` objects (``None`` entries are
+        ignored); every dependency must already be recorded in this
+        trace.  Everything is validated before anything is stored.
         """
-        if end < start:
-            raise ValueError(f"span ends before it starts: {label!r}")
-        sid = len(self.spans)
+        if not -_INF < start <= end < _INF:
+            if math.isfinite(start) and math.isfinite(end):
+                raise ValueError(f"span ends before it starts: {label!r}")
+            raise ValueError(
+                f"span {label!r} has a non-finite time: "
+                f"start={start!r}, end={end!r}")
+        sid = len(self._start)
         dep_ids: list[int] = []
         for d in deps:
             if d is None:
                 continue
-            i = d.id if isinstance(d, Span) else int(d)
+            i = d if type(d) is int else (
+                d.id if isinstance(d, Span) else int(d))
             if not 0 <= i < sid:
                 raise ValueError(
                     f"span {label!r} depends on unrecorded span id {i}")
             if i not in dep_ids:
                 dep_ids.append(i)
+        if len(dep_ids) > 1:
+            dep_ids.sort()
+        meta = _normalize_meta(meta) if meta else ()
+        # A kind is shared only when every equal value prints the same:
+        # never 1 vs 1.0 vs True, 0.0 vs -0.0, or a NaN.
+        nbytes_type = type(nbytes)
+        shared = type(elements) is int and (
+            nbytes_type is int
+            or nbytes_type is float and nbytes == nbytes
+            and (nbytes != 0.0 or math.copysign(1.0, nbytes) > 0.0))
+        if shared:
+            for _k, v in meta:
+                if type(v) is not str and type(v) is not int:
+                    shared = False
+                    break
+        key = (category, label, lane, nbytes, elements, meta, nbytes_type)
+        k = self._kind_ids.get(key) if shared else None
+        if k is None:
+            for what, value in (("category", category), ("label", label),
+                                ("lane", lane)):
+                if not isinstance(value, str):
+                    raise TypeError(
+                        f"span {what} must be a str, got {value!r}")
+            # Validated: from here on nothing raises.
+            k = len(self._kinds)
+            self._kinds.append(key)
+            if shared:
+                self._kind_ids[key] = k
+        self._kind.append(k)
+        if dep_ids:
+            self._deps.extend(dep_ids)
+        self._dep_off.append(len(self._deps))
+        if type(start) is not float or type(end) is not float:
+            self._exact_times[sid] = (start, end)
+            start, end = float(start), float(end)
+        self._start.append(start)
+        self._end.append(end)
+        if self.bus is not None:
+            self.bus.span(self._build(sid))
+        return sid
+
+    # -- the span view -------------------------------------------------------
+
+    @property
+    def spans(self) -> SpanView:
+        """Every recorded :class:`Span`, in id order (a read-only view)."""
+        return SpanView(self)
+
+    def span_by_id(self, span_id: int) -> Span:
+        """The span with the given id (ids are list indices)."""
+        return self._materialize()[span_id]
+
+    def _materialize(self) -> list[Span]:
+        built = self._built
+        if len(built) < len(self._start):
+            built.extend(map(self._build, range(len(built),
+                                                len(self._start))))
+        return built
+
+    def _build(self, sid: int) -> Span:
+        category, label, lane, nbytes, elements, meta, _ = \
+            self._kinds[self._kind[sid]]
+        start, end = self._exact_times.get(sid) or (self._start[sid],
+                                                    self._end[sid])
         span = object.__new__(Span)
         _set_category(span, category)
         _set_label(span, label)
@@ -149,35 +292,54 @@ class Trace:
         _set_lane(span, lane)
         _set_nbytes(span, nbytes)
         _set_elements(span, elements)
-        _set_meta(span, _normalize_meta(meta))
+        _set_meta(span, meta)
         _set_id(span, sid)
-        _set_deps(span, tuple(sorted(dep_ids)))
-        self.spans.append(span)
-        if self.bus is not None:
-            self.bus.span(span)
+        _set_deps(span, tuple(
+            self._deps[self._dep_off[sid]:self._dep_off[sid + 1]]))
         return span
 
-    def span_by_id(self, span_id: int) -> Span:
-        """The span with the given id (ids are list indices)."""
-        return self.spans[span_id]
+    def _times(self) -> tuple[_t.Sequence, _t.Sequence]:
+        """The exact ``(starts, ends)`` in id order: the columns
+        themselves unless some times are not floats."""
+        if not self._exact_times:
+            return self._start, self._end
+        starts, ends = list(self._start), list(self._end)
+        for sid, (start, end) in self._exact_times.items():
+            starts[sid] = start
+            ends[sid] = end
+        return starts, ends
+
+    def _kinds_where(self, categories: _t.Container[str] | None,
+                     lane: str | None = None) -> set[int]:
+        """Ids of the kinds in ``categories`` and on ``lane`` (``None``:
+        any)."""
+        return {k for k, (c, _lb, ln, *_) in enumerate(self._kinds)
+                if (categories is None or c in categories)
+                and (lane is None or ln == lane)}
 
     def edges(self) -> _t.Iterator[tuple[int, int]]:
         """All causal edges as ``(parent_id, child_id)`` pairs, in
         deterministic (child, then parent) order."""
-        for s in self.spans:
-            for d in s.deps:
-                yield d, s.id
+        deps, off = self._deps, self._dep_off
+        for sid in range(len(self._start)):
+            for d in deps[off[sid]:off[sid + 1]]:
+                yield d, sid
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
         """JSON-serialisable form (spans with ids, deps and meta)."""
-        return {"spans": [
-            {"id": s.id, "category": s.category, "label": s.label,
-             "start": s.start, "end": s.end, "lane": s.lane,
-             "nbytes": s.nbytes, "elements": s.elements,
-             "meta": [list(kv) for kv in s.meta], "deps": list(s.deps)}
-            for s in self.spans]}
+        kinds, deps, off = self._kinds, self._deps, self._dep_off
+        spans = []
+        for sid, (k, start, end) in enumerate(zip(self._kind, *self._times())):
+            category, label, lane, nbytes, elements, meta, _ = kinds[k]
+            spans.append({
+                "id": sid, "category": category, "label": label,
+                "start": start, "end": end, "lane": lane,
+                "nbytes": nbytes, "elements": elements,
+                "meta": [list(kv) for kv in meta],
+                "deps": list(deps[off[sid]:off[sid + 1]])})
+        return {"spans": spans}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Trace":
@@ -197,17 +359,18 @@ class Trace:
     def total(self, category: str) -> float:
         """Sum of span durations in ``category`` (wall-clock overlap NOT
         collapsed -- matches how the paper reports per-component times)."""
-        return sum(s.duration for s in self.spans if s.category == category)
+        kinds = self._kinds_where({category})
+        return sum(e - s for k, s, e in zip(self._kind, *self._times())
+                   if k in kinds)
 
     def busy_time(self, categories: _t.Iterable[str] | None = None,
                   lane: str | None = None) -> float:
         """Union length of span intervals (overlaps collapsed), optionally
         restricted to ``categories`` and/or a ``lane``."""
-        cats = set(categories) if categories is not None else None
-        ivs = sorted(
-            (s.start, s.end) for s in self.spans
-            if (cats is None or s.category in cats)
-            and (lane is None or s.lane == lane))
+        kinds = self._kinds_where(
+            None if categories is None else set(categories), lane)
+        ivs = sorted((s, e) for k, s, e in zip(self._kind, *self._times())
+                     if k in kinds)
         total = 0.0
         cur_s: float | None = None
         cur_e = 0.0
@@ -225,51 +388,51 @@ class Trace:
 
     def breakdown(self) -> dict[str, float]:
         """Per-category total durations, sorted descending."""
+        category = [kind[0] for kind in self._kinds]
         out: dict[str, float] = {}
-        for s in self.spans:
-            out[s.category] = out.get(s.category, 0.0) + s.duration
+        for k, s, e in zip(self._kind, *self._times()):
+            c = category[k]
+            out[c] = out.get(c, 0.0) + (e - s)
         return dict(sorted(out.items(), key=lambda kv: -kv[1]))
 
     def count(self, category: str) -> int:
         """Number of spans in ``category``."""
-        return sum(1 for s in self.spans if s.category == category)
+        return sum(map(self._kind.count, self._kinds_where({category})))
 
     def bytes_moved(self, category: str) -> float:
         """Total payload bytes across spans of ``category``."""
-        return sum(s.nbytes for s in self.spans if s.category == category)
+        kinds = self._kinds_where({category})
+        nbytes = [kind[3] for kind in self._kinds]
+        return sum(nbytes[k] for k in self._kind if k in kinds)
 
     def makespan(self) -> float:
         """End of the last span minus start of the first."""
-        if not self.spans:
+        if not self._start:
             return 0.0
-        return (max(s.end for s in self.spans)
-                - min(s.start for s in self.spans))
+        starts, ends = self._times()
+        return max(ends) - min(starts)
 
     def window(self) -> tuple[float, float]:
         """``(earliest start, latest end)`` across all spans
         (``(0.0, 0.0)`` when empty)."""
-        if not self.spans:
+        if not self._start:
             return 0.0, 0.0
-        return (min(s.start for s in self.spans),
-                max(s.end for s in self.spans))
+        starts, ends = self._times()
+        return min(starts), max(ends)
 
     def categories(self) -> list[str]:
         """Distinct categories in first-seen order."""
-        seen: dict[str, None] = {}
-        for s in self.spans:
-            seen.setdefault(s.category, None)
-        return list(seen)
+        return list(dict.fromkeys(kind[0] for kind in self._kinds))
 
     def lanes(self) -> list[str]:
         """Distinct lanes in first-seen order."""
-        seen: dict[str, None] = {}
-        for s in self.spans:
-            seen.setdefault(s.lane, None)
-        return list(seen)
+        return list(dict.fromkeys(kind[2] for kind in self._kinds))
 
     def filter(self, category: str | None = None,
                lane: str | None = None) -> list[Span]:
         """Spans matching the given category and/or lane."""
-        return [s for s in self.spans
-                if (category is None or s.category == category)
-                and (lane is None or s.lane == lane)]
+        kinds = self._kinds_where(
+            None if category is None else {category}, lane)
+        spans = self._materialize()
+        return [spans[sid] for sid, k in enumerate(self._kind) if k in kinds]
+

@@ -103,3 +103,14 @@ def test_environment_monitor_hook():
     assert ticks[-1] == pytest.approx(3.0)
     env.remove_monitor(env._monitors[0])
     assert not env._monitors
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_series_rejects_a_non_finite_time(bad):
+    s = CounterSeries("g")
+    s.add(1.0, 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        s.add(bad, 2)
+    with pytest.raises(ValueError):
+        s.add(0.5, 3)       # still ordered after the rejected sample
+    assert list(s.times) == [1.0] and list(s.values) == [1.0]

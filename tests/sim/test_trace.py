@@ -1,5 +1,8 @@
 """Tests for span tracing and component aggregation."""
 
+import json
+import math
+
 import pytest
 
 from repro.sim.trace import CAT, Trace
@@ -77,7 +80,7 @@ def test_filter():
 
 def test_span_duration_and_validation():
     t = Trace()
-    s = t.record(CAT.SYNC, "x", 1.0, 1.5)
+    s = t.spans[t.record(CAT.SYNC, "x", 1.0, 1.5)]
     assert s.duration == pytest.approx(0.5)
     with pytest.raises(ValueError):
         t.record(CAT.SYNC, "bad", 2.0, 1.0)
@@ -101,20 +104,23 @@ def test_span_ids_are_recording_order():
 
 def test_meta_mapping_normalized_to_sorted_pairs():
     t = Trace()
-    a = t.record(CAT.MCPY, "a", 0.0, 1.0, meta={"threads": 4, "k": 2})
-    b = t.record(CAT.MCPY, "b", 0.0, 1.0, meta=(("threads", 4), ("k", 2)))
+    a = t.spans[t.record(CAT.MCPY, "a", 0.0, 1.0,
+                         meta={"threads": 4, "k": 2})]
+    b = t.spans[t.record(CAT.MCPY, "b", 0.0, 1.0,
+                         meta=(("threads", 4), ("k", 2)))]
     assert a.meta == (("k", 2), ("threads", 4))
     assert a.meta == b.meta
     assert a.meta_dict == {"threads": 4, "k": 2}
-    assert t.record(CAT.MCPY, "c", 0.0, 1.0).meta == ()
+    assert t.spans[t.record(CAT.MCPY, "c", 0.0, 1.0)].meta == ()
 
 
 def test_deps_accept_spans_ids_and_none():
     t = Trace()
-    a = t.record(CAT.HTOD, "a", 0.0, 1.0)
-    b = t.record(CAT.GPUSORT, "b", 1.0, 2.0, deps=(a, None, 0, a.id))
+    a = t.spans[t.record(CAT.HTOD, "a", 0.0, 1.0)]
+    b = t.spans[t.record(CAT.GPUSORT, "b", 1.0, 2.0,
+                         deps=(a, None, 0, a.id))]
     assert b.deps == (0,)                  # deduplicated, None dropped
-    c = t.record(CAT.DTOH, "c", 2.0, 3.0, deps=(b, a))
+    c = t.spans[t.record(CAT.DTOH, "c", 2.0, 3.0, deps=(b, a))]
     assert c.deps == (0, 1)                # sorted
 
 
@@ -145,3 +151,43 @@ def test_to_dict_from_dict_round_trip():
     back = Trace.from_dict(doc)
     assert back.spans == t.spans
     assert back.to_dict() == doc
+
+
+@pytest.mark.parametrize("start,end", [
+    (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0)])
+def test_non_finite_times_are_rejected_before_any_state_changes(start, end):
+    t = Trace()
+    t.record(CAT.HTOD, "a", 0.0, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        t.record(CAT.SYNC, "bad", start, end, lane="new", deps=(0,))
+    assert len(t.spans) == 1
+    assert t.lanes() == [""] and t.categories() == [CAT.HTOD]
+    assert t.makespan() == 1.0
+    assert t.record(CAT.SYNC, "ok", 1.0, 2.0) == 1
+
+
+def test_from_dict_rejects_a_nan_time():
+    doc = json.loads('{"spans": [{"id": 0, "category": "HtoD", '
+                     '"label": "a", "start": NaN, "end": 1.0}]}')
+    with pytest.raises(ValueError, match="non-finite"):
+        Trace.from_dict(doc)
+
+
+def test_record_returns_the_id_and_spans_is_a_read_only_view():
+    t = Trace()
+    assert t.record(CAT.HTOD, "a", 0.0, 1.0) == 0
+    assert t.record(CAT.DTOH, "b", 1.0, 2.0, deps=(0,)) == 1
+    view = t.spans
+    assert len(view) == 2 and not hasattr(view, "append")
+    assert view[1] is t.span_by_id(1) is t.spans[-1]
+    assert view[:1] == [t.spans[0]]
+    assert list(reversed(view)) == [view[1], view[0]]
+    t.record(CAT.SYNC, "c", 2.0, 3.0)
+    assert len(view) == 3 and view[2].label == "c"
+
+
+def test_category_label_and_lane_must_be_strings():
+    t = Trace()
+    with pytest.raises(TypeError):
+        t.record(CAT.HTOD, 7, 0.0, 1.0)
+    assert len(t.spans) == 0 and t.categories() == []
