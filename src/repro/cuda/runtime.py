@@ -44,6 +44,10 @@ from repro.hw.machine import Machine
 
 __all__ = ["Runtime"]
 
+#: ``(span label, stream-op label)`` of an async copy, by direction.
+_ASYNC_LABELS = {d: (f"cudaMemcpyAsync({d})", f"memcpy.{d}")
+                 for d in Direction.ALL}
+
 
 class Runtime:
     """Simulated CUDA runtime bound to one :class:`~repro.hw.machine.Machine`."""
@@ -220,18 +224,18 @@ class Runtime:
         if call > 0:
             yield self.env.timeout(call)
         explicit = tuple(deps)
+        machine = self.machine
+        label, op_label = _ASYNC_LABELS[direction]
 
         def op():
-            span = yield from self.machine.pcie_transfer(
-                gpu, nbytes, direction, pinned=True,
-                label=f"cudaMemcpyAsync({direction})",
+            return (yield from machine.pcie_transfer(
+                gpu, nbytes, direction, pinned=True, label=label,
                 lane=stream.name,
                 work=lambda: copy_payload(dst, dst_off, src, src_off,
                                           nbytes),
-                deps=(*explicit, stream.last_span))
-            return span
+                deps=(*explicit, stream.last_span)))
 
-        return stream.submit(op, label=f"memcpy.{direction}")
+        return stream.submit(op, label=op_label)
 
     # ------------------------------------------------------------------
     # Kernels

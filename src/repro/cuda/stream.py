@@ -28,6 +28,7 @@ class Stream:
         self.gpu_index = gpu_index
         self.index = index
         self.name = f"stream{index}@gpu{gpu_index}"
+        self._sync_label = f"sync:{self.name}"
         self._tail: Process | None = None
         #: First failure since the last :meth:`synchronize` reported one
         #: (CUDA's sticky stream error).
@@ -35,6 +36,8 @@ class Stream:
         self._trace = trace
         self._sync_cost_s = sync_cost_s
         self.ops_submitted = 0
+        #: Process name of each submitted op, by label.
+        self._op_names: dict[str, str] = {}
         #: Causal tracing: the span id of the most recently *completed*
         #: operation on this stream.  The next op records it as a
         #: dependency, materialising the in-stream submission order as
@@ -72,7 +75,10 @@ class Stream:
                     pass
             return (yield from factory())
 
-        op = self.env.process(runner(), name=f"{self.name}:{label}")
+        name = self._op_names.get(label)
+        if name is None:
+            name = self._op_names[label] = f"{self.name}:{label}"
+        op = self.env.process(runner(), name=name)
         # The first callback, so it runs before any waiter resumes.
         op.callbacks.append(self._settle)  # type: ignore[union-attr]
         self._tail = op
@@ -116,12 +122,11 @@ class Stream:
             start = self.env._now
             yield self.env.timeout(self._sync_cost_s)
             if self._trace is not None:
-                causal = [d for d in deps if d is not None]
-                if self.last_span is not None:
-                    causal.append(self.last_span)
-                return self._trace.record(CAT.SYNC, f"sync:{self.name}",
+                # Trace.record drops None deps.
+                return self._trace.record(CAT.SYNC, self._sync_label,
                                           start, self.env._now,
-                                          lane=self.name, deps=causal)
+                                          lane=self.name,
+                                          deps=(*deps, self.last_span))
         return None
 
     @property

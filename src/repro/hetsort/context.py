@@ -94,7 +94,7 @@ class RunContext:
         #: without observers reading the series.  A
         #: :class:`~repro.hetsort.session.RunSession` makes it the
         #: machine's recorder and probes ``sorted_runs`` into it.
-        self.obs: MetricsRecorder = MetricsRecorder(clock=lambda: env.now)
+        self.obs: MetricsRecorder = MetricsRecorder(clock=lambda: env._now)
 
         #: Streaming telemetry: an optional
         #: :class:`~repro.obs.events.EventBus` (set by the run session

@@ -20,14 +20,16 @@ Sec. III-D3:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.cuda.buffers import ELEM
 from repro.errors import PlanError
 from repro.hetsort.config import Approach, SortConfig
 from repro.hw.spec import PlatformSpec
 
-__all__ = ["Batch", "SortPlan", "make_plan", "max_batch_size",
+__all__ = ["Batch", "Chunks", "SortPlan", "make_plan", "max_batch_size",
            "pairwise_quota"]
 
 
@@ -48,6 +50,38 @@ class Batch:
     @property
     def offset_bytes(self) -> int:
         return self.offset * ELEM
+
+
+class Chunks(Sequence):
+    """The chunks of one batch through the pinned staging buffer: a
+    read-only sequence of ``(element_offset_in_A, element_offset_in_batch,
+    elements)`` tuples, computed on access from a ``range`` of chunk
+    starts (a paper-scale batch has ~10^4 chunks; no list is built)."""
+
+    __slots__ = ("_offset", "_size", "_step", "_starts")
+
+    def __init__(self, offset: int, size: int, step: int,
+                 starts: range | None = None) -> None:
+        self._offset = offset
+        self._size = size
+        self._step = step
+        self._starts = range(0, size, step) if starts is None else starts
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Chunks(self._offset, self._size, self._step,
+                          self._starts[index])
+        done = self._starts[index]
+        return (self._offset + done, done, min(self._step, self._size - done))
+
+    def __iter__(self):
+        starts = self._starts
+        return zip(map(self._offset.__add__, starts), starts,
+                   map(min, repeat(self._step), map(self._size.__sub__,
+                                                    starts)))
 
 
 def max_batch_size(platform: PlatformSpec, n_streams: int,
@@ -106,16 +140,10 @@ class SortPlan:
         return [b for b in self.batches
                 if b.gpu == gpu and b.stream_slot == stream_slot]
 
-    def chunks(self, batch: Batch) -> list[tuple[int, int, int]]:
+    def chunks(self, batch: Batch) -> Chunks:
         """Chunking of a batch through the pinned staging buffer:
         ``(element_offset_in_A, element_offset_in_batch, elements)``."""
-        out = []
-        done = 0
-        while done < batch.size:
-            step = min(self.pinned_elements, batch.size - done)
-            out.append((batch.offset + done, done, step))
-            done += step
-        return out
+        return Chunks(batch.offset, batch.size, self.pinned_elements)
 
     def validate(self, platform: PlatformSpec) -> None:
         """Check the plan against the platform's memory capacities."""

@@ -106,9 +106,12 @@ class RunSession:
         machine.recorder = recorder
         cores_gauges = None
         if recorder is not None:
+            in_use = recorder.gauge("cpu.cores.in_use")
+            queue_depth = recorder.gauge("cpu.cores.queue_depth")
+
             def cores_gauges(res) -> None:
-                recorder.sample("cpu.cores.in_use", res.in_use)
-                recorder.sample("cpu.cores.queue_depth", res.queue_length)
+                in_use(res.in_use)
+                queue_depth(res.queue_length)
         publish = _publish_resource(bus) if bus is not None else None
         machine.cores.probe = _hook(cores_gauges, publish)
         if ctx is not None:

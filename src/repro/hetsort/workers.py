@@ -110,8 +110,9 @@ def staged_blocking_batch(ctx: RunContext, batch: Batch,
                                     MemcpyKind.HOST_TO_DEVICE,
                                     dst_off=b_off * ELEM, lane=lane,
                                     deps=(staged,))
-        ctx.phase("chunk.htod", batch=batch.index, gpu=batch.gpu,
-                  elements=size)
+        if ctx.bus is not None:   # no kwargs built per chunk without one
+            ctx.phase("chunk.htod", batch=batch.index, gpu=batch.gpu,
+                      elements=size)
         prev = (htod,)
     ctx.phase("batch.staged", batch=batch.index, gpu=batch.gpu,
               elements=batch.size)
@@ -201,8 +202,9 @@ def async_stream_batch(ctx: RunContext, batch: Batch,
                                         MemcpyKind.HOST_TO_DEVICE, stream,
                                         dst_off=b_off * ELEM, deps=(staged,))
         sync = yield from stream.synchronize(deps=(staged,))
-        ctx.phase("chunk.htod", batch=batch.index, gpu=batch.gpu,
-                  elements=size)
+        if ctx.bus is not None:   # no kwargs built per chunk without one
+            ctx.phase("chunk.htod", batch=batch.index, gpu=batch.gpu,
+                      elements=size)
         prev = (sync if sync is not None else ev.value,)
     ctx.phase("batch.staged", batch=batch.index, gpu=batch.gpu,
               elements=batch.size)

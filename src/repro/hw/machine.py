@@ -55,6 +55,15 @@ class Machine:
             Direction.DTOH: self.net.add_link("pcie.dtoh",
                                               platform.pcie.peak_bw),
         }
+        # Constant link lists, so the network validates each route once:
+        # staging copies and merges on the host bus; a DMA crosses its
+        # PCIe direction and host DRAM (twice per byte when pageable).
+        host, pageable = self.host_bus, platform.pcie.pageable_hostmem_factor
+        self._host_route = (host,)
+        self._dma_routes = {
+            (direction, pinned): (link, (host, 1.0 if pinned else pageable))
+            for direction, link in self.pcie.items()
+            for pinned in (True, False)}
         self.gpus = [SimGPU(env, spec, i, self.trace)
                      for i, spec in enumerate(platform.gpus[:n_gpus])]
         self.pinned_bytes = 0
@@ -67,6 +76,8 @@ class Machine:
         #: probes core-pool pressure into it).
         self.recorder = None
         self._inflight = {Direction.HTOD: 0, Direction.DTOH: 0}
+        self._inflight_names = {direction: f"pcie.{direction}.inflight"
+                                for direction in self._inflight}
         #: Fault injection: an optional
         #: :class:`~repro.sim.faults.FaultInjector` whose hooks the
         #: instrumented primitives consult.  ``None`` (healthy runs)
@@ -114,14 +125,6 @@ class Machine:
                 f"{self.host_reserved} reserved")
         self.host_reserved -= nbytes
 
-    @staticmethod
-    def _causal(deps, *extra) -> list:
-        """Combine explicit causal deps with wait-derived ones (drops
-        ``None`` entries; :meth:`Trace.record` dedupes)."""
-        out = [d for d in deps if d is not None]
-        out.extend(e for e in extra if e is not None)
-        return out
-
     # ------------------------------------------------------------------
     # Host-side primitives
     # ------------------------------------------------------------------
@@ -152,13 +155,13 @@ class Machine:
         yield grant
         start = self.env._now
         cap = threads * self.platform.hostmem.per_core_copy_bw
-        flow = yield self.net.transfer(nbytes, [self.host_bus], cap=cap,
+        flow = yield self.net.transfer(nbytes, self._host_route, cap=cap,
                                        label=label)
+        # Trace.record drops None deps and duplicates.
         span = self.trace.record(
             CAT.MCPY, label, start, self.env._now, lane=lane, nbytes=nbytes,
             meta=(("threads", threads),),
-            deps=self._causal(
-                deps, self.cores.last_release_span if waited else None))
+            deps=(*deps, self.cores.last_release_span if waited else None))
         if self.net.ledger is not None:
             self.net.ledger.bind_span(flow, span)
         self.cores.release(1, span=span)
@@ -186,14 +189,13 @@ class Machine:
         if model.spawn_overhead_s > 0:
             yield self.env.timeout(model.spawn_overhead_s * threads)
         flow = yield self.net.transfer(
-            model.flow_bytes(n_elements, k), [self.host_bus],
+            model.flow_bytes(n_elements, k), self._host_route,
             cap=model.flow_cap(threads, k), label=label)
         span = self.trace.record(
             category, label, start, self.env._now, lane=lane,
             elements=n_elements, nbytes=8.0 * n_elements,
             meta={"k": k, "threads": threads},
-            deps=self._causal(
-                deps, self.cores.last_release_span if waited else None))
+            deps=(*deps, self.cores.last_release_span if waited else None))
         if self.net.ledger is not None:
             self.net.ledger.bind_span(flow, span)
         self.cores.release(threads, span=span)
@@ -223,8 +225,7 @@ class Machine:
         span = self.trace.record(
             CAT.CPUSORT, label, start, self.env._now, lane=lane, elements=n,
             meta={"library": library, "threads": threads},
-            deps=self._causal(
-                deps, self.cores.last_release_span if waited else None))
+            deps=(*deps, self.cores.last_release_span if waited else None))
         self.cores.release(threads, span=span)
         if work is not None:
             work()
@@ -272,7 +273,7 @@ class Machine:
         self._gauge("host.pinned_bytes", self.pinned_bytes)
         return self.trace.record(CAT.PINNED_ALLOC, label, start,
                                  self.env._now, lane="host", nbytes=nbytes,
-                                 deps=self._causal(deps))
+                                 deps=deps)
 
     def pinned_free(self, nbytes: float) -> None:
         """Release pinned host memory (modelled as free of charge)."""
@@ -292,7 +293,7 @@ class Machine:
         start = self.env._now
         yield self.env.timeout(cost)
         return self.trace.record(CAT.SYNC, label, start, self.env._now,
-                                 lane=lane, deps=self._causal(deps))
+                                 lane=lane, deps=deps)
 
     # ------------------------------------------------------------------
     # Fault injection / retries
@@ -311,7 +312,7 @@ class Machine:
         span = self.trace.record(CAT.RETRY, f"backoff[{what}]", start,
                                  self.env._now, lane=lane,
                                  meta={"attempt": attempt},
-                                 deps=self._causal(deps))
+                                 deps=deps)
         if self.bus is not None:
             self.bus.retry(what=what, attempt=attempt, backoff_s=delay,
                            lane=lane)
@@ -379,23 +380,20 @@ class Machine:
         waited = not grant.triggered
         yield grant
         start = self.env._now
-        self._inflight[direction] += 1
-        self._gauge(f"pcie.{direction}.inflight", self._inflight[direction])
-        hostmem_weight = (1.0 if pinned
-                          else self.platform.pcie.pageable_hostmem_factor)
-        cap = self.platform.pcie.flow_cap(pinned)
+        inflight = self._inflight
+        inflight[direction] += 1
+        self._gauge(self._inflight_names[direction], inflight[direction])
         flow = yield self.net.transfer(
-            nbytes,
-            [self.pcie[direction], (self.host_bus, hostmem_weight)],
-            cap=cap, label=label or f"{direction}@gpu{gpu.index}")
-        self._inflight[direction] -= 1
-        self._gauge(f"pcie.{direction}.inflight", self._inflight[direction])
+            nbytes, self._dma_routes[direction, bool(pinned)],
+            cap=self.platform.pcie.flow_cap(pinned),
+            label=label or f"{direction}@gpu{gpu.index}")
+        inflight[direction] -= 1
+        self._gauge(self._inflight_names[direction], inflight[direction])
         category = CAT.HTOD if direction == Direction.HTOD else CAT.DTOH
         span = self.trace.record(
             category, label or direction, start, self.env._now,
             lane=lane or f"gpu{gpu.index}.{direction}", nbytes=nbytes,
-            deps=self._causal(
-                deps, engine.last_release_span if waited else None))
+            deps=(*deps, engine.last_release_span if waited else None))
         if self.net.ledger is not None:
             self.net.ledger.bind_span(flow, span)
         engine.release(span=span)

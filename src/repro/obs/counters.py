@@ -129,6 +129,24 @@ class MetricsRecorder:
         if self.bus is not None:
             self.bus.counter(name, value, unit=unit)
 
+    def gauge(self, name: str, unit: str = ""
+              ) -> _t.Callable[[float], None]:
+        """A sampler for ``name``: ``gauge(value)`` records exactly what
+        ``sample(name, value, unit)`` would.  The series is looked up
+        once, on the first sample, so series keep first-sample order."""
+        clock = self.clock
+        series = None
+
+        def gauge(value: float) -> None:
+            nonlocal series
+            if series is None:
+                series = self.series_for(name, unit=unit)
+            value = float(value)
+            series.add(clock(), value)
+            if self.bus is not None:
+                self.bus.counter(name, value, unit=unit)
+        return gauge
+
     def incr(self, name: str, delta: float = 1.0, unit: str = "") -> None:
         """Advance a monotonically accumulating counter by ``delta``."""
         total = self._totals.get(name, 0.0) + delta
@@ -141,8 +159,10 @@ class MetricsRecorder:
               ) -> _t.Callable[[_t.Any], None]:
         """A callback sampling ``getter(obj)`` into ``name`` -- the shape
         :class:`~repro.sim.resources.Resource` probes expect."""
+        gauge = self.gauge(name)
+
         def _cb(obj) -> None:
-            self.sample(name, getter(obj))
+            gauge(getter(obj))
         return _cb
 
     # -- export --------------------------------------------------------------

@@ -48,6 +48,7 @@ import typing as _t
 from array import array
 
 from repro.errors import FlowLedgerError
+from repro.sim.trace import span_index
 
 __all__ = ["FLOWS_SCHEMA", "CONTENTION_SCHEMA", "RECONCILE_SCHEMA",
            "FlowLedger", "FlowRateSeries", "link_timelines",
@@ -87,6 +88,10 @@ class FlowLedger:
     NaN (the engine never runs at a NaN time), its ``moved`` is unset and
     an unbound ``span`` is -1.  The :attr:`flows` records are built from
     the columns on first read.
+
+    Each active flow carries its own last capture (``_last_t``,
+    ``_last_rate``, ``_last_progressed``), which :meth:`on_update`
+    compares against; a NaN ``_last_rate`` means "no capture yet".
     """
 
     def __init__(self, clock: _t.Callable[[], float] | None = None,
@@ -110,8 +115,6 @@ class FlowLedger:
         #: ``(label, nbytes, sign of nbytes, shape id, tenant)`` -> kind
         #: id, in id order.  The sign keeps 0.0 and -0.0 apart.
         self._kind_ids: dict[tuple, int] = {}
-        #: Each active flow's last ``(t, rate, progressed)`` capture.
-        self._last: dict[int, tuple[float, float, float]] = {}
         # Captures: one entry per allocator update per active flow.
         self._cap_fid = array("I")
         self._cap_t = array("d")
@@ -125,6 +128,9 @@ class FlowLedger:
         # and per id the ([name, weight] pairs, cap, iso_rate) it records.
         self._shape_ids: dict[tuple, int] = {}
         self._shapes: list[tuple[list[list], float | None, float | None]] = []
+        #: ``(links, cap)`` -> shape id under the current capacities
+        #: (cleared by :meth:`on_capacity`).
+        self._route_shapes: dict[tuple, int] = {}
         self._view: list[dict] | None = None
 
     # -- recording hooks (called by FlowNetwork) -----------------------------
@@ -134,19 +140,27 @@ class FlowLedger:
         zero-byte path); assigns the flow its ledger id."""
         fid = len(self._kind)
         flow.fid = fid
-        key = (flow.links, flow.cap,
-               tuple([link.capacity for link, _w in flow.links]))
-        shape = self._shape_ids.get(key)
+        flow._last_rate = math.nan
+        links, cap = flow.links, flow.cap
+        shape = self._route_shapes.get((links, cap))
         if shape is None:
-            shape = self._shape_ids[key] = self._add_shape(flow)
+            key = (links, cap, tuple([link.capacity for link, _w in links]))
+            shape = self._shape_ids.get(key)
+            if shape is None:
+                shape = self._shape_ids[key] = self._add_shape(flow)
+            self._route_shapes[links, cap] = shape
         # Tenant attribution (multi-tenant service runs).  Records carry
         # it only when present so untagged runs keep producing
         # byte-identical repro.flows/v1 documents (the flows gate
         # digests them).
-        kind = (flow.label, flow.nbytes, math.copysign(1.0, flow.nbytes),
-                shape, getattr(flow, "tenant", None))
-        self._kind.append(self._kind_ids.setdefault(kind,
-                                                    len(self._kind_ids)))
+        nbytes = flow.nbytes
+        kind = (flow.label, nbytes, math.copysign(1.0, nbytes), shape,
+                flow.tenant)
+        kinds = self._kind_ids
+        k = kinds.get(kind)
+        if k is None:
+            k = kinds[kind] = len(kinds)
+        self._kind.append(k)
         self._start.append(now)
         self._end.append(math.nan)
         self._span.append(-1)
@@ -175,25 +189,20 @@ class FlowLedger:
         rate and progress.  Same-instant re-captures are deduplicated;
         only actual rate changes are mirrored onto the bus."""
         pending = self._pending
-        last = self._last
-        last_capture = last.get
         bus = self.bus
         for f in flows:
-            fid = f.fid
             rate = f.rate
             progressed = f.progressed
-            prev = last_capture(fid)
-            if prev is not None:
-                if (prev[0] == now and prev[1] == rate
-                        and prev[2] == progressed):
+            last_rate = f._last_rate
+            if last_rate == rate:
+                if f._last_t == now and f._last_progressed == progressed:
                     continue
-                changed = prev[1] != rate
-            else:
-                changed = True
-            last[fid] = (now, rate, progressed)
-            pending += (fid, now, rate, progressed)
-            if changed and bus is not None:
-                bus.flow_rate(fid, rate)
+            elif bus is not None:   # the rate changed (or a first capture)
+                bus.flow_rate(f.fid, rate)
+            f._last_t = now
+            f._last_rate = rate
+            f._last_progressed = progressed
+            pending += (f.fid, now, rate, progressed)
         if len(pending) >= _FLUSH_AT:
             self._flush()
         self._view = None
@@ -211,7 +220,7 @@ class FlowLedger:
         fid = flow.fid
         self._end[fid] = now
         self._moved[fid] = flow.progressed
-        self._last.pop(fid, None)
+        flow._last_rate = math.nan
         self._view = None
         if self.bus is not None:
             self.bus.flow_end(fid, flow.progressed)
@@ -219,16 +228,22 @@ class FlowLedger:
     def on_capacity(self, name: str, capacity: float, now: float) -> None:
         """A link's capacity changed mid-run (fault injection)."""
         self.capacity_events.append([now, str(name), float(capacity)])
+        self._route_shapes.clear()
 
     def bind_span(self, flow, span_id: int) -> None:
         """Attach the owning causal-trace span to a recorded flow (the
-        machine primitives call this after ``trace.record``)."""
+        machine primitives call this after ``trace.record``).
+
+        ``span_id`` is an int, a numpy integer or a
+        :class:`~repro.sim.trace.Span`; a ``bool`` or a non-integral
+        value raises :class:`TypeError`."""
         fid = getattr(flow, "fid", -1)
         if not 0 <= fid < len(self._span):
             raise FlowLedgerError(
                 f"cannot bind span {span_id} to unrecorded flow "
                 f"{getattr(flow, 'label', flow)!r}")
-        span_id = int(span_id)
+        if type(span_id) is not int:
+            span_id = span_index(span_id)
         if span_id < 0:
             raise FlowLedgerError(
                 f"cannot bind negative span id {span_id} to flow "

@@ -23,16 +23,20 @@ rates bit-for-bit.  Filling is canonically **per component** so the
 incremental result is exactly (to the last ulp) what a from-scratch
 recompute produces; ``tests/sim/test_bandwidth_incremental_property.py``
 pins that equality against the :meth:`FlowNetwork._recompute_full`
-reference.  Four further hot-path refinements, all behind the same
+reference.  Five further hot-path refinements, all behind the same
 contract:
 
+* a *route table*: each distinct link list is validated once per
+  network and becomes a :class:`Route` -- the weighted tuple its flows
+  share, its distinct links and an id that stands for the weighted
+  tuple in the shape key below;
 * a *single-component shortcut*: each link counts its active flows, and
   when a link the seeds reach carries every active flow the closure is
   the whole network, so component discovery is skipped (every machine
   flow crosses the host bus, so this is the common case);
 * a *shape-keyed fill cache*: each flow is interned to a shape id built
-  from everything the fill reads of it (cap, weighted links, priority,
-  share), and a component's rates and link aggregates are cached under
+  from everything the fill reads of it (cap, route, priority, share),
+  and a component's rates and link aggregates are cached under
   the tuple of its flows' shape ids in insertion order.  Capacity,
   policy and :meth:`FlowNetwork.reallocate` changes clear the cache, as
   does reaching :data:`_FILL_CACHE_SIZE` entries;
@@ -55,12 +59,13 @@ paper's phenomena that it captures directly:
 
 from __future__ import annotations
 
+import heapq
 import math
 import typing as _t
 
 from repro.errors import SimulationError
 from repro.sim import allocators as _alloc
-from repro.sim.engine import Environment
+from repro.sim.engine import NORMAL, Environment
 from repro.sim.events import Event
 
 __all__ = ["Link", "Flow", "FlowNetwork", "FlowView", "LinkView"]
@@ -73,8 +78,8 @@ _EPS_RATE = 1e-9
 
 _INF = math.inf
 
-#: Entries the shape-keyed fill cache (and the shape table) may hold
-#: before it is cleared.  A paper-scale sort needs a few dozen.
+#: Entries the shape-keyed fill cache (and the shape and route tables)
+#: may hold before it is cleared.  A paper-scale sort needs a few dozen.
 _FILL_CACHE_SIZE = 4096
 
 
@@ -153,17 +158,20 @@ class Flow:
 
     __slots__ = ("nbytes", "progressed", "remaining", "cap", "links", "rate",
                  "event", "label", "start_time", "fid", "_mark", "_shape",
-                 "priority", "share", "tenant")
+                 "priority", "share", "tenant", "route", "_last_t",
+                 "_last_rate", "_last_progressed")
 
-    def __init__(self, nbytes: float, links: tuple[tuple[Link, float], ...],
-                 cap: float, event: Event, label: str,
-                 start_time: float, priority: int = 0, share: float = 1.0,
+    def __init__(self, nbytes: float, route: "Route", cap: float,
+                 event: Event, label: str, start_time: float,
+                 priority: int = 0, share: float = 1.0,
                  tenant: str | None = None) -> None:
         self.nbytes = float(nbytes)
         self.progressed = 0.0
         self.remaining = float(nbytes)
         self.cap = float(cap)
-        self.links = links
+        #: The validated route; :attr:`links` is its weighted tuple.
+        self.route = route
+        self.links = route.links
         self.rate = 0.0
         self.event = event
         self.label = label
@@ -176,6 +184,24 @@ class Flow:
         self.priority = priority
         self.share = share
         self.tenant = tenant
+
+
+class Route:
+    """One validated link list of a :class:`FlowNetwork`.
+
+    :attr:`links` is the ``(link, weight)`` tuple every flow on the
+    route shares, :attr:`distinct` its links with each counted once, and
+    :attr:`rid` a per-network id: two routes of one network have the
+    same id exactly when their weighted tuples are equal.
+    """
+
+    __slots__ = ("links", "distinct", "rid")
+
+    def __init__(self, links: tuple[tuple[Link, float], ...],
+                 rid: int) -> None:
+        self.links = links
+        self.distinct = tuple(dict.fromkeys(l for l, _w in links))
+        self.rid = rid
 
 
 class FlowView(_t.NamedTuple):
@@ -223,6 +249,12 @@ class FlowNetwork:
         self._fills: dict[tuple[int, ...],
                           tuple[tuple[float, ...],
                                 tuple[tuple[Link, float], ...]]] = {}
+        # Route table: the caller's link entries -> their validated
+        # Route, and each weighted tuple -> its Route (so equal routes
+        # share one id and the shape table sees what it saw before).
+        self._routes: dict[tuple, Route] = {}
+        self._route_ids: dict[tuple[tuple[Link, float], ...], Route] = {}
+        self._next_route = 0
         self._last_update = env.now
         self._wakeup: Event | None = None
         self._gen = 0   # generation counter for component-discovery marks
@@ -254,9 +286,11 @@ class FlowNetwork:
         completion event (value = the :class:`Flow`).
 
         Each entry of ``links`` is a :class:`Link` (weight 1.0) or a
-        ``(link, weight)`` pair.  ``cap`` bounds the flow's own payload rate
-        regardless of link headroom.  A zero-byte transfer completes
-        immediately.
+        ``(link, weight)`` pair.  A link list is validated the first time
+        this network sees it and cached as a :class:`Route`, so callers on
+        the hot path pass constant tuples.  ``cap`` bounds the flow's own
+        payload rate regardless of link headroom.  A zero-byte transfer
+        completes immediately.
 
         ``priority``/``share``/``tenant`` are the flow's QoS attributes,
         consulted only by weighted/layered link policies.  When omitted
@@ -287,26 +321,26 @@ class FlowNetwork:
             share = 1.0
         elif not (share > 0):
             raise SimulationError(f"flow share must be > 0, got {share!r}")
-        weighted: list[tuple[Link, float]] = []
-        for entry in links:
-            link, weight = entry if isinstance(entry, tuple) else (entry, 1.0)
-            if link not in self._link_set:
-                raise SimulationError(f"{link!r} not part of this network")
-            if not 0 < weight < _INF:
-                raise SimulationError(
-                    f"link weight must be finite and > 0, got {weight}")
-            weighted.append((link, float(weight)))
+        if type(links) is not tuple:
+            links = tuple(links)
+        try:
+            route = self._routes.get(links)
+        except TypeError:   # an unhashable entry: _validate names it
+            route = None
+        weighted = self._validate(links) if route is None else route.links
         if not weighted and not math.isfinite(cap):
             raise SimulationError(
                 "a flow needs at least one link or a finite rate cap")
         if not cap > 0:
             raise SimulationError(f"flow rate cap must be > 0, got {cap!r}")
+        if route is None:
+            route = self._add_route(links, weighted)
 
         ev = Event(self.env)
         now = self.env._now
         if nbytes <= _EPS_BYTES:
-            flow = Flow(nbytes, tuple(weighted), cap, ev, label, now,
-                        priority, share, tenant)
+            flow = Flow(nbytes, route, cap, ev, label, now, priority, share,
+                        tenant)
             self.completed_flows += 1
             if self.ledger is not None:
                 self.ledger.on_start(flow, now)
@@ -318,17 +352,45 @@ class FlowNetwork:
             return ev
 
         self._advance()
-        flow = Flow(nbytes, tuple(weighted), cap, ev, label, now,
-                    priority, share, tenant)
+        flow = Flow(nbytes, route, cap, ev, label, now, priority, share,
+                    tenant)
         self._flows.append(flow)
         self._intern(flow)
-        for l in {l for l, _w in flow.links}:
+        for l in route.distinct:
             l._nflows += 1
         if self.ledger is not None:
             self.ledger.on_start(flow, now)
         # Only the component the new flow joins needs refilling.
         self._update(seed_flows=(flow,))
         return ev
+
+    def _validate(self, entries: tuple) -> tuple[tuple[Link, float], ...]:
+        """The weighted ``(link, weight)`` tuple of a link list; raises
+        on a foreign link or a weight that is not finite and > 0."""
+        weighted: list[tuple[Link, float]] = []
+        for entry in entries:
+            link, weight = entry if isinstance(entry, tuple) else (entry, 1.0)
+            if link not in self._link_set:
+                raise SimulationError(f"{link!r} not part of this network")
+            if not 0 < weight < _INF:
+                raise SimulationError(
+                    f"link weight must be finite and > 0, got {weight}")
+            weighted.append((link, float(weight)))
+        return tuple(weighted)
+
+    def _add_route(self, entries: tuple,
+                   weighted: tuple[tuple[Link, float], ...]) -> Route:
+        """Cache the validated ``entries`` as a :class:`Route`."""
+        if len(self._routes) >= _FILL_CACHE_SIZE:
+            self._routes.clear()
+            self._route_ids.clear()
+        route = self._route_ids.get(weighted)
+        if route is None:
+            route = self._route_ids[weighted] = Route(
+                weighted, self._next_route)
+            self._next_route += 1
+        self._routes[entries] = route
+        return route
 
     def set_capacity(self, link: Link, capacity: float) -> None:
         """Change a link's capacity mid-run (fault injection: a degraded
@@ -456,7 +518,7 @@ class FlowNetwork:
 
     def _intern(self, flow: Flow) -> None:
         """Give ``flow`` the shape id of everything the fill reads of it."""
-        shape = (flow.cap, flow.links, flow.priority, flow.share)
+        shape = (flow.cap, flow.route.rid, flow.priority, flow.share)
         sid = self._shapes.get(shape)
         if sid is None:
             if len(self._shapes) >= _FILL_CACHE_SIZE:
@@ -763,11 +825,27 @@ class FlowNetwork:
                     horizon = h
         if horizon == _INF:  # pragma: no cover - all rates zero
             raise SimulationError("flows present but no bandwidth allocated")
-        wake = Event(self.env)
+        if not horizon >= 0:   # pragma: no cover - rates/volumes are finite
+            raise SimulationError(
+                f"delay must be >= 0, cannot schedule at {horizon!r}")
+        env = self.env
+        wake = Event(env)
         wake._ok = True
         wake._value = None
         wake.callbacks.append(self._on_wakeup)  # type: ignore[union-attr]
-        self.env.schedule(wake, horizon)
+        # Environment.schedule(wake, horizon), inlined: the same record,
+        # (when, NORMAL, seq), on the same queue.
+        seq = env._seq
+        env._seq = seq + 1
+        now = env._now
+        if horizon == 0.0:
+            env._now_normal.append((now, NORMAL, seq, wake))
+        else:
+            when = now + horizon
+            if when == now:   # underflows to now: keep seq order
+                env._now_normal.append((when, NORMAL, seq, wake))
+            else:
+                heapq.heappush(env._future, (when, NORMAL, seq, wake))
         self._wakeup = wake
 
     def _on_wakeup(self, _event: Event) -> None:
@@ -782,14 +860,18 @@ class FlowNetwork:
         now = self.env._now
         time_eps = 1e-12 * (1.0 + now)
         flows = self._flows
-        finished = [f for f in flows
-                    if f.remaining <= _EPS_BYTES
-                    or f.remaining <= 1e-12 * f.nbytes
-                    or (f.rate > 0 and f.remaining <= f.rate * time_eps)]
+        finished = []
+        seeds: list[Link] = []
+        for f in flows:
+            rem = f.remaining
+            if (rem <= _EPS_BYTES or rem <= 1e-12 * f.nbytes
+                    or (f.rate > 0 and rem <= f.rate * time_eps)):
+                finished.append(f)
+                seeds += f.route.distinct
         if finished:
             for f in finished:
                 flows.remove(f)
-                for l in {l for l, _w in f.links}:
+                for l in f.route.distinct:
                     l._nflows -= 1
             self.completed_flows += len(finished)
             if self.ledger is not None:
@@ -797,7 +879,7 @@ class FlowNetwork:
                     self.ledger.on_end(f, now)
         # Departures only perturb the components the finished flows were
         # in; seed with their links.
-        self._update(seed_links=[l for f in finished for l, _w in f.links])
+        self._update(seed_links=seeds)
         for f in finished:
             f.remaining = 0.0
             ev, f.event = f.event, None   # no Flow <-> Event cycle

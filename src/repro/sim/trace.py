@@ -34,12 +34,13 @@ and :attr:`Trace.spans` is a read-only sequence view that builds the
 from __future__ import annotations
 
 import math
+import operator
 import typing as _t
 from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 
-__all__ = ["Span", "Trace", "CAT"]
+__all__ = ["Span", "Trace", "CAT", "span_index"]
 
 _INF = math.inf
 
@@ -112,6 +113,21 @@ class Span:
 (_set_category, _set_label, _set_start, _set_end, _set_lane, _set_nbytes,
  _set_elements, _set_meta, _set_id, _set_deps) = [
     getattr(Span, f.name).__set__ for f in fields(Span)]
+
+
+def span_index(ref) -> int:
+    """The span id ``ref`` names: an ``int``, a numpy integer or a
+    :class:`Span`.  A ``bool`` or a non-integral value (``1.7``, ``2.0``,
+    a string) raises :class:`TypeError` instead of being coerced."""
+    if isinstance(ref, Span):
+        return ref.id
+    if isinstance(ref, bool):
+        raise TypeError(f"a span id must be an integer, got {ref!r}")
+    try:
+        return operator.index(ref)
+    except TypeError:
+        raise TypeError(
+            f"a span id must be an integer, got {ref!r}") from None
 
 
 class SpanView(Sequence):
@@ -208,13 +224,21 @@ class Trace:
             raise ValueError(
                 f"span {label!r} has a non-finite time: "
                 f"start={start!r}, end={end!r}")
+        exact = None
+        if type(start) is not float or type(end) is not float:
+            # Kept exactly in a side table; the columns hold float copies.
+            exact = (start, end)
+            try:
+                start, end = float(start), float(end)
+            except OverflowError:
+                raise ValueError(
+                    f"span {label!r} has a time no float can hold") from None
         sid = len(self._start)
         dep_ids: list[int] = []
         for d in deps:
             if d is None:
                 continue
-            i = d if type(d) is int else (
-                d.id if isinstance(d, Span) else int(d))
+            i = d if type(d) is int else span_index(d)
             if not 0 <= i < sid:
                 raise ValueError(
                     f"span {label!r} depends on unrecorded span id {i}")
@@ -222,9 +246,46 @@ class Trace:
                 dep_ids.append(i)
         if len(dep_ids) > 1:
             dep_ids.sort()
-        meta = _normalize_meta(meta) if meta else ()
         # A kind is shared only when every equal value prints the same:
-        # never 1 vs 1.0 vs True, 0.0 vs -0.0, or a NaN.
+        # never 1 vs 1.0 vs True, 0.0 vs -0.0, or a NaN.  The fast path
+        # looks a kind up by the caller's own values when they are
+        # already canonical: an int ``elements``, an int or a float
+        # ``nbytes`` other than -0.0 (a NaN never equals a stored key)
+        # and no meta or one ``(str, str | int)`` pair.
+        nbytes_type = type(nbytes)
+        k = None
+        if type(elements) is int and (
+                nbytes_type is int or nbytes_type is float and (
+                    nbytes or math.copysign(1.0, nbytes) > 0.0)):
+            if not meta:
+                k = self._kind_ids.get((category, label, lane, nbytes,
+                                        elements, (), nbytes_type))
+            elif type(meta) is tuple and len(meta) == 1:
+                pair = meta[0]
+                if (type(pair) is tuple and len(pair) == 2
+                        and type(pair[0]) is str
+                        and (type(pair[1]) is int or type(pair[1]) is str)):
+                    k = self._kind_ids.get((category, label, lane, nbytes,
+                                            elements, meta, nbytes_type))
+        if k is None:
+            k = self._add_kind(category, label, lane, nbytes, elements, meta)
+        self._kind.append(k)
+        if dep_ids:
+            self._deps.extend(dep_ids)
+        self._dep_off.append(len(self._deps))
+        if exact is not None:
+            self._exact_times[sid] = exact
+        self._start.append(start)
+        self._end.append(end)
+        if self.bus is not None:
+            self.bus.span(self._build(sid))
+        return sid
+
+    def _add_kind(self, category, label, lane, nbytes, elements,
+                  meta) -> int:
+        """The id of a span kind the fast path of :meth:`record` did not
+        find: an existing shared kind, or a new one (validated first)."""
+        meta = _normalize_meta(meta) if meta else ()
         nbytes_type = type(nbytes)
         shared = type(elements) is int and (
             nbytes_type is int
@@ -248,18 +309,7 @@ class Trace:
             self._kinds.append(key)
             if shared:
                 self._kind_ids[key] = k
-        self._kind.append(k)
-        if dep_ids:
-            self._deps.extend(dep_ids)
-        self._dep_off.append(len(self._deps))
-        if type(start) is not float or type(end) is not float:
-            self._exact_times[sid] = (start, end)
-            start, end = float(start), float(end)
-        self._start.append(start)
-        self._end.append(end)
-        if self.bus is not None:
-            self.bus.span(self._build(sid))
-        return sid
+        return k
 
     # -- the span view -------------------------------------------------------
 

@@ -114,3 +114,33 @@ def test_series_rejects_a_non_finite_time(bad):
     with pytest.raises(ValueError):
         s.add(0.5, 3)       # still ordered after the rejected sample
     assert list(s.times) == [1.0] and list(s.values) == [1.0]
+
+
+def test_gauge_records_what_sample_records_in_first_sample_order():
+    class Bus:
+        def __init__(self):
+            self.events = []
+
+        def counter(self, name, value, unit=""):
+            self.events.append((name, value, unit))
+
+    now = [0.0]
+    by_gauge = MetricsRecorder(clock=lambda: now[0])
+    by_sample = MetricsRecorder(clock=lambda: now[0])
+    by_gauge.bus, by_sample.bus = Bus(), Bus()
+    late = by_gauge.gauge("late", unit="B")   # made first, sampled last
+    early = by_gauge.gauge("early")
+    for t, name, value in [(0.0, "early", 1), (0.5, "early", 2.5),
+                           (0.5, "late", True), (1.0, "early", 0),
+                           (1.0, "late", 3)]:
+        now[0] = t
+        (early if name == "early" else late)(value)
+        by_sample.sample(name, value,
+                         unit="B" if name == "late" else "")
+    assert list(by_gauge.series) == list(by_sample.series) == ["early",
+                                                                "late"]
+    for name, series in by_gauge.series.items():
+        ref = by_sample.series[name]
+        assert series.unit == ref.unit
+        assert repr(list(series.samples())) == repr(list(ref.samples()))
+    assert by_gauge.bus.events == by_sample.bus.events

@@ -429,3 +429,44 @@ def test_reconcile_flags_a_doctored_ledger():
     rec = reconcile_flow_spans(doc, res.trace)
     assert not rec["ok"]
     assert any("ends at" in msg for msg in rec["failures"])
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.9, 2.0, "2"])
+def test_bind_span_rejects_bools_and_non_integral_ids(bad):
+    env, net, links = _net_with_ledger({"l": 10.0})
+    led = net.ledger
+    flows = []
+
+    def p():
+        flows.append((yield net.transfer(10.0, [links["l"]])))
+
+    env.process(p())
+    env.run()
+    before = canonical_json(led.to_dict())
+    with pytest.raises(TypeError, match="span id must be an integer"):
+        led.bind_span(flows[0], bad)
+    assert canonical_json(led.to_dict()) == before
+    assert led.spans_bound == 0
+
+
+def test_bind_span_accepts_numpy_integers_and_spans():
+    import numpy as np
+
+    from repro.sim.trace import CAT, Trace
+    env, net, links = _net_with_ledger({"l": 10.0})
+    led = net.ledger
+    flows = []
+
+    def p():
+        for _ in range(2):
+            flows.append((yield net.transfer(10.0, [links["l"]])))
+
+    env.process(p())
+    env.run()
+    trace = Trace()
+    trace.record(CAT.HTOD, "a", 0.0, 1.0)
+    trace.record(CAT.HTOD, "b", 1.0, 2.0)
+    led.bind_span(flows[0], np.int64(1))
+    led.bind_span(flows[1], trace.spans[0])
+    assert [f["span"] for f in led.flows] == [1, 0]
+    assert type(led.flows[0]["span"]) is int

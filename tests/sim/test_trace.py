@@ -191,3 +191,38 @@ def test_category_label_and_lane_must_be_strings():
     with pytest.raises(TypeError):
         t.record(CAT.HTOD, 7, 0.0, 1.0)
     assert len(t.spans) == 0 and t.categories() == []
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.7, 1.0, "0"])
+def test_deps_reject_bools_and_non_integral_ids_before_any_state_changes(
+        bad):
+    t = Trace()
+    t.record(CAT.HTOD, "a", 0.0, 1.0)
+    t.record(CAT.HTOD, "b", 1.0, 2.0)
+    before = t.to_dict()
+    with pytest.raises(TypeError, match="span id must be an integer"):
+        t.record(CAT.SYNC, "bad", 2.0, 3.0, lane="new", deps=[1, bad])
+    assert t.to_dict() == before and t.lanes() == [""]
+    assert t.record(CAT.SYNC, "ok", 2.0, 3.0, deps=[1]) == 2
+
+
+def test_deps_accept_numpy_integers_and_spans():
+    np = pytest.importorskip("numpy")
+    t = Trace()
+    a = t.record(CAT.HTOD, "a", 0.0, 1.0)
+    b = t.record(CAT.HTOD, "b", 0.0, 1.0)
+    c = t.record(CAT.SYNC, "c", 1.0, 2.0,
+                 deps=(np.int64(b), np.int32(a), t.spans[a]))
+    assert t.spans[c].deps == (0, 1)
+    assert type(t.spans[c].deps[0]) is int
+
+
+def test_a_time_no_float_holds_is_rejected_before_any_state_changes():
+    t = Trace()
+    t.record(CAT.HTOD, "a", 0.0, 1.0)
+    before = t.to_dict()
+    with pytest.raises(ValueError, match="no float can hold"):
+        t.record(CAT.SYNC, "huge", 0, 10 ** 400, lane="new", deps=(0,))
+    assert t.to_dict() == before and t.lanes() == [""]
+    assert t.record(CAT.SYNC, "b", 1, 2) == 1
+    assert (t.spans[1].label, t.spans[1].start, t.spans[1].end) == ("b", 1, 2)
