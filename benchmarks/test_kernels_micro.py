@@ -2,8 +2,9 @@
 wall-clock via pytest-benchmark).
 
 These are the real-computation counterpart of the simulated studies: the
-radix sort (Thrust stand-in) vs. numpy's sort, 8-bit vs. 16-bit radix
-digits, the pair and multiway merges, and sample sort.
+device sort kernel (Thrust stand-in) vs. numpy's sort, the LSD radix
+reference at 8-bit vs. 16-bit digits, the pair and multiway merges, and
+sample sort.
 
 Compare locally with ``pytest benchmarks/test_kernels_micro.py``; CI runs
 the file with ``--benchmark-disable`` as a smoke test of the sortedness
@@ -13,7 +14,8 @@ asserts.
 import numpy as np
 import pytest
 
-from repro.kernels import (bitonic_sort, introsort, merge_two,
+from repro.kernels import (bitonic_sort, float64_to_ordered_uint64,
+                           introsort, lsd_radix_sort_u64, merge_two,
                            multiway_merge, parallel_merge, sample_sort,
                            sort_floats)
 
@@ -38,7 +40,8 @@ def test_bench_radix_sort(benchmark, data):
 
 @pytest.mark.parametrize("radix_bits", [8, 16])
 def test_bench_radix_digit_width(benchmark, data, radix_bits):
-    out = benchmark(sort_floats, data, radix_bits)
+    keys = float64_to_ordered_uint64(data)
+    out = benchmark(lsd_radix_sort_u64, keys, radix_bits)
     assert np.all(out[:-1] <= out[1:])
 
 

@@ -60,8 +60,8 @@ class Runtime:
         self.trace = machine.trace
         self._streams: list[Stream] = []
         self._stream_counter = 0
-        # Functional on-GPU sort.  Default: our LSD radix sort (the Thrust
-        # stand-in).  Imported lazily to keep layering acyclic.
+        # Functional on-GPU sort.  Default: the ordered-key sort, bit-equal
+        # to a radix sort.  Imported lazily to keep layering acyclic.
         if sort_kernel is None:
             from repro.kernels.radix import sort_floats_inplace
             sort_kernel = sort_floats_inplace
@@ -249,7 +249,7 @@ class Runtime:
         kernel's trace span id.
 
         In functional mode the elements are really sorted with the
-        runtime's sort kernel (LSD radix by default)."""
+        runtime's sort kernel (by default the ordered-key sort)."""
         nbytes = n_elements * 8
         buf.check_range(offset, nbytes)
         if buf.gpu_index != stream.gpu_index:

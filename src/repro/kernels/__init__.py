@@ -3,7 +3,7 @@
 These are the algorithms the paper's system calls into libraries for,
 implemented from scratch on numpy primitives:
 
-* :mod:`repro.kernels.radix` -- LSD radix sort (Thrust/CUB stand-in);
+* :mod:`repro.kernels.radix` -- device sort (Thrust/CUB stand-in), LSD radix;
 * :mod:`repro.kernels.bitonic` -- data-oblivious bitonic network;
 * :mod:`repro.kernels.mergepath` -- Merge Path pair-wise parallel merge;
 * :mod:`repro.kernels.multiway` -- loser-tree and partitioned k-way merge
