@@ -38,7 +38,7 @@ Usage::
     python benchmarks/gate.py                  # check every pair
     python benchmarks/gate.py --update         # re-freeze golden.json
     python benchmarks/gate.py --update flow_stress/events  # one pair only
-    python benchmarks/gate.py --out DIR        # + Perfetto traces, profile
+    python benchmarks/gate.py --out DIR        # + one Perfetto trace per sort
     python benchmarks/gate.py --json --archive runs.jsonl
 
 Exit status: 0 = every pair matches, 1 = drift, a broken invariant, or a
@@ -54,6 +54,7 @@ import math
 import os
 import re
 import sys
+import time
 import typing as _t
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -146,10 +147,10 @@ def _pipedata_hotpath():
     platform (the fig11 configuration, scaled for CI)."""
     from repro.hetsort import HeterogeneousSorter
     from repro.hw.platforms import get_platform
-    HeterogeneousSorter(get_platform("PLATFORM2"), n_gpus=2,
-                        approach="pipedata", n_streams=2,
-                        batch_size=1_000_000,
-                        pinned_elements=100_000).sort(n=80_000_000)
+    return HeterogeneousSorter(get_platform("PLATFORM2"), n_gpus=2,
+                               approach="pipedata", n_streams=2,
+                               batch_size=1_000_000,
+                               pinned_elements=100_000).sort(n=80_000_000)
 
 
 def _flow_stress():
@@ -169,27 +170,28 @@ def _flow_stress():
     for i in range(32 * 12):
         env.process(prog(i), name=f"p{i}")
     env.run()
+    return env
 
 
-_ENGINE = {"pipedata_hotpath": _pipedata_hotpath,
-           "flow_stress": _flow_stress}
+#: Engine scenario -> (run it, read its processed-event count).
+_ENGINE = {
+    "pipedata_hotpath": (
+        _pipedata_hotpath,
+        lambda res: res.metrics["engine"]["processed_events"]),
+    "flow_stress": (_flow_stress, lambda env: env.processed_events),
+}
 
 
 def _run_engine(sc):
-    """Run an engine scenario under the profile hooks; returns its exact
-    event count, wall-clock throughput and the profile snapshot."""
-    from repro.obs import profile as prof
-    prof.reset_profiling()
-    prof.enable_profiling()
-    try:
-        _ENGINE[sc["name"]]()
-    finally:
-        prof.disable_profiling()
-    snap = prof.snapshot()
-    stats = snap["sim.engine.run"]
-    return {"events": stats.elements, "events_per_s": stats.elements_per_s,
-            "wall_s": stats.total_s,
-            "profile": {k: s.to_dict() for k, s in snap.items()}}
+    """Run an engine scenario; returns its exact event count (the
+    environment's ``processed_events``) and its wall-clock throughput."""
+    run, count = _ENGINE[sc["name"]]
+    t0 = time.perf_counter()
+    done = run()
+    wall_s = time.perf_counter() - t0
+    events = count(done)
+    return {"events": events, "events_per_s": events / wall_s,
+            "wall_s": wall_s}
 
 
 def _run_sweep(sc):
@@ -212,14 +214,14 @@ def _broken(what: str, check: dict) -> list[str]:
             else [f"{what} ({'; '.join(check['failures'][:3])})"])
 
 
-def _metric_entries(sc, metrics: dict, profile: dict | None = None):
+def _metric_entries(sc, metrics: dict):
     """Entry builder for an artifact archived as flat metrics under a
     ``{"gate", "scenario"}`` point."""
     from repro.obs import make_entry
     return lambda gate: [make_entry(
         source=f"gate:{gate['gate']}", label=sc["name"],
         point={"gate": gate["gate"], "scenario": sc["name"]},
-        metrics=metrics, profile=profile, verdicts=[gate])]
+        metrics=metrics, verdicts=[gate])]
 
 
 def _report(sc, res, ctx):
@@ -303,7 +305,7 @@ def _events(sc, run, ctx):
     metrics = {k: run[k] for k in ("events", "events_per_s", "wall_s")}
     return ({"events": run["events"]}, [],
             {"events_per_s": run["events_per_s"]},
-            _metric_entries(sc, metrics, profile=run["profile"]))
+            _metric_entries(sc, metrics))
 
 
 def _ledger(sc, records, ctx):
@@ -342,10 +344,9 @@ def sha256(doc) -> str:
 def run_corpus(out_dir: str | None = None) -> dict[str, dict]:
     """Run every scenario once; returns ``{pair: {"sha256", "bands",
     "invariants", "entries"}}``.  ``out_dir`` also receives one Perfetto
-    trace per sort scenario and the engine profile snapshot."""
+    trace per sort scenario."""
     measured: dict[str, dict] = {}
     ctx: dict = {}
-    engine: dict = {}
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     for sc in SCENARIOS:
@@ -354,21 +355,11 @@ def run_corpus(out_dir: str | None = None) -> dict[str, dict]:
             from repro.reporting import write_chrome_trace
             write_chrome_trace(run.trace, os.path.join(
                 out_dir, f"{sc['name']}.trace.json"), counters=run.recorder)
-        if sc["kind"] == "engine":
-            engine[sc["name"]] = run
         for art in sc["artifacts"]:
             doc, invariants, bands, entries = ARTIFACTS[art](sc, run, ctx)
             measured[f"{sc['name']}/{art}"] = {
                 "sha256": sha256(doc), "bands": bands,
                 "invariants": invariants, "entries": entries}
-    if out_dir:
-        with open(os.path.join(out_dir, "engine_profile.json"), "w") as fh:
-            fh.write(canonical_json({
-                "schema": "repro.engine_profile/v1",
-                "scenarios": {n: r["profile"] for n, r in engine.items()},
-                "measured": {n: {k: r[k] for k in ("events", "events_per_s",
-                                                   "wall_s")}
-                             for n, r in engine.items()}}) + "\n")
     return measured
 
 
@@ -508,8 +499,8 @@ def main(argv=None) -> int:
                    help="append every measurement to a repro.archive/v1 "
                         "archive and classify failures against its history")
     p.add_argument("--out", metavar="DIR",
-                   help="write one Perfetto trace per sort scenario and "
-                        "the engine profile snapshot into DIR")
+                   help="write one Perfetto trace per sort scenario "
+                        "into DIR")
     args = p.parse_args(argv)
     info = sys.stderr if args.json else sys.stdout
 

@@ -4,13 +4,12 @@
 (n = 1e9 total) for 1-16 threads; (b) speedup.  Paper anchor: 8.14x at
 16 threads (memory-bound, so well below perfect).
 
-The functional counterpart (Merge-Path partitioning really merging
-arrays) is micro-benchmarked in test_kernels_micro.py.
+The functional counterpart (the pair merge really merging arrays) is
+micro-benchmarked in test_kernels_micro.py.
 """
 
 import pytest
 
-from repro.cpu import pairwise_merge_seconds
 from repro.hw import PLATFORM1
 from repro.reporting import render_table
 
@@ -19,7 +18,7 @@ N = 10 ** 9
 
 
 def sweep():
-    times = {t: pairwise_merge_seconds(PLATFORM1, N, t) for t in THREADS}
+    times = {t: PLATFORM1.merge.seconds(N, threads=t, k=2) for t in THREADS}
     return times
 
 

@@ -14,10 +14,9 @@ asserts.
 import numpy as np
 import pytest
 
-from repro.kernels import (bitonic_sort, float64_to_ordered_uint64,
-                           introsort, lsd_radix_sort_u64, merge_two,
-                           multiway_merge, parallel_merge, sample_sort,
-                           sort_floats)
+from repro.kernels import (float64_to_ordered_uint64, introsort,
+                           lsd_radix_sort_u64, merge_two, multiway_merge,
+                           sample_sort, sort_floats)
 
 N = 200_000
 
@@ -55,12 +54,6 @@ def test_bench_sample_sort(benchmark, data):
     assert np.all(out[:-1] <= out[1:])
 
 
-def test_bench_bitonic_sort(benchmark, data):
-    small = data[:16384]
-    out = benchmark(bitonic_sort, small)
-    assert np.all(out[:-1] <= out[1:])
-
-
 def test_bench_introsort(benchmark, data):
     small = data[:50_000]
     out = benchmark(introsort, small)
@@ -71,13 +64,6 @@ def test_bench_merge_two(benchmark, data):
     a = np.sort(data[:N // 2])
     b = np.sort(data[N // 2:])
     out = benchmark(merge_two, a, b)
-    assert len(out) == N
-
-
-def test_bench_parallel_merge_16_partitions(benchmark, data):
-    a = np.sort(data[:N // 2])
-    b = np.sort(data[N // 2:])
-    out = benchmark(parallel_merge, a, b, 16)
     assert len(out) == N
 
 

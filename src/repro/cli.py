@@ -226,14 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, parser=p, **defaults)
         return p
 
-    p = command("metrics", _cmd_metrics, _RUN,
-                "observability metrics of one run",
-                "Run one sort and report its observability metrics: "
-                "per-lane utilization, the category-overlap matrix, "
-                "overlap efficiency, link goodput and live counters.")
-    p.add_argument("--profile", action="store_true",
-                   help="wall-clock the real numpy kernels "
-                        "(functional runs; never changes the timeline)")
+    command("metrics", _cmd_metrics, _RUN,
+            "observability metrics of one run",
+            "Run one sort and report its observability metrics: "
+            "per-lane utilization, the category-overlap matrix, "
+            "overlap efficiency, link goodput and live counters.")
 
     p = command("critical-path", _cmd_critical_path, _RUN,
                 "attribute one run's makespan along its critical path",
@@ -651,32 +648,12 @@ def _compare(args, out) -> int:
 
 
 def _cmd_metrics(args, out) -> int:
-    from repro.obs import (disable_profiling, enable_profiling,
-                           profiling_stats, reset_profiling)
-    profiling = args.profile and args.functional is not None
-    if profiling:
-        reset_profiling()
-        enable_profiling()
-    try:
-        res = _run(args, out)
-    finally:
-        if profiling:
-            disable_profiling()
+    res = _run(args, out)
     if args.json:
         out.write(canonical_json(res.metrics) + "\n")
     else:
         out.write(res.summary() + "\n\n")
         out.write(render_metrics_table(res.metrics) + "\n")
-        rows = [[s.name, s.calls, f"{s.total_s * 1e3:.3f}",
-                 f"{s.mean_s * 1e6:.1f}", f"{s.elements_per_s:.3g}"]
-                for s in sorted(profiling_stats().values(),
-                                key=lambda s: -s.total_s)] \
-            if profiling else []
-        if rows:
-            out.write("\n" + render_table(
-                ["kernel", "calls", "total [ms]", "mean [us]", "elem/s"],
-                rows, title="kernel wall-clock profile (real numpy)")
-                + "\n")
     _finish(args, out, res)
     return 0
 

@@ -1,15 +1,6 @@
-"""Host-side library facades: CPU sorts (Fig. 4), merges (Fig. 6) and
-staged copies, each coupling a functional implementation with its
-calibrated cost model."""
+"""Host-side library facades: the CPU sorts of Fig. 4, each coupling a
+functional implementation with its calibrated cost model."""
 
-from repro.cpu.memcpy import memcpy_seconds, staged_copy
-from repro.cpu.merge import (multiway_merge_arrays, multiway_merge_seconds,
-                             pairwise_merge, pairwise_merge_seconds)
 from repro.cpu.parallel_sort import LIBRARIES, SortLibrary, get_library
 
-__all__ = [
-    "SortLibrary", "get_library", "LIBRARIES",
-    "pairwise_merge", "pairwise_merge_seconds",
-    "multiway_merge_arrays", "multiway_merge_seconds",
-    "staged_copy", "memcpy_seconds",
-]
+__all__ = ["SortLibrary", "get_library", "LIBRARIES"]

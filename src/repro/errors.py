@@ -16,10 +16,6 @@ class SimulationError(ReproError):
     """Raised for illegal use of the discrete-event simulation engine."""
 
 
-class DeadlockError(SimulationError):
-    """Raised when the event queue drains while processes are still waiting."""
-
-
 class CudaError(ReproError):
     """Base class for errors raised by the simulated CUDA runtime."""
 

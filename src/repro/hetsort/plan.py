@@ -135,10 +135,17 @@ class SortPlan:
         """Approximate host requirement: A + W + B = 3n (Sec. III-C)."""
         return 3 * self.n * ELEM
 
-    def batches_for(self, gpu: int, stream_slot: int) -> list[Batch]:
-        """The batches one (gpu, stream) worker processes, in order."""
-        return [b for b in self.batches
-                if b.gpu == gpu and b.stream_slot == stream_slot]
+    def batches_for(self, gpu: int, stream_slot: int) -> tuple[Batch, ...]:
+        """The batches one (gpu, stream) worker processes, in order.
+
+        Batches are dealt round-robin over the stream-major (gpu, stream)
+        pairs, so a worker's share is one strided slice; a pair outside
+        the plan gets none.
+        """
+        if not (0 <= gpu < self.n_gpus and 0 <= stream_slot < self.n_streams):
+            return ()
+        return self.batches[stream_slot * self.n_gpus + gpu::
+                            self.n_gpus * self.n_streams]
 
     def chunks(self, batch: Batch) -> Chunks:
         """Chunking of a batch through the pinned staging buffer:

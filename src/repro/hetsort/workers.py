@@ -19,7 +19,7 @@ from repro.kernels.multiway import multiway_merge
 from repro.sim import CAT
 
 __all__ = [
-    "alloc_worker_buffers", "free_worker_buffers",
+    "alloc_worker_buffers",
     "staged_blocking_batch", "pageable_blocking_batch",
     "async_stream_batch", "final_multiway", "pair_merge_scheduler",
 ]
@@ -65,14 +65,6 @@ def alloc_worker_buffers(ctx: RunContext, gpu: int, tag: str):
         ctx.rt.free_host(pinned_out)
         raise
     return pinned_in, pinned_out, dev
-
-
-def free_worker_buffers(ctx: RunContext, pinned_in: PinnedBuffer,
-                        pinned_out: PinnedBuffer, dev: DeviceBuffer) -> None:
-    """Release one worker's buffers."""
-    ctx.rt.free_host(pinned_in)
-    ctx.rt.free_host(pinned_out)
-    ctx.rt.free(dev)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ them (``uint8``, ``uint16``, or ``uint32`` for 17-24 bits).  numpy's
 stable sort is a counting sort only up to 16 bits, so the default 16-bit
 digit sorts a 64-bit key in 4 counting passes -- Stehle & Jacobsen's
 pass-count argument.  A pass whose digit is the same for every key is
-skipped (MSB pruning).  A pure-Python counting sort is the independent
-oracle for one pass.
+skipped (MSB pruning).  The tests check each pass against a pure-Python
+counting sort.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.obs.profile import profiled
 
 __all__ = [
     "lsd_radix_sort_u64", "sort_floats", "sort_floats_inplace",
-    "counting_sort_pass", "counting_sort_pass_reference",
+    "counting_sort_pass",
 ]
 
 
@@ -66,23 +66,6 @@ def counting_sort_pass(keys: np.ndarray, payload: np.ndarray | None,
     out_keys = keys[order]
     out_payload = payload[order] if payload is not None else None
     return out_keys, out_payload
-
-
-def counting_sort_pass_reference(keys, shift: int, bits: int):
-    """Pure-Python stable counting sort on one digit (test oracle).
-
-    Buckets only the digits that occur and emits them in digit order:
-    O(n log n) at worst, whatever ``bits``, and no numpy sorting.
-    """
-    mask = (1 << bits) - 1
-    buckets: dict[int, list] = {}
-    for k in keys:
-        buckets.setdefault((int(k) >> shift) & mask, []).append(k)
-    out = []
-    for digit in sorted(buckets):
-        out.extend(buckets[digit])
-    return np.array(out, dtype=np.uint64) if len(out) else \
-        np.empty(0, dtype=np.uint64)
 
 
 def lsd_radix_sort_u64(keys: np.ndarray, radix_bits: int = 16,

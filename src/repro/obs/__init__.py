@@ -1,4 +1,4 @@
-"""Observability: derived metrics, live counters, and profiling hooks.
+"""Observability: derived metrics, live counters and run analyses.
 
 The paper's entire argument is about *where time goes* -- how much of the
 makespan each component occupies (Fig. 7), how much overhead the related
@@ -26,9 +26,10 @@ quantities:
   lower-bound prediction per run, critical-path residual attribution
   (exact by construction), per-group fitted slopes with R² vs. the
   paper's, and anomaly flags;
-* :mod:`repro.obs.profile` -- wall-clock profiling of the *real* numpy
-  kernels behind a zero-overhead-when-disabled toggle (never affects the
-  simulated timeline or the sorted output);
+* :mod:`repro.obs.profile` -- wall-clock stats of the *real* numpy
+  kernels behind a zero-overhead-when-disabled toggle, read by
+  ``perfbench`` (never affects the simulated timeline or the sorted
+  output; import it as a module, it is not re-exported here);
 * :mod:`repro.obs.memory` -- the memory observatory: a byte-exact
   allocation ledger over the simulated ``cudaMalloc`` /
   ``cudaMallocHost`` paths (occupancy timelines, high-watermarks, leak
@@ -84,12 +85,6 @@ from repro.obs.metrics import (category_overlap_matrix, compute_metrics,
                                critical_path_lower_bound, detect_bubbles,
                                lane_metrics, link_throughput,
                                overlap_efficiency)
-from repro.obs.profile import (KernelStats, disable_profiling,
-                               enable_profiling, merge_snapshots,
-                               profiled, profiling_enabled,
-                               profiling_stats, reset_profiling,
-                               snapshot_to_jsonl)
-from repro.obs.profile import snapshot as profiling_snapshot
 from repro.obs.sinks import (JsonlSink, LiveAggregator, TtySink,
                              WatchdogSink, read_events, replay_events,
                              validate_event_log, validate_events)
@@ -113,10 +108,6 @@ __all__ = [
     "write_ledger", "load_ledger",
     "residual_attribution", "conformance_record", "attach_conformance",
     "fit_line", "group_conformance", "conformance_summary",
-    "profiled", "enable_profiling", "disable_profiling",
-    "profiling_enabled", "profiling_stats", "reset_profiling",
-    "KernelStats", "profiling_snapshot", "merge_snapshots",
-    "snapshot_to_jsonl",
     "EV", "EVENTS_SCHEMA", "TelemetryEvent", "Sink", "EventBus",
     "JsonlSink", "LiveAggregator", "TtySink", "WatchdogSink",
     "read_events", "replay_events", "validate_events",

@@ -8,8 +8,7 @@ point -- ``repro run/sweep/chaos`` and the golden gate
 record per run: workload/config fingerprint, headline measurements
 (makespan, events/sec, throughput), per-lane utilization, the canonical
 run report (critical-path composition included), conformance
-residuals, gate verdicts and an optional :mod:`repro.obs.profile`
-snapshot.  The trend observatory
+residuals and gate verdicts.  The trend observatory
 (:mod:`repro.obs.trends`) reads the archive back as per-metric time
 series keyed by fingerprint.
 
@@ -58,8 +57,10 @@ MANIFEST_SCHEMA = "repro.archive_manifest/v1"
 #: short enough to read in a table.
 _HASH_CHARS = 16
 
-#: Entry keys every record must carry (``report``/``residuals``/
-#: ``profile`` may be None, ``verdicts`` may be empty).
+#: Entry keys every record must carry (``report``/``residuals`` may be
+#: None, ``verdicts`` may be empty).  ``profile`` is always written as
+#: None; older archives may hold a kernel-profile object there, which
+#: readers accept unchanged.
 _REQUIRED_KEYS = ("schema", "entry", "fingerprint", "source", "label",
                   "point", "metrics", "lanes", "report", "residuals",
                   "verdicts", "profile")
@@ -103,8 +104,7 @@ def make_entry(*, source: str, label: str, point: _t.Mapping,
                metrics: _t.Mapping, lanes: _t.Mapping | None = None,
                report: dict | None = None,
                residuals: _t.Mapping | None = None,
-               verdicts: _t.Sequence[dict] = (),
-               profile: _t.Mapping | None = None) -> dict:
+               verdicts: _t.Sequence[dict] = ()) -> dict:
     """Assemble one ``repro.archive/v1`` entry.
 
     ``point`` is the workload/config dict the fingerprint hashes;
@@ -113,8 +113,7 @@ def make_entry(*, source: str, label: str, point: _t.Mapping,
     :func:`~repro.obs.diff.run_report` (kept whole so any two entries
     can be diffed with the critical-path composition intact);
     ``residuals`` the conformance gap attribution; ``verdicts`` a list
-    of gate verdict dicts (``{"gate", "ok", "failures"}``); ``profile``
-    a serialized :func:`repro.obs.profile.snapshot`.
+    of gate verdict dicts (``{"gate", "ok", "failures"}``).
     """
     entry = {
         "schema": ARCHIVE_SCHEMA,
@@ -127,8 +126,7 @@ def make_entry(*, source: str, label: str, point: _t.Mapping,
         "report": report,
         "residuals": dict(residuals) if residuals is not None else None,
         "verdicts": [dict(v) for v in verdicts],
-        "profile": ({k: dict(v) for k, v in profile.items()}
-                    if profile is not None else None),
+        "profile": None,
     }
     entry["entry"] = entry_id(entry)
     return entry
@@ -145,8 +143,7 @@ def _lane_utilization(report: dict) -> dict[str, float]:
 def entry_from_result(result, *, source: str = "run", label: str = "",
                       point: _t.Mapping | None = None,
                       report: dict | None = None,
-                      verdicts: _t.Sequence[dict] = (),
-                      profile: _t.Mapping | None = None) -> dict:
+                      verdicts: _t.Sequence[dict] = ()) -> dict:
     """Archive entry for a finished
     :class:`~repro.hetsort.result.SortResult`.
 
@@ -196,8 +193,7 @@ def entry_from_result(result, *, source: str = "run", label: str = "",
     return make_entry(source=source, label=label or result.approach,
                       point=point, metrics=metrics,
                       lanes=_lane_utilization(report), report=report,
-                      residuals=residuals, verdicts=verdicts,
-                      profile=profile)
+                      residuals=residuals, verdicts=verdicts)
 
 
 def entry_from_ledger(record: dict, *, source: str = "sweep",

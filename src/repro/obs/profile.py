@@ -1,11 +1,12 @@
 """Wall-clock profiling of the *real* numpy kernels.
 
 The simulation's timeline is analytic; the functional layer nevertheless
-executes genuine numpy kernels (LSD radix, multiway merge, sample sort)
-whose real cost is worth measuring when calibrating or optimising them.
+executes genuine numpy kernels (device sort, pair and multiway merges,
+sample sort) whose real cost is worth measuring when optimising them.
 :func:`profiled` wraps a kernel so that, **only while profiling is
 enabled**, each call's ``time.perf_counter`` duration is accumulated into
-a per-kernel :class:`KernelStats`.
+a per-kernel :class:`KernelStats`.  ``perfbench/layers.py`` reads these
+stats for its ``kernels.*`` metrics.
 
 Disabled (the default) the wrapper is a single falsy branch -- no timer
 reads, no allocation -- and enabling it can never change the kernel's
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import time
 import typing as _t
 from dataclasses import dataclass
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 __all__ = [
     "KernelStats", "profiled", "enable_profiling", "disable_profiling",
     "profiling_enabled", "profiling_stats", "reset_profiling", "snapshot",
-    "merge_snapshots", "snapshot_to_jsonl",
 ]
 
 _ENABLED = False
@@ -34,78 +33,21 @@ _STATS: dict[str, "KernelStats"] = {}
 
 @dataclass
 class KernelStats:
-    """Accumulated wall-clock statistics for one kernel name.
-
-    Every field is strict JSON: ``min_s`` of an empty accumulator is
-    ``0.0``, never ``inf`` (which :func:`json.dumps` would serialize as
-    the non-standard ``Infinity`` literal).
-    """
+    """Accumulated wall-clock statistics for one kernel name."""
 
     name: str
     calls: int = 0
     total_s: float = 0.0
-    min_s: float = 0.0
-    max_s: float = 0.0
     elements: int = 0
 
     def record(self, seconds: float, elements: int = 0) -> None:
         self.calls += 1
-        self.min_s = (seconds if self.calls == 1
-                      else min(self.min_s, seconds))
         self.total_s += seconds
-        self.max_s = max(self.max_s, seconds)
         self.elements += elements
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.calls if self.calls else 0.0
 
     @property
     def elements_per_s(self) -> float:
         return self.elements / self.total_s if self.total_s > 0 else 0.0
-
-    def to_dict(self) -> dict:
-        """Strict-JSON form (derived rates included)."""
-        return {
-            "name": self.name, "calls": self.calls,
-            "total_s": self.total_s, "min_s": self.min_s,
-            "max_s": self.max_s, "mean_s": self.mean_s,
-            "elements": self.elements,
-            "elements_per_s": self.elements_per_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KernelStats":
-        """Rebuild an accumulator from :meth:`to_dict` output (derived
-        fields ``mean_s`` / ``elements_per_s`` are recomputed, not
-        trusted)."""
-        return cls(name=str(data["name"]), calls=int(data["calls"]),
-                   total_s=float(data["total_s"]),
-                   min_s=float(data["min_s"]), max_s=float(data["max_s"]),
-                   elements=int(data.get("elements", 0)))
-
-    def merge(self, other: "KernelStats") -> "KernelStats":
-        """Combine two accumulators for the same kernel name.
-
-        Returns a new :class:`KernelStats`; neither operand is mutated.
-        Merging is exact for ``calls``/``total_s``/``elements`` and for
-        the extrema (an empty side contributes nothing, so its sentinel
-        ``min_s == 0.0`` never pollutes the other side's minimum).
-        """
-        if self.name != other.name:
-            raise ValueError(
-                "cannot merge stats for different kernels: "
-                f"{self.name!r} vs {other.name!r}")
-        if not self.calls:
-            return dataclasses.replace(other)
-        if not other.calls:
-            return dataclasses.replace(self)
-        return KernelStats(
-            name=self.name, calls=self.calls + other.calls,
-            total_s=self.total_s + other.total_s,
-            min_s=min(self.min_s, other.min_s),
-            max_s=max(self.max_s, other.max_s),
-            elements=self.elements + other.elements)
 
 
 def enable_profiling() -> None:
@@ -136,39 +78,10 @@ def profiling_stats() -> dict[str, KernelStats]:
 
 
 def snapshot() -> dict[str, KernelStats]:
-    """A frozen, name-sorted copy of the accumulated stats.
-
-    Each entry is an independent :class:`KernelStats` copy: later kernel
-    calls (or :func:`reset_profiling`) never mutate a snapshot, so it is
-    safe to diff two snapshots or serialize one
-    (``{k: s.to_dict() for k, s in snapshot().items()}``) while
-    profiling continues.
-    """
+    """A frozen, name-sorted copy of the accumulated stats: later kernel
+    calls (or :func:`reset_profiling`) never mutate a snapshot."""
     return {name: dataclasses.replace(_STATS[name])
             for name in sorted(_STATS)}
-
-
-def merge_snapshots(*snaps: dict[str, KernelStats]
-                    ) -> dict[str, KernelStats]:
-    """Merge any number of :func:`snapshot` dicts into one (name-sorted;
-    per-name stats combined with :meth:`KernelStats.merge`)."""
-    merged: dict[str, KernelStats] = {}
-    for snap in snaps:
-        for name, stats in snap.items():
-            prev = merged.get(name)
-            merged[name] = (dataclasses.replace(stats) if prev is None
-                            else prev.merge(stats))
-    return {name: merged[name] for name in sorted(merged)}
-
-
-def snapshot_to_jsonl(snap: dict[str, KernelStats]) -> str:
-    """Serialize a snapshot as byte-stable JSONL, one kernel per line
-    (name-sorted, canonical key order, compact separators).  Ends with a
-    trailing newline unless the snapshot is empty."""
-    lines = [json.dumps(snap[name].to_dict(), sort_keys=True,
-                        separators=(",", ":"))
-             for name in sorted(snap)]
-    return "".join(line + "\n" for line in lines)
 
 
 def _record(name: str, seconds: float, elements: int) -> None:
@@ -203,6 +116,5 @@ def profiled(name: str,
                     except Exception:  # noqa: BLE001 - stats must not raise
                         n = 0
                 _record(name, elapsed, n)
-        wrapper.__profiled_name__ = name
         return wrapper
     return deco

@@ -37,7 +37,6 @@ Example
 from __future__ import annotations
 
 import heapq
-import time as _time
 import typing as _t
 from collections import deque
 
@@ -163,9 +162,6 @@ class Process(Event):
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} at {id(self):#x}>"
-
-
-_profile_mod = None   # lazy import of repro.obs.profile (cycle-safe)
 
 
 class Environment:
@@ -366,28 +362,7 @@ class Environment:
             * a number -- run until simulated time reaches it.
             * an :class:`Event` -- run until that event is processed and
               return its value (raising its exception if it failed).
-
-        When :mod:`repro.obs.profile` profiling is enabled, each call
-        accumulates wall-clock seconds and processed-event counts under
-        the ``sim.engine.run`` kernel (``elements_per_s`` is then the
-        engine's events/sec -- the simulator-throughput gate's metric).
         """
-        global _profile_mod
-        if _profile_mod is None:
-            from repro.obs import profile as _profile_mod  # noqa: PLW0603
-        profiling = _profile_mod.profiling_enabled()
-        if profiling:
-            t0 = _time.perf_counter()
-            events0 = self.processed_events
-        try:
-            return self._run(until)
-        finally:
-            if profiling:
-                _profile_mod._record(
-                    "sim.engine.run", _time.perf_counter() - t0,
-                    self.processed_events - events0)
-
-    def _run(self, until: float | Event | None) -> _t.Any:
         stop_event: Event | None = None
         stop_time = _INF
         if isinstance(until, Event):

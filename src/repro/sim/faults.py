@@ -40,6 +40,7 @@ with one attached are byte-identical to runs without.
 from __future__ import annotations
 
 import json
+import math
 import typing as _t
 from dataclasses import dataclass, fields
 
@@ -53,6 +54,10 @@ __all__ = ["FaultKind", "FaultSpec", "FaultPlan", "FaultInjector",
 
 #: Schema identifier of serialised fault plans.
 FAULTS_SCHEMA = "repro.faults/v1"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class FaultKind:
@@ -100,10 +105,21 @@ class FaultSpec:
         if self.direction is not None and self.direction not in ("HtoD",
                                                                  "DtoH"):
             raise FaultPlanError(f"bad direction {self.direction!r}")
-        if self.after < 0 or self.times < 1:
+        if not (_is_int(self.after) and _is_int(self.times)
+                and self.after >= 0 and self.times >= 1):
             raise FaultPlanError(
-                f"need after >= 0 and times >= 1 "
-                f"(got after={self.after}, times={self.times})")
+                f"need integer after >= 0 and times >= 1 "
+                f"(got after={self.after!r}, times={self.times!r})")
+        if self.gpu is not None and not (_is_int(self.gpu)
+                                         and self.gpu >= 0):
+            raise FaultPlanError(
+                f"gpu must be an integer index >= 0, got {self.gpu!r}")
+        for name in ("at_s", "duration_s", "factor"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float))
+                    and not isinstance(value, bool) and math.isfinite(value)):
+                raise FaultPlanError(
+                    f"{name} must be a finite number, got {value!r}")
         if self.at_s < 0 or self.duration_s < 0:
             raise FaultPlanError("fault times must be >= 0")
         if self.kind == FaultKind.GPU_LOST and self.gpu is None:
@@ -124,6 +140,9 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FaultSpec":
+        if not isinstance(doc, dict):
+            raise FaultPlanError(f"each fault must be an object, "
+                                 f"got {type(doc).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -181,6 +200,8 @@ class FaultPlan:
             raise FaultPlanError("'faults' must be a list")
         faults = tuple(FaultSpec.from_dict(f) for f in raw)
         seed = doc.get("seed")
+        if seed is not None and not _is_int(seed):
+            raise FaultPlanError(f"seed must be an integer, got {seed!r}")
         return cls(faults=faults, seed=seed)
 
     @classmethod

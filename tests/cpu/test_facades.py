@@ -1,12 +1,12 @@
-"""Tests for the host-side library facades (functional + cost model)."""
+"""Tests for the host-side sort-library facades (functional + cost
+model) and the Fig. 6 merge primitives the runs call directly."""
 
 import numpy as np
 import pytest
 
-from repro.cpu import (LIBRARIES, get_library, memcpy_seconds,
-                       multiway_merge_arrays, multiway_merge_seconds,
-                       pairwise_merge, pairwise_merge_seconds, staged_copy)
+from repro.cpu import LIBRARIES, get_library
 from repro.hw.platforms import PLATFORM1
+from repro.kernels import merge_two, multiway_merge
 from repro.kernels.utils import is_sorted, same_multiset
 
 
@@ -42,39 +42,18 @@ def test_sequential_libraries_ignore_threads(rng):
 def test_pairwise_merge_functional(rng):
     a = np.sort(rng.normal(size=400))
     b = np.sort(rng.normal(size=300))
-    m = pairwise_merge(a, b, threads=4)
+    m = merge_two(a, b)
     assert np.array_equal(m, np.sort(np.concatenate([a, b])))
 
 
 def test_multiway_merge_functional(rng):
     runs = [np.sort(rng.normal(size=100)) for _ in range(5)]
-    m = multiway_merge_arrays(runs)
+    m = multiway_merge(runs)
     assert np.array_equal(m, np.sort(np.concatenate(runs)))
 
 
 def test_merge_cost_models():
     n = 10 ** 9
-    t2 = pairwise_merge_seconds(PLATFORM1, n, 16)
-    t8 = multiway_merge_seconds(PLATFORM1, n, 8, 16)
-    assert t2 == pytest.approx(PLATFORM1.merge.seconds(n, 16, 2))
+    t2 = PLATFORM1.merge.seconds(n, threads=16, k=2)
+    t8 = PLATFORM1.merge.seconds(n, threads=16, k=8)
     assert t8 > t2  # k-way costs more per element
-
-
-def test_staged_copy(rng):
-    src = rng.normal(size=1000)
-    dst = np.zeros(1000)
-    chunks = staged_copy(dst, src, chunk_elements=64)
-    assert np.array_equal(dst, src)
-    assert chunks == int(np.ceil(1000 / 64))
-    with pytest.raises(ValueError):
-        staged_copy(np.zeros(3), src, 4)
-
-
-def test_memcpy_seconds_parallel_capped_by_bus():
-    hm = PLATFORM1.hostmem
-    nbytes = 1e9
-    t1 = memcpy_seconds(PLATFORM1, nbytes, 1)
-    t8 = memcpy_seconds(PLATFORM1, nbytes, 8)
-    assert t1 == pytest.approx(nbytes / hm.per_core_copy_bw)
-    assert t8 == pytest.approx(nbytes / hm.copy_bus_bw)
-    assert t8 < t1

@@ -48,6 +48,11 @@ def test_plan_round_robin_over_gpu_stream_pairs():
     for g in range(2):
         for s in range(2):
             assert len(plan.batches_for(g, s)) == 2
+            assert list(plan.batches_for(g, s)) == [
+                b for b in plan.batches if (b.gpu, b.stream_slot) == (g, s)]
+    # A pair outside the plan gets nothing (no aliasing of a worker).
+    for g, s in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+        assert not plan.batches_for(g, s)
 
 
 def test_plan_default_batch_size_maximal():

@@ -8,8 +8,8 @@ from repro.cuda import Runtime
 from repro.hetsort.config import SortConfig
 from repro.hetsort.context import RunContext, SortedRun
 from repro.hetsort.plan import make_plan
+from repro.hetsort.resilience import free_surviving
 from repro.hetsort.workers import (alloc_worker_buffers, final_multiway,
-                                   free_worker_buffers,
                                    pair_merge_scheduler)
 from repro.hw.machine import Machine
 from repro.hw.platforms import PLATFORM1
@@ -44,7 +44,7 @@ def test_alloc_and_free_worker_buffers_accounting():
     assert dev.nbytes == 2 * 10_000 * 8      # batch + Thrust scratch
     assert ctx.machine.gpus[0].mem_used == dev.nbytes
     assert ctx.machine.pinned_bytes == 2 * 2_000 * 8
-    free_worker_buffers(ctx, pin_in, pin_out, dev)
+    free_surviving(ctx, pin_in, pin_out, dev)
     assert ctx.machine.gpus[0].mem_used == 0
     assert ctx.machine.pinned_bytes == 0
 

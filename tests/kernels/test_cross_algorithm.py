@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import (bitonic_sort, introsort, losertree_merge,
-                           merge_two, multiway_merge, sample_sort,
-                           sort_floats)
+from repro.kernels import (introsort, merge_two, multiway_merge,
+                           sample_sort, sort_floats)
 from repro.workloads import DISTRIBUTIONS, generate
+from tests.kernels.oracles import losertree_merge
 
 SORTERS = {
     "radix": sort_floats,
-    "bitonic": bitonic_sort,
     "introsort": introsort,
     "samplesort": lambda a: sample_sort(a, threads=8),
     "numpy": np.sort,

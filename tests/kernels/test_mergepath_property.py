@@ -1,17 +1,13 @@
-"""Property tests for Merge Path partitioning (seeded-random loops).
+"""Property tests for the pair-wise merge (seeded-random loops).
 
-Adversarial inputs the binary search is most likely to get wrong:
-heavy duplicates, all-equal keys, empty sides, single elements and
-+/-inf keys.  Each case checks the documented invariants of ``corank``
-plus the end-to-end oracle ``np.sort`` / stable-concatenation.
+Adversarial inputs: heavy duplicates, all-equal keys, empty sides,
+single elements and +/-inf keys, each checked against the oracle
+``np.sort`` of the stable concatenation.
 """
 
 import numpy as np
-import pytest
 
-from repro.errors import ValidationError
-from repro.kernels.mergepath import (corank, merge_two, parallel_merge,
-                                     partition_merge)
+from repro.kernels.mergepath import merge_two
 
 RNG_SEED = 0xC0FFEE
 N_CASES = 150
@@ -35,47 +31,6 @@ def random_sorted_pair(rng):
     a.sort()
     b.sort()
     return a, b
-
-
-def check_corank_invariants(d, a, b):
-    i, j = corank(d, a, b)
-    assert i + j == d
-    assert 0 <= i <= len(a)
-    assert 0 <= j <= len(b)
-    # Stable cut: everything taken is <= everything left, and ties are
-    # taken from a first.
-    if i > 0 and j < len(b):
-        assert a[i - 1] <= b[j]
-    if j > 0 and i < len(a):
-        assert b[j - 1] < a[i]
-
-
-def test_corank_invariants_random():
-    rng = np.random.default_rng(RNG_SEED)
-    for _ in range(N_CASES):
-        a, b = random_sorted_pair(rng)
-        for d in {0, 1, (len(a) + len(b)) // 2, len(a) + len(b)}:
-            if d <= len(a) + len(b):
-                check_corank_invariants(d, a, b)
-
-
-def test_corank_all_equal_keys():
-    a = np.full(10, 5.0)
-    b = np.full(7, 5.0)
-    for d in range(18):
-        i, j = corank(d, a, b)
-        assert i + j == d
-        # Stability: with all ties, a is consumed before b.
-        assert i == min(d, 10)
-
-
-def test_corank_rejects_out_of_range():
-    a = np.array([1.0])
-    b = np.array([2.0])
-    with pytest.raises(ValidationError):
-        corank(3, a, b)
-    with pytest.raises(ValidationError):
-        corank(-1, a, b)
 
 
 def test_merge_two_matches_numpy_random():
@@ -124,36 +79,3 @@ def test_merge_two_infinities():
     got = merge_two(a, b)
     np.testing.assert_array_equal(
         got, np.array([-np.inf, -np.inf, 0.0, np.inf, np.inf, np.inf]))
-
-
-def test_partition_merge_segments_reassemble():
-    rng = np.random.default_rng(RNG_SEED + 2)
-    for _ in range(N_CASES // 2):
-        a, b = random_sorted_pair(rng)
-        total = len(a) + len(b)
-        for parts in (1, 2, 3, 7):
-            segs = partition_merge(a, b, parts)
-            assert len(segs) == parts
-            pieces = [merge_two(a[sa], b[sb]) for sa, sb in segs]
-            got = np.concatenate(pieces) if pieces else np.empty(0)
-            want = np.sort(np.concatenate([a, b]), kind="stable")
-            np.testing.assert_array_equal(got, want)
-            # Balance: each segment within one element of total/parts.
-            for sa, sb in segs:
-                seg_n = (sa.stop - sa.start) + (sb.stop - sb.start)
-                assert seg_n <= total // parts + 1
-
-
-def test_partition_merge_rejects_bad_parts():
-    with pytest.raises(ValidationError):
-        partition_merge(np.empty(0), np.empty(0), 0)
-
-
-def test_parallel_merge_matches_serial():
-    rng = np.random.default_rng(RNG_SEED + 3)
-    for _ in range(N_CASES // 2):
-        a, b = random_sorted_pair(rng)
-        want = merge_two(a, b)
-        for threads in (1, 2, 4, 9):
-            np.testing.assert_array_equal(
-                parallel_merge(a, b, threads=threads), want)

@@ -1,5 +1,5 @@
-"""Tests for k-way merging: loser tree, vectorised tree merge, and
-multi-sequence partitioning."""
+"""Tests for k-way merging: the multiway merge kernel against the
+loser-tree oracle."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.kernels.multiway import (losertree_merge, multiway_merge,
-                                    multiway_rank_split, partition_multiway)
+from repro.kernels.multiway import multiway_merge
+from tests.kernels.oracles import losertree_merge
 
 run_lists = st.lists(
     st.lists(st.integers(-30, 30), min_size=0, max_size=40)
@@ -117,87 +117,3 @@ def test_property_multiway_equals_sorted_concat(runs):
 @settings(max_examples=40, deadline=None)
 def test_property_losertree_equals_sorted_concat(runs):
     assert np.array_equal(losertree_merge(runs), ref(runs))
-
-
-# ---------------------------------------------------------------------------
-# multi-sequence selection / partitioning
-# ---------------------------------------------------------------------------
-
-def test_rank_split_extremes(rng):
-    runs = make_runs(rng, 4)
-    total = sum(map(len, runs))
-    assert multiway_rank_split(runs, 0) == [0] * 4
-    assert multiway_rank_split(runs, total) == [len(r) for r in runs]
-
-
-def test_rank_split_prefix_property(rng):
-    runs = make_runs(rng, 5)
-    total = sum(map(len, runs))
-    full = ref(runs)
-    for rank in range(0, total + 1, max(1, total // 13)):
-        cuts = multiway_rank_split(runs, rank)
-        assert sum(cuts) == rank
-        prefix = np.sort(np.concatenate(
-            [r[:c] for r, c in zip(runs, cuts)])) if rank else np.empty(0)
-        assert np.array_equal(prefix, full[:rank])
-
-
-@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
-def test_rank_split_exact_above_2_53(dtype):
-    """Integer keys above 2**53 do not survive a round trip through a
-    Python float; the search must stay in the runs' dtype."""
-    base = 2 ** 60
-    runs = [np.array([base, base + 1, base + 2], dtype=dtype),
-            np.array([base + 1, base + 3], dtype=dtype)]
-    assert multiway_rank_split(runs, 3) == [2, 1]
-    full = np.sort(np.concatenate(runs))
-    for rank in range(6):
-        cuts = multiway_rank_split(runs, rank)
-        prefix = np.sort(np.concatenate([r[:c] for r, c in zip(runs, cuts)]))
-        assert np.array_equal(prefix, full[:rank])
-    for parts in (2, 3, 5):
-        pieces = [multiway_merge([r[sl] for r, sl in zip(runs, grp)])
-                  for grp in partition_multiway(runs, parts)]
-        assert np.array_equal(np.concatenate(pieces), full)
-
-
-def test_rank_split_out_of_range(rng):
-    runs = make_runs(rng, 2)
-    with pytest.raises(ValidationError):
-        multiway_rank_split(runs, sum(map(len, runs)) + 1)
-
-
-def test_partition_multiway_reassembles(rng):
-    runs = make_runs(rng, 6, max_len=80)
-    for parts in (1, 2, 4, 7):
-        groups = partition_multiway(runs, parts)
-        assert len(groups) == parts
-        pieces = [multiway_merge([r[sl] for r, sl in zip(runs, grp)])
-                  for grp in groups]
-        assert np.array_equal(
-            np.concatenate([p for p in pieces if len(p)]) if
-            sum(map(len, pieces)) else np.empty(0),
-            ref(runs))
-
-
-def test_partition_multiway_balanced(rng):
-    runs = [np.sort(rng.normal(size=100)) for _ in range(4)]
-    groups = partition_multiway(runs, 8)
-    sizes = [sum(sl.stop - sl.start for sl in grp) for grp in groups]
-    assert max(sizes) - min(sizes) <= 1
-
-
-def test_partition_multiway_invalid_parts(rng):
-    with pytest.raises(ValidationError):
-        partition_multiway(make_runs(rng, 2), 0)
-
-
-@given(runs=run_lists, parts=st.integers(1, 6))
-@settings(max_examples=60, deadline=None)
-def test_property_partition_multiway(runs, parts):
-    groups = partition_multiway(runs, parts)
-    merged = [multiway_merge([r[sl] for r, sl in zip(runs, grp)])
-              for grp in groups]
-    flat = ([np.empty(0)] if not any(len(m) for m in merged)
-            else [m for m in merged if len(m)])
-    assert np.array_equal(np.concatenate(flat), ref(runs))

@@ -1,7 +1,7 @@
-"""Property tests for the loser-tree and partitioned k-way merge
+"""Property tests for the k-way merge kernel and its loser-tree oracle
 (seeded-random loops standing in for hypothesis).
 
-Covers the ISSUE's adversarial catalogue: heavy duplicates, all-equal
+Covers an adversarial catalogue: heavy duplicates, all-equal
 keys, empty runs, single-element runs and +/-inf keys; the loser tree is
 additionally checked for stability (ties resolved by run index) and the
 two engines are checked against each other.
@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.kernels.multiway import (losertree_merge, multiway_merge,
-                                    multiway_rank_split, partition_multiway)
+from repro.kernels.multiway import multiway_merge
+from tests.kernels.oracles import losertree_merge
 
 RNG_SEED = 0xBEEF
 N_CASES = 60
@@ -101,52 +101,6 @@ def test_losertree_stability_by_run_index():
     tagged = losertree_merge(runs)  # tags make keys distinct: sanity
     np.testing.assert_array_equal(
         tagged, np.array([1.1, 1.2, 1.3, 2.1, 2.2, 2.3]))
-
-
-def test_rank_split_prefix_property_random():
-    rng = np.random.default_rng(RNG_SEED + 2)
-    for _ in range(N_CASES):
-        runs = random_runs(rng)
-        total = sum(len(r) for r in runs)
-        if total == 0:
-            continue
-        merged = oracle(runs)
-        for rank in {0, 1, total // 3, total // 2, total}:
-            cuts = multiway_rank_split(runs, rank)
-            assert sum(cuts) == rank
-            taken = [r[:c] for r, c in zip(runs, cuts)]
-            got = np.sort(np.concatenate(taken)) if rank else np.empty(0)
-            np.testing.assert_array_equal(got, merged[:rank])
-
-
-def test_rank_split_rejects_out_of_range():
-    runs = [np.array([1.0, 2.0])]
-    with pytest.raises(ValidationError):
-        multiway_rank_split(runs, 3)
-    with pytest.raises(ValidationError):
-        multiway_rank_split(runs, -1)
-
-
-def test_partition_multiway_reassembles():
-    rng = np.random.default_rng(RNG_SEED + 3)
-    for _ in range(N_CASES // 2):
-        runs = random_runs(rng)
-        merged = oracle(runs)
-        for parts in (1, 2, 5):
-            groups = partition_multiway(runs, parts)
-            assert len(groups) == parts
-            pieces = []
-            for group in groups:
-                segs = [r[s] for r, s in zip(runs, group)]
-                pieces.append(losertree_merge(segs))
-            got = (np.concatenate(pieces) if any(len(p) for p in pieces)
-                   else np.empty(0))
-            np.testing.assert_array_equal(got, merged)
-
-
-def test_partition_multiway_rejects_bad_parts():
-    with pytest.raises(ValidationError):
-        partition_multiway([np.array([1.0])], 0)
 
 
 def test_rejects_non_1d_runs():

@@ -9,12 +9,11 @@ from hypothesis.extra import numpy as hnp
 
 import repro.kernels.radix as radix_mod
 from repro.errors import ValidationError
-from repro.kernels.radix import (counting_sort_pass,
-                                 counting_sort_pass_reference,
-                                 lsd_radix_sort_u64, sort_floats,
-                                 sort_floats_inplace)
+from repro.kernels.radix import (counting_sort_pass, lsd_radix_sort_u64,
+                                 sort_floats, sort_floats_inplace)
 from repro.kernels.utils import (float64_to_ordered_uint64, is_sorted,
                                  ordered_uint64_to_float64, same_multiset)
+from tests.kernels.oracles import counting_sort_pass_reference
 
 finite_f64 = st.floats(allow_nan=False, allow_infinity=True, width=64)
 

@@ -138,6 +138,19 @@ def test_append_rejects_tampered_entry(tmp_path):
         append_entries(tmp_path / "a.jsonl", [e])
 
 
+def test_entries_write_a_null_profile_and_older_profiles_still_load(
+        tmp_path):
+    e = synthetic_entry()
+    assert e["profile"] is None
+    # Archives written while entries carried a kernel-profile object.
+    old = dict(e, profile={"sim.engine.run": {"calls": 1, "total_s": 0.5}})
+    old["entry"] = entry_id(old)
+    path = tmp_path / "a.jsonl"
+    append_entries(path, [e, old])
+    assert validate_archive(path)["n_entries"] == 2
+    assert load_archive(path)[1]["profile"] == old["profile"]
+
+
 def test_manifest_path_sidecar():
     assert manifest_path("x/runs.jsonl") == "x/runs.manifest.json"
     assert manifest_path("runs") == "runs.manifest.json"

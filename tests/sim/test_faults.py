@@ -27,10 +27,41 @@ def test_bad_direction_rejected():
         FaultSpec(kind="pcie.transient", direction="sideways")
 
 
-@pytest.mark.parametrize("kw", [{"after": -1}, {"times": 0}])
+@pytest.mark.parametrize("kw", [{"after": -1}, {"times": 0},
+                                {"after": "x"}, {"times": 1.5},
+                                {"after": True}])
 def test_bad_counters_rejected(kw):
-    with pytest.raises(FaultPlanError, match="after >= 0"):
+    with pytest.raises(FaultPlanError, match="integer after >= 0"):
         FaultSpec(kind="pcie.transient", **kw)
+    with pytest.raises(FaultPlanError, match="integer after >= 0"):
+        FaultPlan.from_dict({"schema": FAULTS_SCHEMA, "faults": [
+            {"kind": "pcie.transient", **kw}]})
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("entry,match", [
+    (1, "each fault must be an object, got int"),
+    ([{"kind": "alloc.pinned"}], "each fault must be an object, got list"),
+    ({"kind": "gpu.lost", "gpu": "0"}, "gpu must be an integer"),
+    ({"kind": "gpu.lost", "gpu": -1}, "gpu must be an integer index >= 0"),
+    ({"kind": "gpu.lost", "gpu": 0, "at_s": _NAN}, "at_s must be a finite"),
+    ({"kind": "gpu.lost", "gpu": 0, "at_s": "1"}, "at_s must be a finite"),
+    ({"kind": "bandwidth.degrade", "link": "host_bus", "at_s": _NAN,
+      "duration_s": 0.01, "factor": 0.5}, "at_s must be a finite"),
+    ({"kind": "bandwidth.degrade", "link": "host_bus",
+      "duration_s": float("inf"), "factor": 0.5},
+     "duration_s must be a finite"),
+    ({"kind": "bandwidth.degrade", "link": "host_bus",
+      "duration_s": 0.01, "factor": _NAN}, "factor must be a finite"),
+])
+def test_malformed_plan_entries_rejected(entry, match):
+    """A malformed entry raises the typed error (exit 2 on the CLI), never
+    a TypeError; a NaN time or a negative GPU index never silently
+    misfires or skips a fault."""
+    with pytest.raises(FaultPlanError, match=match):
+        FaultPlan.from_dict({"schema": FAULTS_SCHEMA, "faults": [entry]})
 
 
 def test_negative_times_rejected():
@@ -94,6 +125,9 @@ def test_plan_schema_enforced(tmp_path):
         FaultPlan.from_dict([1, 2, 3])
     with pytest.raises(FaultPlanError, match="must be a list"):
         FaultPlan.from_dict({"schema": FAULTS_SCHEMA, "faults": {}})
+    with pytest.raises(FaultPlanError, match="seed must be an integer"):
+        FaultPlan.from_dict({"schema": FAULTS_SCHEMA, "faults": [],
+                             "seed": float("nan")})
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

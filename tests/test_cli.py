@@ -681,6 +681,20 @@ def test_missing_fault_plan_is_a_one_line_exit_2(cmd):
     assert "fault plan" in text
 
 
+@pytest.mark.parametrize("entry", [1, {"kind": "pcie.transient",
+                                       "after": "x"}])
+def test_malformed_fault_plan_is_a_one_line_exit_2(tmp_path, entry):
+    import json
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"schema": "repro.faults/v1",
+                                "faults": [entry]}))
+    code, text = run_cli("--n", "1e6", "--batch-size", "2.5e5",
+                         "--faults", str(plan))
+    assert code == 2
+    assert len(text.strip().splitlines()) == 1
+    assert text.startswith("repro: ")
+
+
 @pytest.mark.parametrize("argv,message", [
     (("--n", "0"), "nothing to sort (n=0)"),
     (("--n", "1e6", "--streams", "0"), "n_streams must be >= 1, got 0"),
