@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import re
@@ -62,6 +61,7 @@ sys.path.insert(0, os.path.join(_HERE, os.pardir, "src"))
 
 from repro.errors import GoldenError  # noqa: E402
 from repro.obs import canonical_json  # noqa: E402
+from repro.schema import is_number, read_json  # noqa: E402
 
 GOLDEN = os.path.join(_HERE, "results", "golden.json")
 GOLDEN_SCHEMA = "repro.golden/v1"
@@ -371,8 +371,7 @@ _HEX = re.compile(r"[0-9a-f]{64}")
 
 
 def _finite(where: str, value) -> None:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if not (is_number(value) and math.isfinite(value)):
         raise GoldenError(f"{where} must be a finite number, "
                           f"got {value!r}")
 
@@ -381,13 +380,7 @@ def load_golden(path: str, refreeze: _t.Collection[str] = ()) -> dict:
     """Read and validate a ``repro.golden/v1`` document; raises
     :class:`~repro.errors.GoldenError` on any malformation.  Pairs named
     in ``refreeze`` are about to be re-frozen and may be missing."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise GoldenError(f"{path}: unreadable ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("schema") != GOLDEN_SCHEMA:
-        raise GoldenError(f"{path}: not a {GOLDEN_SCHEMA} document")
+    doc = read_json(path, GoldenError, "golden file", GOLDEN_SCHEMA)
     tolerances, pairs = doc.get("tolerances"), doc.get("pairs")
     if not isinstance(tolerances, dict) or set(tolerances) != set(TOLERANCES):
         raise GoldenError(f"{path}: tolerances must hold exactly "

@@ -1013,12 +1013,6 @@ def _cmd_diff(args, out) -> int:
     try:
         a = load_report(args.report_a)
         b = load_report(args.report_b)
-    except OSError as exc:
-        out.write(f"repro diff: cannot read report: {exc}\n")
-        return 2
-    except ValueError as exc:
-        out.write(f"repro diff: report is not valid JSON: {exc}\n")
-        return 2
     except ReportError as exc:
         out.write(f"repro diff: {exc}\n")
         return 2
@@ -1056,7 +1050,7 @@ def _cmd_conformance(args, out) -> int:
     from repro.reporting import write_dashboard
     try:
         records = load_ledger(args.ledger)
-    except (OSError, LedgerError) as exc:
+    except LedgerError as exc:
         out.write(f"repro conformance: cannot load ledger: {exc}\n")
         return 2
     summary = conformance_summary(records, z_threshold=args.z_threshold,
@@ -1101,9 +1095,6 @@ def _cmd_watch(args, out) -> int:
     try:
         _, events = read_events(args.events)
         validate_events(events)
-    except OSError as exc:
-        out.write(f"repro watch: cannot read event log: {exc}\n")
-        return 2
     except EventLogError as exc:
         out.write(f"repro watch: invalid event log: {exc}\n")
         return 2
@@ -1127,11 +1118,9 @@ def _load_archive_or_exit(path, out, prog: str):
     from repro.obs import load_archive
     try:
         return load_archive(path)
-    except OSError as exc:
-        out.write(f"{prog}: cannot read archive: {exc}\n")
     except ArchiveError as exc:
         out.write(f"{prog}: invalid archive: {exc}\n")
-    return None
+        return None
 
 
 def _pick_entry(entries, token: str, out):

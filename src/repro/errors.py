@@ -121,7 +121,7 @@ class GoldenError(ReproError):
 
 
 class ReportError(ReproError):
-    """A run report handed to ``repro diff`` is valid JSON but not a
-    ``repro.report/v1`` document: not an object, an unknown schema, a
-    makespan that is not a number, or a section that is not an object
-    of numbers."""
+    """A run report handed to ``repro diff`` is not a readable
+    ``repro.report/v1`` document: unreadable or invalid JSON, not an
+    object, an unknown schema, a makespan that is not a number, or a
+    section that is not an object of numbers."""

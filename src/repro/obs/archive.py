@@ -34,13 +34,13 @@ analogous to :func:`repro.obs.sinks.validate_event_log`.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import typing as _t
 
 from repro.errors import ArchiveError
 from repro.obs.diff import canonical_json, run_report
+from repro.schema import is_number, read_json, read_jsonl
 
 __all__ = [
     "ARCHIVE_SCHEMA", "MANIFEST_SCHEMA", "fingerprint", "entry_id",
@@ -91,7 +91,7 @@ def entry_id(entry: _t.Mapping) -> str:
 def _check_metrics(metrics: _t.Mapping) -> dict:
     out = {}
     for k, v in metrics.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not is_number(v):
             raise ArchiveError(
                 f"metric {k!r} must be a number, got {type(v).__name__}")
         if isinstance(v, float) and not math.isfinite(v):
@@ -231,30 +231,11 @@ def manifest_path(path) -> str:
 
 
 def load_archive(path) -> list[dict]:
-    """Read archive entries back; raises :class:`ArchiveError` on
-    malformed lines or unknown schemas (integrity hashes are checked by
-    :func:`validate_archive`, not here)."""
-    entries = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ArchiveError(
-                    f"{path}:{lineno}: not valid JSON ({exc})") from exc
-            if not isinstance(entry, dict):
-                raise ArchiveError(
-                    f"{path}:{lineno}: expected a JSON object, got "
-                    f"{type(entry).__name__}")
-            if entry.get("schema") != ARCHIVE_SCHEMA:
-                raise ArchiveError(
-                    f"{path}:{lineno}: unknown archive schema "
-                    f"{entry.get('schema')!r} (expected {ARCHIVE_SCHEMA})")
-            entries.append(entry)
-    return entries
+    """Read archive entries back; raises :class:`ArchiveError` on an
+    unreadable file, malformed lines or unknown schemas (integrity
+    hashes are checked by :func:`validate_archive`, not here)."""
+    return list(read_jsonl(path, ArchiveError, "archive",
+                           ARCHIVE_SCHEMA).values())
 
 
 def build_manifest(entries: _t.Sequence[dict]) -> dict:
@@ -352,6 +333,9 @@ def validate_archive(path) -> dict:
         if missing:
             raise ArchiveError(
                 f"entry {i}: missing keys {missing}")
+        if not (isinstance(entry["point"], dict)
+                and isinstance(entry["metrics"], dict)):
+            raise ArchiveError(f"entry {i}: point and metrics must be objects")
         if entry["entry"] != entry_id(entry):
             raise ArchiveError(
                 f"entry {i} ({entry['entry']}): content hash mismatch "
@@ -370,17 +354,8 @@ def validate_archive(path) -> dict:
     mpath = manifest_path(path)
     if not os.path.exists(mpath):
         raise ArchiveError(f"manifest missing: {mpath}")
-    with open(mpath) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ArchiveError(
-                f"{mpath}: not valid JSON ({exc})") from exc
+    manifest = read_json(mpath, ArchiveError, "manifest", MANIFEST_SCHEMA)
     expected = build_manifest(entries)
-    if manifest.get("schema") != MANIFEST_SCHEMA:
-        raise ArchiveError(
-            f"{mpath}: unknown manifest schema {manifest.get('schema')!r}"
-            f" (expected {MANIFEST_SCHEMA})")
     for key in ("n_entries", "entries", "fingerprints", "sources"):
         if manifest.get(key) != expected[key]:
             raise ArchiveError(

@@ -26,6 +26,7 @@ from repro.errors import ReportError
 from repro.obs.causal import SpanGraph, critical_path_report
 from repro.obs.metrics import interval_length as _interval_length
 from repro.obs.metrics import merge_intervals as _merge_intervals
+from repro.schema import is_number, read_json
 from repro.sim.trace import Trace
 
 __all__ = ["run_report", "report_from_trace", "write_report", "load_report",
@@ -123,21 +124,14 @@ def write_report(report: dict, path) -> None:
         fh.write("\n")
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def load_report(path) -> dict:
-    """Read a run report written by :func:`write_report`.  I/O errors
-    and malformed JSON propagate as they are; a document that parses
-    but is not a ``repro.report/v1`` report :func:`diff_reports` can
-    compare raises :class:`~repro.errors.ReportError`."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
-        raise ReportError(f"{path}: not a {REPORT_SCHEMA} document")
+    """Read a run report written by :func:`write_report`; a file that
+    cannot be read, or is not a ``repro.report/v1`` report
+    :func:`diff_reports` can compare, raises
+    :class:`~repro.errors.ReportError`."""
+    doc = read_json(path, ReportError, "report", REPORT_SCHEMA)
     for key in ("makespan_s", "elapsed_s"):
-        if not _is_number(doc.get(key)):
+        if not is_number(doc.get(key)):
             raise ReportError(f"{path}: {key!r} must be a number")
     cp = doc.get("critical_path", {})
     sections = {key: doc.get(key, {})
@@ -146,7 +140,7 @@ def load_report(path) -> dict:
         cp.get("by_category", {}) if isinstance(cp, dict) else cp)
     for key, section in sections.items():
         if not (isinstance(section, dict)
-                and all(map(_is_number, section.values()))):
+                and all(map(is_number, section.values()))):
             raise ReportError(f"{path}: {key!r} must be an object of "
                               "numbers")
     return doc

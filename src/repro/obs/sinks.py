@@ -21,7 +21,7 @@ they observe, they never touch the simulation.
 
 from __future__ import annotations
 
-import json
+import numbers
 import sys
 import time
 import typing as _t
@@ -31,6 +31,7 @@ from repro.errors import EventLogError
 from repro.obs.counters import MetricsRecorder
 from repro.obs.diff import canonical_json
 from repro.obs.events import EV, EVENTS_SCHEMA, EventBus, Sink, TelemetryEvent
+from repro.schema import read_jsonl
 from repro.sim.trace import CAT, Trace
 
 __all__ = [
@@ -77,66 +78,77 @@ class JsonlSink(Sink):
             self._fh.flush()
 
 
+_REAL, _INT = numbers.Real, numbers.Integral
+_ENVELOPE = {"kind", "t", "seq", "data"}
+_MEM_FIELDS = {"pool": str, "name": str, "nbytes": _REAL, "balance": _REAL}
+
+#: kind -> {field: type} every event of that kind carries in its
+#: ``data``.  The number types are the ABCs, so numpy scalars in an
+#: in-memory stream pass as they do once written.
+_EVENT_FIELDS: dict[str, dict[str, type]] = {
+    EV.RUN_START: {}, EV.RUN_END: {},
+    EV.SPAN: {"id": _INT, "category": str, "label": str, "start": _REAL,
+              "end": _REAL, "lane": str, "nbytes": _REAL,
+              "elements": _INT, "meta": list, "deps": list},
+    EV.QUEUE: {"name": str, "depth": _INT},
+    EV.COUNTER: {"name": str, "value": _REAL},
+    EV.PHASE: {"name": str},
+    EV.WARNING: {"code": str, "message": str},
+    EV.FAULT: {"kind": str},
+    EV.RETRY: {"what": str, "attempt": _INT},
+    EV.DEGRADE: {"reason": str},
+    EV.MEM_ALLOC: _MEM_FIELDS, EV.MEM_FREE: _MEM_FIELDS,
+    EV.MEM_WATERMARK: {"pool": str, "peak_bytes": _REAL},
+    EV.FLOW_START: {"id": _INT, "nbytes": _REAL, "links": list},
+    EV.FLOW_RATE: {"id": _INT, "rate": _REAL},
+    EV.FLOW_END: {"id": _INT},
+    EV.JOB_SUBMIT: {"job": str, "tenant": str, "n": _INT},
+    EV.JOB_START: {"job": str, "tenant": str, "queued_s": _REAL},
+    EV.JOB_END: {"job": str, "tenant": str, "latency_s": _REAL},
+    EV.EPOCH: {"index": _INT},
+}
+
+
 def read_events(path) -> tuple[dict, list[TelemetryEvent]]:
     """Read a ``repro.events/v1`` JSONL log; returns ``(header,
-    events)``.  Raises :class:`~repro.errors.EventLogError` on a missing
-    or foreign schema header or unparsable lines."""
-    header: dict | None = None
-    events: list[TelemetryEvent] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EventLogError(
-                    f"{path}:{lineno}: not valid JSON ({exc})") from exc
-            if not isinstance(doc, dict):
-                raise EventLogError(
-                    f"{path}:{lineno}: expected a JSON object, got "
-                    f"{type(doc).__name__}")
-            if header is None:
-                if doc.get("schema") != EVENTS_SCHEMA:
-                    raise EventLogError(
-                        f"{path}:{lineno}: unknown event-log schema "
-                        f"{doc.get('schema')!r} (expected {EVENTS_SCHEMA})")
-                header = doc
-                continue
-            try:
-                events.append(TelemetryEvent.from_dict(doc))
-            except KeyError as exc:
-                raise EventLogError(
-                    f"{path}:{lineno}: event line missing {exc}") from exc
-    if header is None:
-        raise EventLogError(f"{path}: empty event log (no schema header)")
+    events)``.  Raises :class:`~repro.errors.EventLogError` on a file
+    :func:`repro.schema.read_jsonl` rejects or an event line without
+    ``kind``, ``t``, ``seq`` and an object ``data``."""
+    lines = iter(read_jsonl(path, EventLogError, "event-log",
+                            EVENTS_SCHEMA, header=True).items())
+    _, header = next(lines)
+    events = []
+    for lineno, doc in lines:
+        if not (_ENVELOPE <= doc.keys() and isinstance(doc["data"], dict)):
+            raise EventLogError(f"{path}:{lineno}: an event needs kind, "
+                                "t, seq and an object data")
+        events.append(TelemetryEvent.from_dict(doc))
     return header, events
-
-
-_SPAN_FIELDS = ("id", "category", "label", "start", "end", "lane",
-                "nbytes", "elements", "meta", "deps")
 
 
 def validate_events(events: _t.Sequence[TelemetryEvent]) -> dict:
     """Validate an in-memory event stream against the ``repro.events/v1``
     contract; returns a per-kind count summary.
 
-    Checks: known kinds; a gapless monotonic ``seq``; non-decreasing
-    event times; complete span records whose ids form the gapless
-    recording order with backward-pointing deps; ``run.start`` (if
-    present) first and ``run.end`` (if present) last.  Violations raise
+    Checks: known kinds; a gapless ``seq``; numeric, non-decreasing
+    times; ``run.start`` / ``run.end`` (if present) first / last; the
+    fields :data:`_EVENT_FIELDS` lists for each kind, with their types;
+    span ids in recording order with backward deps; no negative pool
+    balance or flow rate.  Violations raise
     :class:`~repro.errors.EventLogError`.
     """
     counts: dict[str, int] = {k: 0 for k in EV.ALL}
     n_spans = 0
     last_t = 0.0
     for i, ev in enumerate(events):
-        if ev.kind not in counts:
+        # EV.ALL is a tuple, so an unhashable kind reads as unknown.
+        if ev.kind not in EV.ALL:
             raise EventLogError(f"event {i}: unknown kind {ev.kind!r}")
         if ev.seq != i:
             raise EventLogError(
                 f"event {i}: sequence {ev.seq} breaks the gapless order")
+        if not isinstance(ev.t, _REAL):
+            raise EventLogError(f"event {i}: time {ev.t!r} is not a number")
         if ev.t < last_t:
             raise EventLogError(
                 f"event {i}: time {ev.t} precedes {last_t}")
@@ -146,71 +158,38 @@ def validate_events(events: _t.Sequence[TelemetryEvent]) -> dict:
             raise EventLogError(f"event {i}: run.start is not first")
         if ev.kind == EV.RUN_END and i != len(events) - 1:
             raise EventLogError(f"event {i}: run.end is not last")
+        d = ev.data
+        fields = _EVENT_FIELDS[ev.kind]
+        missing = [f for f in fields if f not in d]
+        if missing:
+            raise EventLogError(
+                f"event {i}: {ev.kind} record missing {missing}")
+        for name, want in fields.items():
+            if not isinstance(d[name], want):
+                raise EventLogError(
+                    f"event {i}: {ev.kind} {name} must be "
+                    f"{want.__name__}, got {type(d[name]).__name__}")
         if ev.kind == EV.SPAN:
-            missing = [f for f in _SPAN_FIELDS if f not in ev.data]
-            if missing:
+            if d["id"] != n_spans:
                 raise EventLogError(
-                    f"event {i}: span record missing {missing}")
-            if ev.data["id"] != n_spans:
-                raise EventLogError(
-                    f"event {i}: span id {ev.data['id']} breaks recording "
+                    f"event {i}: span id {d['id']} breaks recording "
                     f"order (expected {n_spans}); the log is not a "
                     "complete span stream")
-            if any(not 0 <= d < n_spans for d in ev.data["deps"]):
+            if not all(isinstance(dep, _INT) and 0 <= dep < n_spans
+                       for dep in d["deps"]):
                 raise EventLogError(
                     f"event {i}: span {n_spans} has a forward/invalid dep")
-            if ev.data["end"] < ev.data["start"]:
+            if d["end"] < d["start"]:
                 raise EventLogError(
                     f"event {i}: span ends before it starts")
             n_spans += 1
-        elif ev.kind == EV.COUNTER:
-            if "name" not in ev.data or "value" not in ev.data:
-                raise EventLogError(f"event {i}: counter without name/value")
-        elif ev.kind == EV.QUEUE:
-            if "name" not in ev.data or "depth" not in ev.data:
-                raise EventLogError(f"event {i}: queue without name/depth")
-        elif ev.kind == EV.PHASE:
-            if "name" not in ev.data:
-                raise EventLogError(f"event {i}: phase without name")
-        elif ev.kind == EV.FAULT:
-            if "kind" not in ev.data:
-                raise EventLogError(f"event {i}: fault without kind")
-        elif ev.kind == EV.RETRY:
-            if "what" not in ev.data or "attempt" not in ev.data:
-                raise EventLogError(
-                    f"event {i}: retry without what/attempt")
-        elif ev.kind == EV.DEGRADE:
-            if "reason" not in ev.data:
-                raise EventLogError(f"event {i}: degrade without reason")
-        elif ev.kind in (EV.MEM_ALLOC, EV.MEM_FREE):
-            missing = [f for f in ("pool", "name", "nbytes", "balance")
-                       if f not in ev.data]
-            if missing:
-                raise EventLogError(
-                    f"event {i}: {ev.kind} record missing {missing}")
-            if ev.data["balance"] < 0:
-                raise EventLogError(
-                    f"event {i}: {ev.kind} drove pool "
-                    f"{ev.data['pool']!r} balance negative")
-        elif ev.kind == EV.MEM_WATERMARK:
-            if "pool" not in ev.data or "peak_bytes" not in ev.data:
-                raise EventLogError(
-                    f"event {i}: mem.watermark without pool/peak_bytes")
-        elif ev.kind == EV.FLOW_START:
-            missing = [f for f in ("id", "nbytes", "links")
-                       if f not in ev.data]
-            if missing:
-                raise EventLogError(
-                    f"event {i}: flow.start record missing {missing}")
-        elif ev.kind == EV.FLOW_RATE:
-            if "id" not in ev.data or "rate" not in ev.data:
-                raise EventLogError(f"event {i}: flow.rate without id/rate")
-            if ev.data["rate"] < 0:
-                raise EventLogError(
-                    f"event {i}: flow.rate granted a negative rate")
-        elif ev.kind == EV.FLOW_END:
-            if "id" not in ev.data:
-                raise EventLogError(f"event {i}: flow.end without id")
+        elif ev.kind in (EV.MEM_ALLOC, EV.MEM_FREE) and d["balance"] < 0:
+            raise EventLogError(
+                f"event {i}: {ev.kind} drove pool {d['pool']!r} balance "
+                "negative")
+        elif ev.kind == EV.FLOW_RATE and d["rate"] < 0:
+            raise EventLogError(
+                f"event {i}: flow.rate granted a negative rate")
     return {"schema": EVENTS_SCHEMA, "n_events": len(events),
             "t_end": last_t, "counts": counts}
 

@@ -34,6 +34,7 @@ import typing as _t
 from repro.errors import LedgerError
 from repro.obs.conformance import attach_conformance
 from repro.obs.diff import canonical_json, run_report
+from repro.schema import read_jsonl
 
 if _t.TYPE_CHECKING:  # repro.model imports the sorter; keep obs import-light
     from repro.model.lowerbound import LowerBoundModel
@@ -210,33 +211,9 @@ def write_ledger(records: _t.Sequence[dict], path) -> None:
             fh.write("\n")
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite number {name}")
-
-
 def load_ledger(path) -> list[dict]:
-    """Read a JSONL ledger back; raises :class:`LedgerError` on
-    malformed lines, non-object lines, non-finite numbers (``NaN``,
-    ``Infinity``) or unknown schemas."""
-    import json
-    records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line, parse_constant=_reject_constant)
-            except ValueError as exc:
-                raise LedgerError(
-                    f"{path}:{lineno}: not valid JSON ({exc})") from exc
-            if not isinstance(rec, dict):
-                raise LedgerError(
-                    f"{path}:{lineno}: expected a JSON object, got "
-                    f"{type(rec).__name__}")
-            if rec.get("schema") != LEDGER_SCHEMA:
-                raise LedgerError(
-                    f"{path}:{lineno}: unknown ledger schema "
-                    f"{rec.get('schema')!r} (expected {LEDGER_SCHEMA})")
-            records.append(rec)
-    return records
+    """Read a JSONL ledger back; raises :class:`LedgerError` on an
+    unreadable file, malformed or non-object lines, non-finite numbers
+    (``NaN``, ``Infinity``) or unknown schemas."""
+    return list(read_jsonl(path, LedgerError, "ledger",
+                           LEDGER_SCHEMA).values())

@@ -45,6 +45,7 @@ import typing as _t
 from dataclasses import dataclass, fields
 
 from repro.errors import FaultPlanError
+from repro.schema import is_int, is_number, read_json
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Environment
@@ -54,10 +55,6 @@ __all__ = ["FaultKind", "FaultSpec", "FaultPlan", "FaultInjector",
 
 #: Schema identifier of serialised fault plans.
 FAULTS_SCHEMA = "repro.faults/v1"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class FaultKind:
@@ -84,7 +81,9 @@ class FaultSpec:
     For the counted kinds, ``after`` matching operations pass unharmed,
     then the next ``times`` matching operations -- retried attempts
     included -- each draw a failure.  ``gpu`` / ``direction`` narrow the
-    match (``None`` matches any).  ``gpu.lost`` kills device ``gpu`` at
+    match (``None`` matches any); only ``pcie.transient`` takes a
+    ``direction``, and ``alloc.pinned`` takes no ``gpu``, because no
+    hook could match them.  ``gpu.lost`` kills device ``gpu`` at
     ``at_s``; ``bandwidth.degrade`` scales ``link``'s capacity by
     ``factor`` for ``duration_s`` seconds starting at ``at_s``.
     """
@@ -102,22 +101,25 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in FaultKind.ALL:
             raise FaultPlanError(f"unknown fault kind {self.kind!r}")
-        if self.direction is not None and self.direction not in ("HtoD",
-                                                                 "DtoH"):
-            raise FaultPlanError(f"bad direction {self.direction!r}")
-        if not (_is_int(self.after) and _is_int(self.times)
+        allowed = ("HtoD", "DtoH") if self.kind == FaultKind.TRANSFER else ()
+        if self.direction not in (None, *allowed):
+            raise FaultPlanError(
+                f"{self.kind} cannot take direction {self.direction!r}")
+        if self.gpu is not None and self.kind == FaultKind.PINNED_ALLOC:
+            raise FaultPlanError(
+                f"alloc.pinned cannot take a gpu, got {self.gpu!r}")
+        if not (is_int(self.after) and is_int(self.times)
                 and self.after >= 0 and self.times >= 1):
             raise FaultPlanError(
                 f"need integer after >= 0 and times >= 1 "
                 f"(got after={self.after!r}, times={self.times!r})")
-        if self.gpu is not None and not (_is_int(self.gpu)
+        if self.gpu is not None and not (is_int(self.gpu)
                                          and self.gpu >= 0):
             raise FaultPlanError(
                 f"gpu must be an integer index >= 0, got {self.gpu!r}")
         for name in ("at_s", "duration_s", "factor"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float))
-                    and not isinstance(value, bool) and math.isfinite(value)):
+            if not (is_number(value) and math.isfinite(value)):
                 raise FaultPlanError(
                     f"{name} must be a finite number, got {value!r}")
         if self.at_s < 0 or self.duration_s < 0:
@@ -200,21 +202,13 @@ class FaultPlan:
             raise FaultPlanError("'faults' must be a list")
         faults = tuple(FaultSpec.from_dict(f) for f in raw)
         seed = doc.get("seed")
-        if seed is not None and not _is_int(seed):
+        if seed is not None and not is_int(seed):
             raise FaultPlanError(f"seed must be an integer, got {seed!r}")
         return cls(faults=faults, seed=seed)
 
     @classmethod
     def load(cls, path) -> "FaultPlan":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise FaultPlanError(f"cannot read fault plan: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise FaultPlanError(
-                f"fault plan {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, FaultPlanError, "fault plan"))
 
     # -- generation ---------------------------------------------------------
 
@@ -266,6 +260,8 @@ class FaultPlan:
             else:
                 gpu = (int(rng.integers(0, n_gpus))
                        if rng.random() < 0.5 else None)
+                if kind == FaultKind.PINNED_ALLOC:
+                    gpu = None      # drawn above to keep the RNG stream
                 direction = None
                 if kind == FaultKind.TRANSFER and rng.random() < 0.67:
                     direction = ("HtoD", "DtoH")[int(rng.integers(0, 2))]

@@ -55,6 +55,12 @@ _NAN = float("nan")
      "duration_s must be a finite"),
     ({"kind": "bandwidth.degrade", "link": "host_bus",
       "duration_s": 0.01, "factor": _NAN}, "factor must be a finite"),
+    # Fields no hook passes: such a spec could never fire.
+    ({"kind": "alloc.pinned", "gpu": 0}, "alloc.pinned cannot take a gpu"),
+    ({"kind": "alloc.device", "direction": "HtoD"},
+     "alloc.device cannot take direction 'HtoD'"),
+    ({"kind": "alloc.pinned", "direction": "DtoH"},
+     "alloc.pinned cannot take direction 'DtoH'"),
 ])
 def test_malformed_plan_entries_rejected(entry, match):
     """A malformed entry raises the typed error (exit 2 on the CLI), never
@@ -153,12 +159,30 @@ def test_random_plans_are_seed_deterministic():
     assert FaultPlan.random(1235, n_gpus=2) != a
 
 
+def _can_fire(spec, n_gpus):
+    """Whether ``spec`` alone fires on the ops its hook sees first."""
+    if spec.kind == FaultKind.GPU_LOST:
+        return spec.gpu < n_gpus
+    if spec.kind == FaultKind.BANDWIDTH:
+        return spec.link in FaultKind.LINKS
+    inj = FaultInjector(FaultPlan(faults=(spec,)))
+    gpu = 0 if spec.gpu is None else spec.gpu
+    hook = {FaultKind.TRANSFER:
+            lambda: inj.on_transfer(gpu, spec.direction or "HtoD"),
+            FaultKind.PINNED_ALLOC: inj.on_pinned_alloc,
+            FaultKind.DEVICE_ALLOC: lambda: inj.on_device_alloc(gpu)}
+    return any(hook[spec.kind]() is spec for _ in range(spec.after + 1))
+
+
 def test_random_plan_respects_gates():
     for seed in range(20):
         plan = FaultPlan.random(seed, n_gpus=1, allow_bandwidth=False)
         kinds = {f.kind for f in plan.faults}
         assert FaultKind.GPU_LOST not in kinds      # single GPU: no loss
         assert FaultKind.BANDWIDTH not in kinds
+    for seed in range(200):
+        for spec in FaultPlan.random(seed, n_gpus=2).faults:
+            assert _can_fire(spec, n_gpus=2), (seed, spec)
     with pytest.raises(FaultPlanError, match="max_faults"):
         FaultPlan.random(0, max_faults=0)
     with pytest.raises(FaultPlanError, match="horizon_s"):

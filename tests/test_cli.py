@@ -244,6 +244,30 @@ def test_conformance_missing_ledger():
     assert "cannot load ledger" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ("watch", "{bad}"), ("diff", "{bad}", "{bad}"),
+    ("conformance", "--ledger", "{bad}"), ("archive", "{bad}"),
+    ("trends", "{bad}"), ("--n", "1e6", "--faults", "{bad}")])
+def test_non_utf8_document_exits_2_with_one_line(tmp_path, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff")
+    code, text = run_cli(*(a.format(bad=bad) for a in argv))
+    assert code == 2
+    assert len(text.strip().splitlines()) == 1
+    assert "not UTF-8" in text
+
+
+def test_watch_rejects_a_string_time(tmp_path):
+    log = tmp_path / "t.events.jsonl"
+    log.write_text('{"schema":"repro.events/v1"}\n'
+                   '{"kind":"phase","t":"0.5","seq":0,'
+                   '"data":{"name":"a"}}\n')
+    code, text = run_cli("watch", str(log))
+    assert code == 2
+    assert len(text.strip().splitlines()) == 1
+    assert "invalid event log" in text
+
+
 def test_sweep_unknown_grid_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--grid", "gigantic"])
