@@ -65,9 +65,9 @@ from repro.obs.conformance import (attach_conformance, conformance_record,
                                    conformance_summary, fit_line,
                                    group_conformance, residual_attribution)
 from repro.obs.counters import CounterSeries, MetricsRecorder
-from repro.obs.diff import (canonical_json, check_regression, diff_reports,
-                            load_report, render_diff, report_from_trace,
-                            run_report, write_report)
+from repro.obs.diff import (canonical_json, diff_reports, load_report,
+                            render_diff, report_from_trace, run_report,
+                            write_report)
 from repro.obs.events import (EV, EVENTS_SCHEMA, EventBus, Sink,
                               TelemetryEvent)
 from repro.obs.flows import (CONTENTION_SCHEMA, FLOWS_SCHEMA,
@@ -102,8 +102,8 @@ __all__ = [
     "detect_bubbles",
     "SpanGraph", "CausalGraphError", "critical_path_report",
     "whatif_report", "sensitivity_report",
-    "run_report", "report_from_trace", "diff_reports", "check_regression",
-    "render_diff", "write_report", "load_report", "canonical_json",
+    "run_report", "report_from_trace", "diff_reports", "render_diff",
+    "write_report", "load_report", "canonical_json",
     "GRIDS", "sweep_points", "run_sweep", "ledger_record",
     "write_ledger", "load_ledger",
     "residual_attribution", "conformance_record", "attach_conformance",

@@ -232,10 +232,16 @@ def manifest_path(path) -> str:
 
 def load_archive(path) -> list[dict]:
     """Read archive entries back; raises :class:`ArchiveError` on an
-    unreadable file, malformed lines or unknown schemas (integrity
-    hashes are checked by :func:`validate_archive`, not here)."""
-    return list(read_jsonl(path, ArchiveError, "archive",
-                           ARCHIVE_SCHEMA).values())
+    unreadable file, malformed lines, unknown schemas or an entry
+    without the full key set (integrity hashes are checked by
+    :func:`validate_archive`, not here)."""
+    entries = list(read_jsonl(path, ArchiveError, "archive",
+                              ARCHIVE_SCHEMA).values())
+    for i, entry in enumerate(entries):
+        missing = [k for k in _REQUIRED_KEYS if k not in entry]
+        if missing:
+            raise ArchiveError(f"entry {i}: missing keys {missing}")
+    return entries
 
 
 def build_manifest(entries: _t.Sequence[dict]) -> dict:
@@ -319,9 +325,10 @@ def validate_archive(path) -> dict:
     :func:`archive_summary`.
 
     Checks, in order: every line parses with the ``repro.archive/v1``
-    schema; every entry carries the full key set; every ``entry`` id
-    matches the recomputed content hash of its body and every
-    ``fingerprint`` the recomputed hash of its point; ids are unique;
+    schema and every entry carries the full key set
+    (:func:`load_archive`); every ``entry`` id matches the recomputed
+    content hash of its body and every ``fingerprint`` the recomputed
+    hash of its point; ids are unique;
     metrics are finite numbers; the manifest sidecar exists and agrees
     (schema, count, id order, fingerprint/source counts).  Violations
     raise :class:`~repro.errors.ArchiveError`.
@@ -329,10 +336,6 @@ def validate_archive(path) -> dict:
     entries = load_archive(path)
     seen: set[str] = set()
     for i, entry in enumerate(entries):
-        missing = [k for k in _REQUIRED_KEYS if k not in entry]
-        if missing:
-            raise ArchiveError(
-                f"entry {i}: missing keys {missing}")
         if not (isinstance(entry["point"], dict)
                 and isinstance(entry["metrics"], dict)):
             raise ArchiveError(f"entry {i}: point and metrics must be objects")

@@ -30,8 +30,7 @@ from repro.schema import is_number, read_json
 from repro.sim.trace import Trace
 
 __all__ = ["run_report", "report_from_trace", "write_report", "load_report",
-           "diff_reports", "check_regression", "render_diff",
-           "canonical_json"]
+           "diff_reports", "render_diff", "canonical_json"]
 
 REPORT_SCHEMA = "repro.report/v1"
 DIFF_SCHEMA = "repro.diff/v1"
@@ -206,30 +205,6 @@ def diff_reports(a: dict, b: dict, tolerance: float = 0.0) -> dict:
         "zero": zero,
         "regression": makespan["rel"] > tolerance,
     }
-
-
-def check_regression(current: dict, baseline: dict,
-                     tolerance: float = 0.02) -> dict:
-    """Gate verdict for one scenario: current vs. committed baseline.
-
-    Fails (``ok = False``) when the makespan regressed by more than
-    ``tolerance`` (relative) or the trace structure changed (spans
-    appeared, disappeared, or changed multiplicity) -- structure changes
-    mean the scenario no longer measures what the baseline froze.
-    """
-    d = diff_reports(baseline, current, tolerance=tolerance)
-    failures = []
-    if d["regression"]:
-        failures.append(
-            f"makespan regressed {d['makespan']['rel'] * 100:+.2f}% "
-            f"({d['makespan']['a']:.6f}s -> {d['makespan']['b']:.6f}s, "
-            f"tolerance {tolerance * 100:.1f}%)")
-    if d["structural_change"]:
-        sp = d["spans"]
-        failures.append(
-            f"trace structure changed: +{len(sp['added'])} span shapes, "
-            f"-{len(sp['removed'])}, {len(sp['recounted'])} recounted")
-    return {"ok": not failures, "failures": failures, "diff": d}
 
 
 # ---------------------------------------------------------------------------

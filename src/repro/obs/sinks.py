@@ -83,10 +83,13 @@ _ENVELOPE = {"kind", "t", "seq", "data"}
 _MEM_FIELDS = {"pool": str, "name": str, "nbytes": _REAL, "balance": _REAL}
 
 #: kind -> {field: type} every event of that kind carries in its
-#: ``data``.  The number types are the ABCs, so numpy scalars in an
-#: in-memory stream pass as they do once written.
+#: ``data``.  A trailing ``?`` marks a field that may be absent or null
+#: but is typed when present, because a reader computes with it.  The
+#: number types are the ABCs, so numpy scalars in an in-memory stream
+#: pass as they do once written.
 _EVENT_FIELDS: dict[str, dict[str, type]] = {
-    EV.RUN_START: {}, EV.RUN_END: {},
+    EV.RUN_START: {"n?": _REAL, "n_batches?": _REAL},
+    EV.RUN_END: {"elapsed_s?": _REAL},
     EV.SPAN: {"id": _INT, "category": str, "label": str, "start": _REAL,
               "end": _REAL, "lane": str, "nbytes": _REAL,
               "elements": _INT, "meta": list, "deps": list},
@@ -98,7 +101,8 @@ _EVENT_FIELDS: dict[str, dict[str, type]] = {
     EV.RETRY: {"what": str, "attempt": _INT},
     EV.DEGRADE: {"reason": str},
     EV.MEM_ALLOC: _MEM_FIELDS, EV.MEM_FREE: _MEM_FIELDS,
-    EV.MEM_WATERMARK: {"pool": str, "peak_bytes": _REAL},
+    EV.MEM_WATERMARK: {"pool": str, "peak_bytes": _REAL,
+                       "capacity_bytes?": _REAL},
     EV.FLOW_START: {"id": _INT, "nbytes": _REAL, "links": list},
     EV.FLOW_RATE: {"id": _INT, "rate": _REAL},
     EV.FLOW_END: {"id": _INT},
@@ -160,11 +164,14 @@ def validate_events(events: _t.Sequence[TelemetryEvent]) -> dict:
             raise EventLogError(f"event {i}: run.end is not last")
         d = ev.data
         fields = _EVENT_FIELDS[ev.kind]
-        missing = [f for f in fields if f not in d]
+        missing = [f for f in fields if f[-1] != "?" and f not in d]
         if missing:
             raise EventLogError(
                 f"event {i}: {ev.kind} record missing {missing}")
-        for name, want in fields.items():
+        for field, want in fields.items():
+            name = field.rstrip("?")
+            if name != field and d.get(name) is None:
+                continue
             if not isinstance(d[name], want):
                 raise EventLogError(
                     f"event {i}: {ev.kind} {name} must be "

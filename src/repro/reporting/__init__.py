@@ -15,15 +15,14 @@ from repro.reporting.html import (render_dashboard,
                                   write_trend_dashboard)
 from repro.reporting.live import (format_bytes, render_bar,
                                   render_plain_line, render_snapshot)
-from repro.reporting.series import (FigureSeries, crossover, sparkline,
-                                    speedup_series)
+from repro.reporting.series import FigureSeries, crossover, sparkline
 from repro.reporting.table import (format_count, format_seconds,
                                    render_metrics_table, render_table)
 
 __all__ = [
     "render_table", "format_seconds", "format_count",
     "render_metrics_table",
-    "FigureSeries", "speedup_series", "crossover", "sparkline",
+    "FigureSeries", "crossover", "sparkline",
     "render_gantt", "to_chrome_trace", "write_chrome_trace",
     "render_dashboard", "write_dashboard",
     "render_trend_dashboard", "write_trend_dashboard",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass, field
 
-__all__ = ["FigureSeries", "speedup_series", "crossover", "sparkline"]
+__all__ = ["FigureSeries", "crossover", "sparkline"]
 
 #: Eight-level block glyphs used by :func:`sparkline`, lowest first.
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
@@ -78,12 +78,6 @@ def sparkline(values: _t.Sequence[float],
             level = int((v - lo) / span * (len(SPARK_BLOCKS) - 1))
             out.append(SPARK_BLOCKS[level])
     return "".join(out)
-
-
-def speedup_series(baseline: FigureSeries,
-                   candidate: FigureSeries) -> FigureSeries:
-    """Speedup of ``candidate`` over ``baseline`` at each x."""
-    return candidate.ratio_to(baseline)
 
 
 def crossover(a: FigureSeries, b: FigureSeries) -> float | None:

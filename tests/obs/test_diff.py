@@ -1,12 +1,11 @@
-"""Tests for trace diffing and the regression-gate verdict logic."""
+"""Tests for trace diffing."""
 
 import pytest
 
 from repro.hetsort import HeterogeneousSorter
 from repro.hw.platforms import PLATFORM1
-from repro.obs.diff import (check_regression, diff_reports, load_report,
-                            render_diff, report_from_trace, run_report,
-                            write_report)
+from repro.obs.diff import (diff_reports, load_report, render_diff,
+                            report_from_trace, run_report, write_report)
 from repro.sim.trace import CAT, Trace
 
 
@@ -155,33 +154,3 @@ def test_recount_detected():
     assert d["spans"]["recounted"] == {"HtoD|x|l": {"a": 2, "b": 3}}
     assert d["structural_change"]
 
-
-# ---------------------------------------------------------------------------
-# Gate verdicts
-# ---------------------------------------------------------------------------
-
-
-def test_check_regression_ok_on_identical():
-    rep = run_report(small_run())
-    verdict = check_regression(rep, rep)
-    assert verdict["ok"] and not verdict["failures"]
-
-
-def test_check_regression_fails_on_slowdown():
-    res = small_run()
-    base = run_report(res)
-    cur = report_from_trace(scaled_trace(res.trace, 1.2))
-    verdict = check_regression(cur, base, tolerance=0.02)
-    assert not verdict["ok"]
-    assert any("regressed" in f for f in verdict["failures"])
-
-
-def test_check_regression_fails_on_structure():
-    res = small_run()
-    base = run_report(res)
-    t = scaled_trace(res.trace, 1.0)
-    _, t1 = t.window()
-    t.record(CAT.SYNC, "extra", t1, t1, lane="host")
-    verdict = check_regression(report_from_trace(t), base)
-    assert not verdict["ok"]
-    assert any("structure" in f for f in verdict["failures"])

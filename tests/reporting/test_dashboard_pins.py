@@ -28,6 +28,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 ARCHIVE = ROOT / "benchmarks" / "results" / "archive.jsonl"
+#: The trend pages render the committed archive's first entries, the
+#: ones their pins were frozen on: the archive is append-only and grows
+#: whenever the golden gate gains a pair, which is new input, not a
+#: rendering change.
+ARCHIVE_ENTRIES = 22
 
 
 class DashboardExtract(HTMLParser):
@@ -143,7 +148,7 @@ def _service_verdict() -> dict:
 
 def _trends() -> dict:
     from repro.obs import load_archive, trend_summary
-    return trend_summary(load_archive(ARCHIVE))
+    return trend_summary(load_archive(ARCHIVE)[:ARCHIVE_ENTRIES])
 
 
 _EMPTY_MEMORY = {"schema": "repro.memory/v1", "pools": {},

@@ -6,7 +6,7 @@ import pytest
 
 from repro.reporting import (FigureSeries, crossover, format_count,
                              format_seconds, render_metrics_table,
-                             render_table, sparkline, speedup_series)
+                             render_table, sparkline)
 
 # ---------------------------------------------------------------------------
 # sparkline
@@ -66,7 +66,7 @@ def test_speedup_and_crossover():
                       (3.0, 8.0, 4.0)]:
         base.add(x, yb)
         cand.add(x, yc)
-    sp = speedup_series(base, cand)
+    sp = cand.ratio_to(base)
     assert sp.name == "cpu/gpu"
     assert sp.y == [0.5, 1.0, 2.0]
     assert crossover(base, cand) == 2.0      # exact grid-point tie

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.reporting import (FigureSeries, crossover, format_count,
-                             format_seconds, render_gantt, render_table,
-                             speedup_series)
+                             format_seconds, render_gantt, render_table)
 from repro.sim.trace import CAT, Trace
 
 # ---------------------------------------------------------------------------
@@ -64,7 +63,7 @@ def test_speedup_series():
     for x, r, f in [(1, 10.0, 5.0), (2, 20.0, 5.0)]:
         ref.add(x, r)
         fast.add(x, f)
-    sp = speedup_series(ref, fast)
+    sp = fast.ratio_to(ref)
     assert sp.y == [2.0, 4.0]
 
 
@@ -74,7 +73,7 @@ def test_speedup_requires_same_grid():
     a.add(1, 1.0)
     b.add(2, 1.0)
     with pytest.raises(ValueError):
-        speedup_series(a, b)
+        b.ratio_to(a)
 
 
 def test_crossover_found():

@@ -257,6 +257,29 @@ def test_non_utf8_document_exits_2_with_one_line(tmp_path, argv):
     assert "not UTF-8" in text
 
 
+_KEYLESS_ARCHIVE = '{"schema":"repro.archive/v1"}\n'
+_RUN_START = ('{"kind":"run.start","t":0,"seq":0,'
+              '"data":{"n_batches":"4"}}\n')
+_WATERMARK = ('{"kind":"mem.watermark","t":0,"seq":0,"data":{"pool":"gpu0",'
+              '"peak_bytes":8,"capacity_bytes":"16"}}\n')
+_SORTED = '{"kind":"phase","t":0.5,"seq":1,"data":{"name":"run.sorted"}}\n'
+_EVENTS = '{"schema":"repro.events/v1"}\n'
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("trends", "{bad}"), _KEYLESS_ARCHIVE),
+    (("archive", "{bad}", "--diff", "x", "y"), _KEYLESS_ARCHIVE),
+    (("watch", "{bad}"), _EVENTS + _RUN_START + _SORTED),
+    (("watch", "{bad}"), _EVENTS + _WATERMARK)])
+def test_wrong_keys_or_types_exit_2_with_one_line(tmp_path, argv, text):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text)
+    code, out = run_cli(*(a.format(bad=bad) for a in argv))
+    assert code == 2
+    assert len(out.strip().splitlines()) == 1
+    assert ("missing keys" in out) != ("must be Real" in out)
+
+
 def test_watch_rejects_a_string_time(tmp_path):
     log = tmp_path / "t.events.jsonl"
     log.write_text('{"schema":"repro.events/v1"}\n'

@@ -141,7 +141,7 @@ def _damage_event(doc, data) -> None:
     elif target == "data":
         doc["data"] = data.draw(NON_OBJECTS)
     else:
-        doc["data"][target] = 1 if fields[target] is str else "x"
+        doc["data"][target.rstrip("?")] = 1 if fields[target] is str else "x"
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
@@ -184,6 +184,20 @@ def test_every_reader_raises_only_its_typed_error(name, data, base,
 
 def test_event_field_table_covers_every_kind():
     assert set(_EVENT_FIELDS) == set(EV.ALL)
+
+
+@pytest.mark.parametrize("kind, field", [("run.start", "n_batches"),
+                                         ("mem.watermark", "capacity_bytes")])
+def test_optional_field_a_reader_divides_by_is_typed(kind, field, base,
+                                                     tmp_path):
+    head, *lines = (base / "run.events.jsonl").read_text().splitlines()
+    docs = [json.loads(line) for line in lines]
+    doc = next(d for d in docs if d["kind"] == kind)
+    doc["data"][field] = "4"
+    path = tmp_path / "run.events.jsonl"
+    path.write_text("\n".join([head, *map(json.dumps, docs)]) + "\n")
+    with pytest.raises(EventLogError, match=f"{kind} {field} must be Real"):
+        validate_event_log(path)
 
 
 @pytest.mark.parametrize("value, number, integer", [
