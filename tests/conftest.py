@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -47,3 +49,28 @@ def shrunk_platform():
         return dataclasses.replace(p, gpus=gpus, hostmem=hostmem)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def gate():
+    """``benchmarks/gate.py``, loaded as a module."""
+    path = (pathlib.Path(__file__).resolve().parents[1]
+            / "benchmarks" / "gate.py")
+    spec = importlib.util.spec_from_file_location("gate", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.fixture(scope="session")
+def gate_measured(gate):
+    """Every golden-corpus pair as measured on this code; the corpus runs
+    once per session."""
+    return gate.run_corpus()
+
+
+@pytest.fixture(scope="session")
+def golden_failures(gate, gate_measured):
+    """Each corpus pair's failure messages against the committed golden
+    file, by pair; an empty list means the pair reproduces."""
+    return gate.check(gate.load_golden(gate.GOLDEN), gate_measured)
