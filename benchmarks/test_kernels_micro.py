@@ -2,9 +2,10 @@
 wall-clock via pytest-benchmark).
 
 These are the real-computation counterpart of the simulated studies: the
-device sort kernel (Thrust stand-in) vs. numpy's sort, the LSD radix
-reference at 8-bit vs. 16-bit digits, the pair and multiway merges, and
-sample sort.
+device sort kernel (Thrust stand-in) vs. numpy's sort, also on an input
+laden with signed zeros, the LSD radix reference at 8-bit vs. 16-bit
+digits, the pair and multiway merges (also into a preallocated output,
+as the final merge writes into ``B``), and sample sort.
 
 Compare locally with ``pytest benchmarks/test_kernels_micro.py``; CI runs
 the file with ``--benchmark-disable`` as a smoke test of the sortedness
@@ -35,6 +36,17 @@ def runs():
 def test_bench_radix_sort(benchmark, data):
     out = benchmark(sort_floats, data)
     assert np.all(out[:-1] <= out[1:])
+
+
+def test_bench_radix_sort_signed_zeros(benchmark, data):
+    """A fifth of the keys are -0.0 or +0.0: the device sort must put
+    every -0.0 first (key order) whatever numpy's sort does to them."""
+    laden = data - 0.5
+    laden[::10], laden[5::10] = -0.0, 0.0
+    out = benchmark(sort_floats, laden)
+    assert np.all(out[:-1] <= out[1:])
+    signs = np.signbit(out[out == 0])
+    assert np.array_equal(signs, np.arange(len(signs)) < N // 10)
 
 
 @pytest.mark.parametrize("radix_bits", [8, 16])
@@ -70,6 +82,12 @@ def test_bench_merge_two(benchmark, data):
 def test_bench_multiway_merge_10_runs(benchmark, runs):
     out = benchmark(multiway_merge, runs)
     assert np.all(out[:-1] <= out[1:])
+
+
+def test_bench_multiway_merge_into_out(benchmark, runs):
+    buf = np.empty(N)
+    out = benchmark(multiway_merge, runs, buf)
+    assert out is buf and np.all(out[:-1] <= out[1:])
 
 
 def test_bench_multiway_merge_8_runs(benchmark, data):

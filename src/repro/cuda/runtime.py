@@ -61,7 +61,8 @@ class Runtime:
         self._streams: list[Stream] = []
         self._stream_counter = 0
         # Functional on-GPU sort.  Default: the ordered-key sort, bit-equal
-        # to a radix sort.  Imported lazily to keep layering acyclic.
+        # to a radix sort; a custom kernel must leave its batch in that key
+        # order (-0.0 before +0.0).  Imported lazily to keep layering acyclic.
         if sort_kernel is None:
             from repro.kernels.radix import sort_floats_inplace
             sort_kernel = sort_floats_inplace

@@ -5,6 +5,11 @@ NaN-laden output could slip through a naive elementwise ``<=`` check
 (single-element arrays) or make the "first failing index" diagnostic lie
 (``argmax`` over an all-False ``>`` mask reports index 0).  Validation
 therefore rejects NaN up front, with positions, before any order check.
+
+One sort checks the rest: the output equals ``np.sort`` of the input by
+value (exact, since equal non-NaN floats other than ±0 have equal bits)
+and its zero block holds the input's ``-0.0`` count, then ``+0.0``: the
+key order.  The kernels' helper is not called, so it cannot hide a bug.
 """
 
 from __future__ import annotations
@@ -12,16 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kernels.utils import (first_unsorted_index, has_nan,
-                                 same_multiset)
+from repro.kernels.utils import first_unsorted_index, has_nan
 
 __all__ = ["check_sorted_permutation"]
 
 
 def check_sorted_permutation(original: np.ndarray,
                              output: np.ndarray) -> None:
-    """Raise :class:`ValidationError` unless ``output`` is a sorted
-    permutation of ``original`` (NaN-free total order required)."""
+    """Raise :class:`ValidationError` unless ``output`` is a permutation
+    of ``original`` sorted in key order (NaN-free; ``-0.0`` before
+    ``+0.0``)."""
     if output is None:
         raise ValidationError("no output produced (timing-only run?)")
     if has_nan(original):
@@ -36,11 +41,19 @@ def check_sorted_permutation(original: np.ndarray,
             f"output contains NaN (first at index {idx}, "
             f"{int(np.isnan(output).sum())} total) although the input "
             "had none")
-    bad = first_unsorted_index(output)
-    if bad is not None:
-        raise ValidationError(
-            f"output not sorted at index {bad}: "
-            f"{output[bad]!r} followed by {output[bad + 1]!r}")
-    if not same_multiset(original, output):
+    if output.dtype != original.dtype or not np.array_equal(
+            np.sort(original), output):
+        bad = first_unsorted_index(output)
+        if bad is not None:
+            raise ValidationError(
+                f"output not sorted at index {bad}: "
+                f"{output[bad]!r} followed by {output[bad + 1]!r}")
         raise ValidationError(
             "output is not a permutation of the input")
+    neg = int(np.count_nonzero(np.signbit(original[original == 0])))
+    lo = int(np.searchsorted(output, 0, "left"))
+    signs = np.signbit(output[lo:np.searchsorted(output, 0, "right")])
+    if not (signs[:neg].all() and not signs[neg:].any()):
+        raise ValidationError(
+            f"zeros out of key order: the zero block at index {lo} must "
+            f"hold {neg} -0.0 then {len(signs) - neg} +0.0")

@@ -302,7 +302,7 @@ def final_multiway(ctx: RunContext, extra_runs: _t.Sequence[SortedRun] = ()):
 
     def work():
         if ctx.functional:
-            ctx.B.data[:] = multiway_merge([r.data(ctx) for r in runs])
+            multiway_merge([r.data(ctx) for r in runs], out=ctx.B.data)
 
     yield from ctx.machine.host_merge(
         total, k=len(runs), threads=ctx.merge_threads,

@@ -6,15 +6,15 @@ cache-efficient than cascaded pair-wise merging (Sec. III-A).  Its
 thread split (multi-sequence selection, Casanova et al.) lives only in
 the cost model; the functional merge is one kernel.
 
-:func:`multiway_merge` copies the runs into one output buffer and sorts
-it in place with numpy's stable sort.  For float64 that is timsort,
-which finds the k presorted runs in one scan and merges them by
-galloping, so the work stays ``O(n log k)`` (the single-pass bound of
-Casanova et al.'s multiway mergesort).  Stability by input position
-resolves ties by run index, as a tournament ("loser tree") merge does;
-the tests compare it bit for bit with one.  Every run is first checked
-to be sorted in O(n): a stable sort would otherwise silently repair the
-output of a broken GPU sort instead of exposing it.
+:func:`multiway_merge` copies the runs into one buffer (new, or the
+caller's ``out``: the final merge writes straight into ``B``) and sorts
+it in place with :func:`~repro.kernels.utils.sort_in_key_order`, which
+at 8 runs of 2.5e5 beats timsort's galloping ``O(n log k)`` merge of
+the presorted runs by about 2x.  The output is in the runs' ``uint64``
+key order, like the device sort's, so ties carry no run order; the tests
+compare it bit for bit with a tournament ("loser tree") merge over the
+keys.  Every run is first checked to be sorted in O(n): a sort would
+otherwise silently repair the output of a broken GPU sort.
 """
 
 from __future__ import annotations
@@ -24,16 +24,17 @@ import typing as _t
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kernels.utils import check_sorted_run
+from repro.kernels.utils import check_sorted_run, sort_in_key_order
 from repro.obs.profile import profiled
 
 __all__ = ["multiway_merge"]
 
 
 @profiled("multiway.multiway_merge",
-          size_of=lambda runs: sum(len(r) for r in runs))
-def multiway_merge(runs: _t.Sequence[np.ndarray]) -> np.ndarray:
-    """Stable k-way merge (ties resolved by run index) into a new array.
+          size_of=lambda runs, *_, **__: sum(len(r) for r in runs))
+def multiway_merge(runs: _t.Sequence[np.ndarray],
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """k-way merge in key order into ``out`` (default: a new array).
 
     Raises :class:`ValidationError` if any run is not sorted.
     """
@@ -43,6 +44,6 @@ def multiway_merge(runs: _t.Sequence[np.ndarray]) -> np.ndarray:
         return np.empty(0)
     for i, r in enumerate(runs):
         check_sorted_run(r, f"merge run {i}")
-    out = np.concatenate(runs)
-    out.sort(kind="stable")
+    out = np.concatenate(runs, out=out)
+    sort_in_key_order(out)
     return out

@@ -2,24 +2,25 @@
 
 The paper sorts each batch with Thrust's radix sort (Sec. III-B), whose
 time comes from the calibrated cost model; the functional kernel only
-produces the batch's bytes.  Floats map to ``uint64`` keys by the
-order-preserving bijection of :mod:`repro.kernels.utils` (NaN rejected,
-``-0.0`` before ``+0.0``), and a multiset of keys has one sorted order,
-so :func:`sort_floats` sorts the keys with one in-place
-``ndarray.sort()`` (numpy's SIMD sort) and maps them back: the bits
-equal the LSD radix sort's at every digit width.  Thrust's out-of-place
-ping-pong buffer, which halves the usable batch size, is charged by the
-device-memory accounting, not by the kernel.
+produces the batch's bytes.  A radix sort orders floats by the
+order-preserving ``uint64`` keys of :mod:`repro.kernels.utils` (NaN
+rejected, ``-0.0`` before ``+0.0``), and a multiset of keys has one
+sorted order.  :func:`sort_floats_inplace` reaches it without the maps,
+with one in-place :func:`~repro.kernels.utils.sort_in_key_order`, so
+the bits equal the LSD radix sort's at every digit width.  Thrust's
+out-of-place ping-pong buffer, which halves the usable batch size, is
+charged by the device-memory accounting, not by the kernel.
 
 :func:`lsd_radix_sort_u64` is the paper's algorithm, kept as the tests'
-reference.  Each pass sorts ``radix_bits`` of the key, LSD first, by a
-stable ``argsort`` of digits in the narrowest unsigned dtype that holds
-them (``uint8``, ``uint16``, or ``uint32`` for 17-24 bits).  numpy's
-stable sort is a counting sort only up to 16 bits, so the default 16-bit
-digit sorts a 64-bit key in 4 counting passes -- Stehle & Jacobsen's
-pass-count argument.  A pass whose digit is the same for every key is
-skipped (MSB pruning).  The tests check each pass against a pure-Python
-counting sort.
+reference, entered and left through the key maps.  Each pass sorts
+``radix_bits`` of the key, LSD first, by a stable ``argsort`` of digits
+in the narrowest unsigned dtype that holds them (``uint8``,
+``uint16``, or ``uint32`` for 17-24 bits).  numpy's stable sort is a
+counting sort only up to 16 bits, so the default 16-bit digit sorts a
+64-bit key in 4 counting passes -- Stehle & Jacobsen's pass-count
+argument.  A pass whose digit is the same for every key is skipped (MSB
+pruning).  The tests check each pass against a pure-Python counting
+sort.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kernels.utils import (float64_to_ordered_uint64,
-                                 ordered_uint64_to_float64)
+from repro.kernels.utils import check_no_nan, sort_in_key_order
 from repro.obs.profile import profiled
 
 __all__ = [
@@ -98,15 +98,16 @@ def lsd_radix_sort_u64(keys: np.ndarray, radix_bits: int = 16,
     return out, (payload.copy() if pay is payload else pay)
 
 
-@profiled("radix.sort_floats", size_of=lambda a, *_, **__: len(a))
 def sort_floats(a: np.ndarray) -> np.ndarray:
-    """Sort a float64 array by its order-preserving keys (a new array)."""
-    keys = float64_to_ordered_uint64(np.ascontiguousarray(a))
-    keys.sort()
-    return ordered_uint64_to_float64(keys)
+    """Sort a float64 array in key order (a new array)."""
+    out = np.array(a, order="C")
+    sort_floats_inplace(out)
+    return out
 
 
+@profiled("radix.sort_floats", size_of=lambda a, *_, **__: len(a))
 def sort_floats_inplace(a: np.ndarray) -> None:
-    """Sort a float64 array in place: the runtime's default device sort
-    kernel.  A NaN input raises before ``a`` is written."""
-    a[:] = sort_floats(a)
+    """Sort a float64 array in place, in key order: the runtime's default
+    device sort kernel.  A NaN input raises before ``a`` is written."""
+    check_no_nan(a)
+    sort_in_key_order(a)

@@ -7,7 +7,8 @@ mergesort/balanced quicksort hybrid; sample sort captures its structure:
 1. draw an oversampled random sample, sort it, pick ``p - 1`` splitters;
 2. partition the input into ``p`` buckets by splitter (vectorised with
    ``searchsorted`` -- exactly the binary search each element undergoes);
-3. sort each bucket independently (one bucket per simulated thread);
+3. sort each bucket independently (one bucket per simulated thread) in
+   key order (all zeros share one bucket, since ``-0.0 == +0.0``);
 4. concatenate -- buckets are disjoint ranges, so no merge is needed.
 
 The bucket layout (which elements each "thread" would own) is exposed for
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kernels.utils import check_no_nan
+from repro.kernels.utils import check_no_nan, sort_in_key_order
 from repro.obs.profile import profiled
 
 __all__ = ["sample_splitters", "partition_by_splitters", "sample_sort"]
@@ -65,9 +66,9 @@ def sample_sort(a: np.ndarray, threads: int = 1,
     if a.ndim != 1:
         raise ValidationError("sample_sort expects a 1-D array")
     check_no_nan(a)
-    if len(a) < 2 or threads <= 1:
-        return np.sort(a, kind="stable")
-    splitters = sample_splitters(a, threads, seed=seed)
+    splitters = (a[:0] if len(a) < 2 or threads <= 1
+                 else sample_splitters(a, threads, seed=seed))
     buckets = partition_by_splitters(a, splitters)
-    return np.concatenate(
-        [np.sort(b, kind="stable") for b in buckets])
+    for b in buckets:
+        sort_in_key_order(b)
+    return np.concatenate(buckets)

@@ -7,8 +7,12 @@ point: flip all bits of negatives, flip only the sign bit of positives.
 
 NaNs are rejected up front (they have no place in a total order; Thrust's
 behaviour on NaN keys is unspecified too).  ``-0.0`` and ``+0.0`` compare
-equal as floats but map to distinct keys (``-0.0`` before ``+0.0``), which
-still yields a correctly sorted float array.
+equal as floats but map to distinct keys (``-0.0`` before ``+0.0``): for
+non-NaN values the key order is IEEE 754 ``totalOrder``, the one order
+every kernel's output follows.  The kernels reach it without the maps,
+through :func:`sort_in_key_order`.  Hazard: numpy's SIMD float sort
+(numpy 2.4, AVX-512) may change the signs of zeros when both are
+present, so that helper counts the ``-0.0`` before it sorts.
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ from repro.errors import ValidationError
 
 __all__ = [
     "float64_to_ordered_uint64", "ordered_uint64_to_float64",
-    "check_no_nan", "has_nan", "is_sorted", "first_unsorted_index",
-    "check_sorted_run", "same_multiset",
+    "sort_in_key_order", "check_no_nan", "has_nan", "is_sorted",
+    "first_unsorted_index", "check_sorted_run", "same_multiset",
 ]
 
 _SIGN = np.uint64(0x8000000000000000)
-_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def has_nan(a: np.ndarray) -> bool:
@@ -51,17 +54,31 @@ def float64_to_ordered_uint64(a: np.ndarray) -> np.ndarray:
     if a.dtype != np.float64:
         raise ValidationError(f"expected float64, got {a.dtype}")
     check_no_nan(a)
-    bits = a.view(np.uint64)
-    mask = np.where(bits >> np.uint64(63) == 1, _FULL, _SIGN)
-    return bits ^ mask
+    # The arithmetic shift spreads the sign bit: all ones for negatives.
+    mask = (a.view(np.int64) >> 63).view(np.uint64)
+    mask |= _SIGN
+    return np.bitwise_xor(mask, a.view(np.uint64), out=mask)
 
 
 def ordered_uint64_to_float64(k: np.ndarray) -> np.ndarray:
     """Inverse of :func:`float64_to_ordered_uint64`."""
     if k.dtype != np.uint64:
         raise ValidationError(f"expected uint64, got {k.dtype}")
-    mask = np.where(k >> np.uint64(63) == 1, _SIGN, _FULL)
-    return (k ^ mask).view(np.float64)
+    mask = (k.view(np.int64) >> 63).view(np.uint64)
+    np.invert(mask, out=mask)
+    mask |= _SIGN
+    return np.bitwise_xor(mask, k, out=mask).view(np.float64)
+
+
+def sort_in_key_order(a: np.ndarray) -> None:
+    """Sort a NaN-free array in place by value, every ``-0.0`` before
+    every ``+0.0``: count the ``-0.0``, run ``ndarray.sort()``, rewrite
+    the zero block as that many ``-0.0`` followed by ``+0.0``."""
+    neg_zeros = int(np.count_nonzero(np.signbit(a[a == 0])))
+    a.sort()
+    lo, hi = np.searchsorted(a, 0, "left"), np.searchsorted(a, 0, "right")
+    a[lo:lo + neg_zeros] = -0.0
+    a[lo + neg_zeros:hi] = 0
 
 
 def is_sorted(a: np.ndarray) -> bool:

@@ -40,7 +40,7 @@ import typing as _t
 
 from repro.errors import ArchiveError
 from repro.obs.diff import canonical_json, run_report
-from repro.schema import is_number, read_json, read_jsonl
+from repro.schema import field_error, is_number, read_json, read_jsonl
 
 __all__ = [
     "ARCHIVE_SCHEMA", "MANIFEST_SCHEMA", "fingerprint", "entry_id",
@@ -57,13 +57,14 @@ MANIFEST_SCHEMA = "repro.archive_manifest/v1"
 #: short enough to read in a table.
 _HASH_CHARS = 16
 
-#: Entry keys every record must carry (``report``/``residuals`` may be
-#: None, ``verdicts`` may be empty).  ``profile`` is always written as
-#: None; older archives may hold a kernel-profile object there, which
-#: readers accept unchanged.
-_REQUIRED_KEYS = ("schema", "entry", "fingerprint", "source", "label",
-                  "point", "metrics", "lanes", "report", "residuals",
-                  "verdicts", "profile")
+#: Entry keys every record must carry, with the types its readers use
+#: (``report``/``residuals`` may be None, ``verdicts`` may be empty).
+#: ``profile`` is always written as None; older archives may hold a
+#: kernel-profile object there, which readers accept unchanged.
+_ENTRY_FIELDS = {"schema": str, "entry": str, "fingerprint": str,
+                 "source": str, "label": str, "point": dict,
+                 "metrics": dict, "lanes": object, "report": object,
+                 "residuals": object, "verdicts": object, "profile": object}
 
 
 def _sha(doc) -> str:
@@ -233,14 +234,14 @@ def manifest_path(path) -> str:
 def load_archive(path) -> list[dict]:
     """Read archive entries back; raises :class:`ArchiveError` on an
     unreadable file, malformed lines, unknown schemas or an entry
-    without the full key set (integrity hashes are checked by
-    :func:`validate_archive`, not here)."""
+    without the full key set or with a wrong-typed key (integrity
+    hashes are checked by :func:`validate_archive`, not here)."""
     entries = list(read_jsonl(path, ArchiveError, "archive",
                               ARCHIVE_SCHEMA).values())
     for i, entry in enumerate(entries):
-        missing = [k for k in _REQUIRED_KEYS if k not in entry]
-        if missing:
-            raise ArchiveError(f"entry {i}: missing keys {missing}")
+        problem = field_error(entry, _ENTRY_FIELDS)
+        if problem:
+            raise ArchiveError(f"entry {i}: {problem}")
     return entries
 
 

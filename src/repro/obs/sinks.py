@@ -31,7 +31,7 @@ from repro.errors import EventLogError
 from repro.obs.counters import MetricsRecorder
 from repro.obs.diff import canonical_json
 from repro.obs.events import EV, EVENTS_SCHEMA, EventBus, Sink, TelemetryEvent
-from repro.schema import read_jsonl
+from repro.schema import field_error, read_jsonl
 from repro.sim.trace import CAT, Trace
 
 __all__ = [
@@ -163,19 +163,9 @@ def validate_events(events: _t.Sequence[TelemetryEvent]) -> dict:
         if ev.kind == EV.RUN_END and i != len(events) - 1:
             raise EventLogError(f"event {i}: run.end is not last")
         d = ev.data
-        fields = _EVENT_FIELDS[ev.kind]
-        missing = [f for f in fields if f[-1] != "?" and f not in d]
-        if missing:
-            raise EventLogError(
-                f"event {i}: {ev.kind} record missing {missing}")
-        for field, want in fields.items():
-            name = field.rstrip("?")
-            if name != field and d.get(name) is None:
-                continue
-            if not isinstance(d[name], want):
-                raise EventLogError(
-                    f"event {i}: {ev.kind} {name} must be "
-                    f"{want.__name__}, got {type(d[name]).__name__}")
+        problem = field_error(d, _EVENT_FIELDS[ev.kind])
+        if problem:
+            raise EventLogError(f"event {i}: {ev.kind} {problem}")
         if ev.kind == EV.SPAN:
             if d["id"] != n_spans:
                 raise EventLogError(

@@ -4,7 +4,8 @@
 be malformed -- unreadable, not UTF-8, not JSON, a non-finite number,
 not an object, another schema -- into the caller's
 :class:`~repro.errors.ReproError` subclass naming ``path[:lineno]``.
-Each document's field checks stay beside its writer.
+Each document's field table stays beside its writer; :func:`field_error`
+checks a record against one.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 
-__all__ = ["is_number", "is_int", "read_json", "read_jsonl"]
+__all__ = ["is_number", "is_int", "field_error", "read_json", "read_jsonl"]
 
 
 def is_number(value) -> bool:
@@ -23,6 +24,21 @@ def is_number(value) -> bool:
 def is_int(value) -> bool:
     """A JSON integer: an int, never a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def field_error(doc: dict, fields: dict[str, type]) -> str | None:
+    """Why ``doc`` lacks the ``{name: type}`` fields, or ``None``.  A
+    trailing ``?`` marks a field that may be absent or null."""
+    missing = [f for f in fields if f[-1] != "?" and f not in doc]
+    if missing:
+        return f"missing keys {missing}"
+    for field, want in fields.items():
+        name = field.rstrip("?")
+        value = doc.get(name)
+        if not (isinstance(value, want) or value is None and name != field):
+            return (f"{name} must be {want.__name__}, "
+                    f"got {type(value).__name__}")
+    return None
 
 
 def _finite(text: str) -> float:

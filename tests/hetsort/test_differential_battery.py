@@ -1,9 +1,13 @@
 """Differential battery: every approach x every distribution vs np.sort.
 
 The oracle is exact: functional mode must produce byte-identical output
-to ``np.sort`` for every registered approach on uniform, pre-sorted,
-reverse-sorted and heavy-duplicate inputs.  Each run's metrics must also
-satisfy the structural invariants of the observability layer.
+to ``np.sort`` of the ordered ``uint64`` keys (mapped back: ``-0.0``
+before ``+0.0``) for every registered approach on uniform, pre-sorted,
+reverse-sorted, heavy-duplicate and ``special`` inputs (the golden
+gate's input laced with signed zeros, infinities and subnormals).  The
+outputs are compared as ``uint64`` views, because ``assert_array_equal``
+treats the two zeros as equal.  Each run's metrics must also satisfy the
+structural invariants of the observability layer.
 """
 
 import numpy as np
@@ -12,8 +16,9 @@ import pytest
 from repro.hetsort import APPROACH_RUNNERS, HeterogeneousSorter
 from repro.hw.platforms import PLATFORM1
 from repro.workloads import generate
+from tests.kernels.oracles import key_sorted
 
-DISTRIBUTIONS = ["uniform", "sorted", "reverse", "duplicates"]
+DISTRIBUTIONS = ["uniform", "sorted", "reverse", "duplicates", "special"]
 N = 60_000
 
 
@@ -65,10 +70,12 @@ def check_causal_invariants(res):
 
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
 @pytest.mark.parametrize("approach", sorted(APPROACH_RUNNERS))
-def test_approach_matches_numpy(approach, dist):
-    data = generate(N, dist, seed=42)
+def test_approach_matches_numpy(approach, dist, gate):
+    data = (gate.special_input(N, 42) if dist == "special"
+            else generate(N, dist, seed=42))
     res = battery_sorter(approach).sort(data.copy(), approach=approach)
-    np.testing.assert_array_equal(res.output, np.sort(data))
+    np.testing.assert_array_equal(res.output.view(np.uint64),
+                                  key_sorted(data).view(np.uint64))
     check_metrics_invariants(res)
     check_causal_invariants(res)
 

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PlanError, ValidationError
-from repro.hetsort import Approach, HeterogeneousSorter
+from repro.hetsort import (Approach, HeterogeneousSorter,
+                           check_sorted_permutation)
 from repro.hw.platforms import PLATFORM1, PLATFORM2
 from repro.kernels.utils import is_sorted, same_multiset
 from repro.workloads import generate
+from tests.kernels.oracles import key_sorted
 
 APPROACHES = ["blinemulti", "pipedata", "pipemerge"]
 
@@ -167,6 +169,42 @@ def test_validation_catches_corruption(monkeypatch, rng):
                                    np.array([1.0, 3.0]))
     with pytest.raises(ValidationError):
         v.check_sorted_permutation(np.array([1.0]), None)
+
+
+def swap_zero_pair(out):
+    i = np.flatnonzero(np.signbit(out) & (out == 0))[-1]   # the last -0.0
+    out[i:i + 2] = out[i:i + 2][::-1].copy()
+
+
+def move_by_an_ulp(out):
+    out[-2] = np.nextafter(out[-2], -np.inf)
+
+
+def duplicate_over_next(out):
+    out[-2] = out[-3]
+
+
+def nan_in_output(out):
+    out[500] = np.nan
+
+
+@pytest.mark.parametrize("damage, message", [
+    (swap_zero_pair, "zeros out of key order"),
+    (move_by_an_ulp, "not a permutation"),
+    (duplicate_over_next, "not a permutation"),
+    (nan_in_output, "output contains NaN"),
+])
+def test_validation_rejects_one_damaged_element(rng, damage, message):
+    """One damaged element of a key-ordered output is caught, including
+    two zeros out of key order (equal by value, so a value-only check
+    would pass them)."""
+    data = rng.normal(size=1000)
+    data[::10], data[5::20] = 0.0, -0.0
+    out = key_sorted(data)
+    check_sorted_permutation(data, out)
+    damage(out)
+    with pytest.raises(ValidationError, match=message):
+        check_sorted_permutation(data, out)
 
 
 @given(n=st.integers(1, 4000), seed=st.integers(0, 10))

@@ -13,6 +13,8 @@ import typing as _t
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.kernels.utils import (float64_to_ordered_uint64,
+                                 ordered_uint64_to_float64)
 
 
 def losertree_merge(runs: _t.Sequence[np.ndarray]) -> np.ndarray:
@@ -86,6 +88,20 @@ def losertree_merge(runs: _t.Sequence[np.ndarray]) -> np.ndarray:
             node //= 2
         winner = cur
     return out
+
+
+def key_sorted(a: np.ndarray) -> np.ndarray:
+    """``a`` sorted by its ordered ``uint64`` keys (``-0.0`` before
+    ``+0.0``): the order every kernel's output follows."""
+    return ordered_uint64_to_float64(np.sort(float64_to_ordered_uint64(a)))
+
+
+def losertree_merge_keys(runs: _t.Sequence[np.ndarray]) -> np.ndarray:
+    """The loser tree run over the key-sorted runs' keys, mapped back:
+    the merges' expected bits.  Equal keys are equal bits, so the tie
+    order by run cannot show."""
+    return ordered_uint64_to_float64(
+        losertree_merge([float64_to_ordered_uint64(r) for r in runs]))
 
 
 def counting_sort_pass_reference(keys, shift: int, bits: int):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.kernels.multiway import multiway_merge
-from tests.kernels.oracles import losertree_merge
+from tests.kernels.oracles import (key_sorted, losertree_merge,
+                                   losertree_merge_keys)
 
 run_lists = st.lists(
     st.lists(st.integers(-30, 30), min_size=0, max_size=40)
@@ -86,11 +87,22 @@ def test_empty_merges_keep_run_dtype(dtype):
 @pytest.mark.parametrize("k", [2, 3, 8])
 def test_multiway_bitwise_matches_losertree(rng, k):
     pool = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0])
-    runs = [np.sort(np.concatenate([rng.choice(pool, 60),
-                                    rng.normal(size=40)]), kind="stable")
+    runs = [key_sorted(np.concatenate([rng.choice(pool, 60),
+                                       rng.normal(size=40)]))
             for _ in range(k)]
     assert np.array_equal(multiway_merge(runs).view(np.uint64),
-                          losertree_merge(runs).view(np.uint64))
+                          losertree_merge_keys(runs).view(np.uint64))
+
+
+def test_multiway_writes_into_out(rng):
+    pool = np.array([0.0, -0.0, 1.0])
+    runs = [key_sorted(np.concatenate([rng.choice(pool, 30),
+                                       rng.normal(size=20)]))
+            for _ in range(3)]
+    out = np.empty(150)
+    assert multiway_merge(runs, out=out) is out
+    assert np.array_equal(out.view(np.uint64),
+                          losertree_merge_keys(runs).view(np.uint64))
 
 
 def test_multiway_rejects_unsorted_run():

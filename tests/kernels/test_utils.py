@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 from repro.errors import ValidationError
 from repro.kernels.utils import (check_no_nan, float64_to_ordered_uint64,
                                  is_sorted, ordered_uint64_to_float64,
-                                 same_multiset)
+                                 same_multiset, sort_in_key_order)
+from tests.kernels.test_radix import bitwise_reference, special_mix
 
 finite_f64 = st.floats(allow_nan=False, allow_infinity=True, width=64)
 
@@ -82,3 +83,42 @@ def test_property_transform_is_monotone_bijection(a):
     order_f = np.argsort(a, kind="stable")
     order_k = np.argsort(k, kind="stable")
     assert np.array_equal(a[order_f], a[order_k])
+
+
+def dense_specials(rng, n):
+    """``n`` floats, about half of them +-0.0, +-inf or subnormals."""
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                     2.2e-308, -2.2e-308])
+    a = rng.normal(size=n)
+    dense = rng.random(n) < 0.5
+    a[dense] = rng.choice(pool, int(dense.sum()))
+    return a
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 110, 1000, 5000])
+def test_key_order_sort_matches_bitwise_reference(rng, n):
+    """The helper's bits equal the stable argsort of the keys, on inputs
+    dense with both zeros (where a value-only sort may change their
+    signs)."""
+    for a in (dense_specials(rng, n), special_mix(rng, n)[:n]):
+        want = bitwise_reference(a)
+        sort_in_key_order(a)
+        assert np.array_equal(a.view(np.uint64), want)
+
+
+@pytest.mark.parametrize("zeros", [[0.0] * 50, [-0.0] * 50, [0.0], [-0.0],
+                                   [1.0, -0.0, -1.0]])
+def test_key_order_sort_of_zero_blocks(zeros):
+    a = np.array(zeros)
+    want = bitwise_reference(a)
+    sort_in_key_order(a)
+    assert np.array_equal(a.view(np.uint64), want)
+
+
+def test_key_order_sort_of_a_strided_view(rng):
+    outer = dense_specials(rng, 2001)
+    odds, evens = outer[1::2], outer[::2].copy()
+    want = bitwise_reference(odds)
+    sort_in_key_order(odds)
+    assert np.array_equal(outer[1::2].view(np.uint64), want)
+    assert np.array_equal(outer[::2].view(np.uint64), evens.view(np.uint64))

@@ -258,6 +258,10 @@ def test_non_utf8_document_exits_2_with_one_line(tmp_path, argv):
 
 
 _KEYLESS_ARCHIVE = '{"schema":"repro.archive/v1"}\n'
+_INT_ENTRY_ARCHIVE = ('{"schema":"repro.archive/v1","entry":5,"fingerprint":7,'
+                      '"source":"s","label":"l","point":{},"metrics":{},'
+                      '"lanes":{},"report":null,"residuals":null,'
+                      '"verdicts":[],"profile":null}\n')
 _RUN_START = ('{"kind":"run.start","t":0,"seq":0,'
               '"data":{"n_batches":"4"}}\n')
 _WATERMARK = ('{"kind":"mem.watermark","t":0,"seq":0,"data":{"pool":"gpu0",'
@@ -270,14 +274,18 @@ _EVENTS = '{"schema":"repro.events/v1"}\n'
     (("trends", "{bad}"), _KEYLESS_ARCHIVE),
     (("archive", "{bad}", "--diff", "x", "y"), _KEYLESS_ARCHIVE),
     (("watch", "{bad}"), _EVENTS + _RUN_START + _SORTED),
-    (("watch", "{bad}"), _EVENTS + _WATERMARK)])
+    (("watch", "{bad}"), _EVENTS + _WATERMARK),
+    (("trends", "{bad}"), _INT_ENTRY_ARCHIVE),
+    (("archive", "{bad}", "--diff", "x", "y"), _INT_ENTRY_ARCHIVE)])
 def test_wrong_keys_or_types_exit_2_with_one_line(tmp_path, argv, text):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(text)
     code, out = run_cli(*(a.format(bad=bad) for a in argv))
     assert code == 2
     assert len(out.strip().splitlines()) == 1
-    assert ("missing keys" in out) != ("must be Real" in out)
+    said = [m for m in ("missing keys", "must be Real", "entry must be str")
+            if m in out]
+    assert len(said) == 1, out
 
 
 def test_watch_rejects_a_string_time(tmp_path):

@@ -2,7 +2,8 @@
 
 Each reader gets a valid file of its kind, damaged one way: missing,
 non-UTF-8 bytes, a truncated line, a non-object line, a foreign schema,
-a non-finite number, or a value of the wrong type somewhere in it.
+a non-finite number, or a value of the wrong type somewhere in it (for
+the event log and the archive, also in a field its readers use).
 Whatever the damage, the reader raises its own
 :class:`~repro.errors.ReproError` subclass and nothing else -- no
 ``TypeError``, ``KeyError`` or ``UnicodeDecodeError`` reaches a caller.
@@ -26,6 +27,7 @@ from repro.obs import (EV, append_entries, load_archive,  # noqa: E402
                        load_ledger, load_report, make_entry, read_events,
                        run_report, validate_archive, validate_event_log,
                        write_report)
+from repro.obs.archive import _ENTRY_FIELDS  # noqa: E402
 from repro.obs.sinks import _EVENT_FIELDS, JsonlSink  # noqa: E402
 from repro.obs.sweep import LEDGER_SCHEMA  # noqa: E402
 from repro.schema import is_int, is_number  # noqa: E402
@@ -110,6 +112,8 @@ def _damage(lines: list[bytes], how: str, data,
                 lambda s: s != doc["schema"]))
         elif how == "event_field":
             _damage_event(doc, data)
+        elif how == "entry_field":
+            _damage_entry(doc, data)
         else:
             _replace_a_value(doc, data)
         line = json.dumps(doc).encode()
@@ -144,6 +148,15 @@ def _damage_event(doc, data) -> None:
         doc["data"][target.rstrip("?")] = 1 if fields[target] is str else "x"
 
 
+def _damage_entry(doc, data) -> None:
+    """Give one archive-entry key its readers use a wrong-typed value."""
+    typed = sorted(k for k, t in _ENTRY_FIELDS.items() if t is not object)
+    key = data.draw(st.sampled_from(typed))
+    want = _ENTRY_FIELDS[key]
+    doc[key] = data.draw(JSON_VALUES.filter(
+        lambda v: not isinstance(v, want)))
+
+
 @pytest.mark.parametrize("name", sorted(READERS))
 @given(data=st.data())
 @settings(max_examples=40, deadline=None,
@@ -157,6 +170,8 @@ def test_every_reader_raises_only_its_typed_error(name, data, base,
     hows = [*MUST_RAISE, "type"]
     if name == "validate_event_log":
         hows.append("event_field")
+    if name in ("load_archive", "validate_archive"):
+        hows.append("entry_field")
     how = data.draw(st.sampled_from(hows))
     path = tmp_path / damaged
     if how == "missing":
