@@ -5,7 +5,10 @@ These are the real-computation counterpart of the simulated studies: the
 device sort kernel (Thrust stand-in) vs. numpy's sort, also on an input
 laden with signed zeros, the LSD radix reference at 8-bit vs. 16-bit
 digits, the pair and multiway merges (also into a preallocated output,
-as the final merge writes into ``B``), and sample sort.
+as the final merge writes into ``B``; on the final merge's layout of
+runs, on disjoint runs of presorted input and on duplicate-heavy runs,
+each checked bit for bit against the key-sorted input), and sample
+sort.
 
 Compare locally with ``pytest benchmarks/test_kernels_micro.py``; CI runs
 the file with ``--benchmark-disable`` as a smoke test of the sortedness
@@ -17,7 +20,8 @@ import pytest
 
 from repro.kernels import (float64_to_ordered_uint64, introsort,
                            lsd_radix_sort_u64, merge_two, multiway_merge,
-                           sample_sort, sort_floats)
+                           ordered_uint64_to_float64, sample_sort,
+                           sort_floats)
 
 N = 200_000
 
@@ -94,3 +98,37 @@ def test_bench_multiway_merge_8_runs(benchmark, data):
     runs8 = [np.sort(part) for part in np.array_split(data, 8)]
     out = benchmark(multiway_merge, runs8)
     assert np.all(out[:-1] <= out[1:])
+
+
+def key_sorted(x):
+    return ordered_uint64_to_float64(np.sort(float64_to_ordered_uint64(x)))
+
+
+def key_sorted_bits(runs):
+    return key_sorted(np.concatenate(runs)).view(np.uint64)
+
+
+def test_bench_multiway_merge_final_layout(benchmark):
+    """The final merge of a 2e6-key PIPEMERGE sort: three pair-merged
+    runs of 5e5 and two batches of 2.5e5, into ``B``."""
+    rng = np.random.default_rng(11)
+    runs = [np.sort(rng.random(n)) for n in (500_000,) * 3 + (250_000,) * 2]
+    buf = np.empty(2_000_000)
+    out = benchmark(multiway_merge, runs, buf)
+    assert np.array_equal(out.view(np.uint64), key_sorted_bits(runs))
+
+
+def test_bench_multiway_merge_disjoint_runs(benchmark, data):
+    """Presorted input: each batch's run covers its own value range."""
+    runs8 = np.array_split(np.sort(data), 8)
+    out = benchmark(multiway_merge, runs8)
+    assert np.array_equal(out.view(np.uint64), key_sorted_bits(runs8))
+
+
+def test_bench_merge_two_duplicate_heavy(benchmark):
+    """Four distinct values, both zeros among them."""
+    rng = np.random.default_rng(5)
+    pool = np.array([-1.0, -0.0, 0.0, 2.0])
+    a, b = (key_sorted(rng.choice(pool, N // 2)) for _ in range(2))
+    out = benchmark(merge_two, a, b)
+    assert np.array_equal(out.view(np.uint64), key_sorted_bits([a, b]))

@@ -1,15 +1,18 @@
 """Output validation for functional-mode runs.
 
+One sort checks a good output: it equals ``np.sort`` of the input by
+value (exact, since equal non-NaN floats other than ±0 have equal bits)
+and its zero block holds the input's ``-0.0`` count, then ``+0.0``: the
+key order.  The kernels' helpers are not called, so they cannot hide a
+bug.  ``np.array_equal`` (without ``equal_nan``) is False whenever
+either array holds a NaN, so a match also proves both NaN-free.
+
 NaN handling is explicit: NaN compares False against everything, so a
 NaN-laden output could slip through a naive elementwise ``<=`` check
 (single-element arrays) or make the "first failing index" diagnostic lie
-(``argmax`` over an all-False ``>`` mask reports index 0).  Validation
-therefore rejects NaN up front, with positions, before any order check.
-
-One sort checks the rest: the output equals ``np.sort`` of the input by
-value (exact, since equal non-NaN floats other than ±0 have equal bits)
-and its zero block holds the input's ``-0.0`` count, then ``+0.0``: the
-key order.  The kernels' helper is not called, so it cannot hide a bug.
+(``argmax`` over an all-False ``>`` mask reports index 0).  On a
+mismatch, the diagnosis therefore reports NaN, with positions, before
+any order violation.
 """
 
 from __future__ import annotations
@@ -29,20 +32,20 @@ def check_sorted_permutation(original: np.ndarray,
     ``+0.0``)."""
     if output is None:
         raise ValidationError("no output produced (timing-only run?)")
-    if has_nan(original):
-        idx = int(np.isnan(original).argmax())
-        raise ValidationError(
-            f"input contains NaN (first at index {idx}, "
-            f"{int(np.isnan(original).sum())} total); keys must be "
-            "totally ordered")
-    if has_nan(output):
-        idx = int(np.isnan(output).argmax())
-        raise ValidationError(
-            f"output contains NaN (first at index {idx}, "
-            f"{int(np.isnan(output).sum())} total) although the input "
-            "had none")
     if output.dtype != original.dtype or not np.array_equal(
             np.sort(original), output):
+        if has_nan(original):
+            idx = int(np.isnan(original).argmax())
+            raise ValidationError(
+                f"input contains NaN (first at index {idx}, "
+                f"{int(np.isnan(original).sum())} total); keys must be "
+                "totally ordered")
+        if has_nan(output):
+            idx = int(np.isnan(output).argmax())
+            raise ValidationError(
+                f"output contains NaN (first at index {idx}, "
+                f"{int(np.isnan(output).sum())} total) although the "
+                "input had none")
         bad = first_unsorted_index(output)
         if bad is not None:
             raise ValidationError(

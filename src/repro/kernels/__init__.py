@@ -4,15 +4,16 @@ These are the algorithms the paper's system calls into libraries for,
 implemented from scratch on numpy primitives:
 
 * :mod:`repro.kernels.radix` -- device sort (Thrust/CUB stand-in), LSD radix;
-* :mod:`repro.kernels.mergepath` -- stable pair-wise merge of two runs;
-* :mod:`repro.kernels.multiway` -- stable k-way merge (GNU
-  ``multiway_merge`` stand-in);
+* :mod:`repro.kernels.mergepath` -- pair-wise merge of two runs;
+* :mod:`repro.kernels.multiway` -- k-way merge (GNU ``multiway_merge``
+  stand-in);
 * :mod:`repro.kernels.samplesort` -- parallel sample sort (GNU parallel
   mode sort stand-in);
 * :mod:`repro.kernels.quicksort` -- introsort (``std::sort`` stand-in).
 
-The merges' thread split (Merge Path, multi-sequence selection) is
-charged by the platform's merge cost model, not executed.
+Both merges split their runs into independent value blocks, as
+multi-sequence selection does, but sort the blocks one after another;
+the thread split is charged by the platform's merge cost model.
 """
 
 from repro.kernels.mergepath import merge_two

@@ -31,6 +31,14 @@ def test_is_sorted_rejects_nan_everywhere():
     assert not is_sorted(np.array([0.0, 1.0, np.nan, 2.0]))
 
 
+@pytest.mark.parametrize("n, pos", [(n, pos) for n in range(1, 5)
+                                    for pos in range(n)])
+def test_is_sorted_rejects_a_nan_at_every_position(n, pos):
+    a = np.arange(float(n))
+    a[pos] = np.nan
+    assert not is_sorted(a)
+
+
 def test_is_sorted_normal_cases_unaffected():
     assert is_sorted(np.array([], dtype=np.float64))
     assert is_sorted(np.array([5.0]))
@@ -54,6 +62,14 @@ def test_validation_rejects_nan_input_with_position():
     data = np.array([1.0, np.nan, 2.0, np.nan])
     with pytest.raises(ValidationError, match=r"index 1.*2 total"):
         check_sorted_permutation(data, np.sort(data))
+
+
+def test_validation_reports_input_nan_when_output_has_nan_too():
+    data = np.array([3.0, np.nan, 1.0])
+    with pytest.raises(ValidationError) as err:
+        check_sorted_permutation(data, np.sort(data))
+    assert str(err.value) == ("input contains NaN (first at index 1, "
+                              "1 total); keys must be totally ordered")
 
 
 def test_validation_rejects_nan_output():
