@@ -37,8 +37,9 @@ Each artifact type also has an invariant verifier that needs no golden
 value: memory (balanced ledger, zero planner residual), flows (rate
 integral, contention sums, span reconciliation), verdict (rate integral,
 balanced ledger, identical tenant bytes under every allocator for the
-same tenants and seed), log (the schema header and the scenario's exact
-per-kind event counts), output (every special value of the input
+same tenants and seed), log (the schema header, every event valid under
+the ``repro.events/v1`` field table, and the scenario's exact per-kind
+event counts), output (every special value of the input
 survives) and ledger (no run flagged anomalous).  ``--update``
 re-freezes the golden file and refuses to when an invariant fails;
 ``--update PAIR ...`` re-freezes only the named pairs and leaves every
@@ -78,9 +79,9 @@ import typing as _t
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(_HERE, os.pardir, "src"))
 
-from repro.errors import GoldenError  # noqa: E402
-from repro.obs import (EVENTS_SCHEMA, JsonlSink, WatchdogSink,  # noqa: E402
-                       canonical_json)
+from repro.errors import EventLogError, GoldenError  # noqa: E402
+from repro.obs import (EVENTS_SCHEMA, JsonlSink, TelemetryEvent,  # noqa: E402
+                       WatchdogSink, canonical_json, validate_events)
 from repro.schema import is_number, read_json  # noqa: E402
 
 GOLDEN = os.path.join(_HERE, "results", "golden.json")
@@ -436,7 +437,14 @@ def _log(sc, run, ctx):
     broken = ([] if header == canonical_json({"schema": EVENTS_SCHEMA},
                                              indent=None)
               else [f"schema header is {header!r}"])
-    counts = collections.Counter(json.loads(ln)["kind"] for ln in lines)
+    docs = [json.loads(ln) for ln in lines]
+    try:    # a line without the envelope fails the sequence check
+        validate_events([TelemetryEvent(d.get("kind"), d.get("t"),
+                                        d.get("seq"), d.get("data", {}))
+                         for d in docs])
+    except EventLogError as exc:
+        broken.append(f"violates {EVENTS_SCHEMA}: {exc}")
+    counts = collections.Counter(d["kind"] for d in docs)
     broken += [f"{counts[kind]} {kind} events, expected {want}"
                for kind, want in sc["log_kinds"].items()
                if counts[kind] != want]

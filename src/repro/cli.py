@@ -1092,6 +1092,10 @@ def _cmd_watch(args, out) -> int:
     from repro.errors import EventLogError
     from repro.obs import LiveAggregator, read_events, validate_events
     from repro.reporting import render_plain_line, render_snapshot
+    if not args.interval > 0:
+        out.write(f"repro watch: --interval must be > 0, got "
+                  f"{args.interval:g}\n")
+        return 2
     try:
         _, events = read_events(args.events)
         validate_events(events)
@@ -1281,17 +1285,17 @@ def _cmd_serve(args, out) -> int:
                         (args.tenant or _SERVE_DEMO_TENANTS))
     except (ValueError, ValidationError) as exc:
         args.parser.error(str(exc))
-    cfg = ServiceConfig(allocator=args.allocator, seed=args.seed,
-                        functional=not args.timing,
-                        gpus_per_job=args.gpus_per_job,
-                        max_concurrent=args.max_concurrent,
-                        batch_size=int(args.batch_size),
-                        n_streams=args.streams,
-                        pinned_elements=int(args.pinned),
-                        controller=not args.no_controller,
-                        epoch_s=args.epoch, reclaim=args.reclaim)
     sinks = _event_log(args.events)
     try:
+        cfg = ServiceConfig(allocator=args.allocator, seed=args.seed,
+                            functional=not args.timing,
+                            gpus_per_job=args.gpus_per_job,
+                            max_concurrent=args.max_concurrent,
+                            batch_size=int(args.batch_size),
+                            n_streams=args.streams,
+                            pinned_elements=int(args.pinned),
+                            controller=not args.no_controller,
+                            epoch_s=args.epoch, reclaim=args.reclaim)
         res = run_service(tenants, cfg,
                           platform=get_platform(args.platform),
                           sinks=sinks)

@@ -22,6 +22,7 @@ from repro.hetsort.config import SortConfig
 from repro.hetsort.plan import Batch, SortPlan
 from repro.hw.machine import Machine
 from repro.obs.counters import MetricsRecorder
+from repro.obs.events import EV
 from repro.sim import Store, Trace
 from repro.sim.engine import Environment
 
@@ -106,7 +107,7 @@ class RunContext:
         """Publish a pipeline phase-transition event (no-op without a
         bus; never touches the simulated timeline)."""
         if self.bus is not None:
-            self.bus.phase(name, **data)
+            self.bus.emit(EV.PHASE, name=name, **data)
 
     def degrade(self, reason: str, **data) -> None:
         """Record a graceful-degradation decision (CPU fallback, batch
@@ -117,7 +118,7 @@ class RunContext:
             {"reason": reason, **data})
         self.obs.incr("degrade.events")
         if self.bus is not None:
-            self.bus.degrade(reason, **data)
+            self.bus.emit(EV.DEGRADE, reason=reason, **data)
 
     # -- derived knobs -------------------------------------------------------
 

@@ -144,13 +144,13 @@ def _hook(*steps):
 
 def _publish_resource(bus: EventBus):
     def publish(res) -> None:
-        bus.queue(res.name, depth=res.queue_length, in_use=res.in_use,
-                  capacity=res.capacity)
+        bus.emit(EV.QUEUE, name=res.name, depth=res.queue_length,
+                 in_use=res.in_use, capacity=res.capacity)
     return publish
 
 
 def _publish_store(bus: EventBus):
     def publish(store) -> None:
-        bus.queue(store.name, depth=len(store),
-                  getters=store.getters_waiting)
+        bus.emit(EV.QUEUE, name=store.name, depth=len(store),
+                 getters=store.getters_waiting)
     return publish

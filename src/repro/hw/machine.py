@@ -23,6 +23,7 @@ from repro.errors import (CudaOutOfMemory, GpuLostError, PinnedAllocFault,
                           TransferFaultError)
 from repro.hw.gpu import Direction, SimGPU
 from repro.hw.spec import PlatformSpec
+from repro.obs.events import EV
 from repro.sim import CAT, FlowNetwork, Resource, Trace
 from repro.sim.engine import Environment
 
@@ -314,8 +315,8 @@ class Machine:
                                  meta={"attempt": attempt},
                                  deps=deps)
         if self.bus is not None:
-            self.bus.retry(what=what, attempt=attempt, backoff_s=delay,
-                           lane=lane)
+            self.bus.emit(EV.RETRY, what=what, attempt=attempt,
+                          backoff_s=delay, lane=lane)
         return span
 
     def _transfer_faults(self, gpu: SimGPU, direction: str, what: str,

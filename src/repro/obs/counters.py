@@ -18,6 +18,8 @@ import math
 import typing as _t
 from array import array
 
+from repro.obs.events import EV
+
 __all__ = ["CounterSeries", "MetricsRecorder"]
 
 _INF = math.inf
@@ -127,7 +129,7 @@ class MetricsRecorder:
         value = float(value)
         s.add(self.clock(), value)
         if self.bus is not None:
-            self.bus.counter(name, value, unit=unit)
+            self.bus.emit(EV.COUNTER, name=name, value=value, unit=unit)
 
     def gauge(self, name: str, unit: str = ""
               ) -> _t.Callable[[float], None]:
@@ -144,7 +146,8 @@ class MetricsRecorder:
             value = float(value)
             series.add(clock(), value)
             if self.bus is not None:
-                self.bus.counter(name, value, unit=unit)
+                self.bus.emit(EV.COUNTER, name=name, value=value,
+                              unit=unit)
         return gauge
 
     def incr(self, name: str, delta: float = 1.0, unit: str = "") -> None:
@@ -153,7 +156,7 @@ class MetricsRecorder:
         self._totals[name] = total
         self.series_for(name, unit=unit).add(self.clock(), total)
         if self.bus is not None:
-            self.bus.counter(name, total, unit=unit)
+            self.bus.emit(EV.COUNTER, name=name, value=total, unit=unit)
 
     def probe(self, name: str, getter: _t.Callable[[_t.Any], float]
               ) -> _t.Callable[[_t.Any], None]:

@@ -3,24 +3,14 @@
 
 Everything built by the earlier observability layers (metrics, causal
 tracing, conformance) is post-hoc -- nothing is visible until the run
-finishes.  The :class:`EventBus` closes that blind spot: instrumented
-emission points inside the simulator publish typed
-:class:`TelemetryEvent` s as they happen --
-
-* ``span``    -- every :meth:`repro.sim.trace.Trace.record` call;
-* ``queue``   -- every :class:`~repro.sim.resources.Resource` /
-  :class:`~repro.sim.resources.Store` state change (queue depths,
-  units in use);
-* ``counter`` -- every :class:`~repro.obs.counters.MetricsRecorder`
-  sample;
-* ``phase``   -- pipeline phase transitions published by the approach
-  runners (batch staged, chunk HtoD'd, run sorted, merge started);
-* ``run.start`` / ``run.end`` -- run lifecycle with the plan context;
-* ``warning`` -- stall / deadline diagnostics published by the
-  :class:`~repro.obs.sinks.WatchdogSink`;
-* ``fault.injected`` / ``retry.attempt`` / ``degrade.replan`` -- the
-  chaos layer (:mod:`repro.sim.faults` scheduling faults,
-  :mod:`repro.hetsort.resilience` recovering from them).
+finishes.  The :class:`EventBus` closes that blind spot: emission points
+inside the simulator (trace spans, resource queues, counter samples,
+runner phases, the chaos layer, the memory and flow ledgers, the
+service) publish :class:`TelemetryEvent` s as they happen, each through
+the one call ``bus.emit(EV.X, field=...)``.  :class:`EV` names the
+kinds; :data:`_EVENT_FIELDS` is the whole event contract, per kind the
+``data`` fields every event carries with their types, and
+:func:`repro.obs.sinks.validate_events` checks a stream against it.
 
 Subscribers implement the :class:`Sink` protocol
 (:mod:`repro.obs.sinks` ships a byte-stable JSONL structured log, a
@@ -42,6 +32,7 @@ The bus is wired into the simulator in one place,
 
 from __future__ import annotations
 
+import numbers
 import typing as _t
 from dataclasses import dataclass
 
@@ -76,10 +67,40 @@ class EV:
     JOB_END = "service.job.end"        #: a job completed (latency known)
     EPOCH = "service.epoch"     #: an adaptive-controller control epoch
 
-    ALL = (RUN_START, RUN_END, SPAN, QUEUE, COUNTER, PHASE, WARNING,
-           FAULT, RETRY, DEGRADE, MEM_ALLOC, MEM_FREE, MEM_WATERMARK,
-           FLOW_START, FLOW_RATE, FLOW_END,
-           JOB_SUBMIT, JOB_START, JOB_END, EPOCH)
+
+_REAL, _INT = numbers.Real, numbers.Integral
+_MEM_FIELDS = {"pool": str, "name": str, "nbytes": _REAL, "balance": _REAL}
+
+#: The event contract: kind -> {field: type} every event of that kind
+#: carries in its ``data``; the keys are the known kinds.  A trailing
+#: ``?`` marks a field that may be absent or null but is typed when
+#: present, because a reader computes with it.  The number types are
+#: the ABCs, so numpy scalars in an in-memory stream pass as they do
+#: once written.
+_EVENT_FIELDS: dict[str, dict[str, type]] = {
+    EV.RUN_START: {"n?": _REAL, "n_batches?": _REAL},
+    EV.RUN_END: {"elapsed_s?": _REAL},
+    EV.SPAN: {"id": _INT, "category": str, "label": str, "start": _REAL,
+              "end": _REAL, "lane": str, "nbytes": _REAL,
+              "elements": _INT, "meta": list, "deps": list},
+    EV.QUEUE: {"name": str, "depth": _INT},
+    EV.COUNTER: {"name": str, "value": _REAL},
+    EV.PHASE: {"name": str},
+    EV.WARNING: {"code": str, "message": str},
+    EV.FAULT: {"kind": str},
+    EV.RETRY: {"what": str, "attempt": _INT},
+    EV.DEGRADE: {"reason": str},
+    EV.MEM_ALLOC: _MEM_FIELDS, EV.MEM_FREE: _MEM_FIELDS,
+    EV.MEM_WATERMARK: {"pool": str, "peak_bytes": _REAL,
+                       "capacity_bytes?": _REAL},
+    EV.FLOW_START: {"id": _INT, "nbytes": _REAL, "links": list},
+    EV.FLOW_RATE: {"id": _INT, "rate": _REAL},
+    EV.FLOW_END: {"id": _INT},
+    EV.JOB_SUBMIT: {"job": str, "tenant": str, "n": _INT},
+    EV.JOB_START: {"job": str, "tenant": str, "queued_s": _REAL},
+    EV.JOB_END: {"job": str, "tenant": str, "latency_s": _REAL},
+    EV.EPOCH: {"index": _INT},
+}
 
 
 @dataclass(frozen=True)
@@ -176,103 +197,6 @@ class EventBus:
         for sink in self._sinks:
             sink.emit(event)
         return event
-
-    # Typed emission helpers -- one per instrumented emission point.
-
-    def span(self, span) -> None:
-        """A :class:`~repro.sim.trace.Span` was recorded (full record:
-        the JSONL log can be replayed back into a ``Trace``)."""
-        self.emit(EV.SPAN, id=span.id, category=span.category,
-                  label=span.label, start=span.start, end=span.end,
-                  lane=span.lane, nbytes=span.nbytes,
-                  elements=span.elements,
-                  meta=[list(kv) for kv in span.meta],
-                  deps=list(span.deps))
-
-    def queue(self, name: str, depth: int, **state) -> None:
-        """A resource/store queue changed (``depth`` = waiters/items)."""
-        self.emit(EV.QUEUE, name=name, depth=depth, **state)
-
-    def counter(self, name: str, value: float, unit: str = "") -> None:
-        """A counter/gauge sample was recorded."""
-        self.emit(EV.COUNTER, name=name, value=value, unit=unit)
-
-    def phase(self, name: str, **data) -> None:
-        """A pipeline phase transition (published by approach runners)."""
-        self.emit(EV.PHASE, name=name, **data)
-
-    def warning(self, code: str, message: str, **data) -> None:
-        """A watchdog diagnostic (stall, deadline overrun)."""
-        self.emit(EV.WARNING, code=code, message=message, **data)
-
-    def fault(self, kind: str, **data) -> None:
-        """A scheduled fault fired (published by the
-        :class:`~repro.sim.faults.FaultInjector`)."""
-        self.emit(EV.FAULT, kind=kind, **data)
-
-    def retry(self, what: str, attempt: int, **data) -> None:
-        """A faulted operation backed off before retrying."""
-        self.emit(EV.RETRY, what=what, attempt=attempt, **data)
-
-    def degrade(self, reason: str, **data) -> None:
-        """A graceful-degradation decision (CPU fallback, replan)."""
-        self.emit(EV.DEGRADE, reason=reason, **data)
-
-    def mem_alloc(self, pool: str, name: str, nbytes: int,
-                  balance: int) -> None:
-        """The :class:`~repro.obs.memory.MemoryLedger` recorded an
-        allocation (``balance`` = the pool's occupancy after it)."""
-        self.emit(EV.MEM_ALLOC, pool=pool, name=name, nbytes=nbytes,
-                  balance=balance)
-
-    def mem_free(self, pool: str, name: str, nbytes: int,
-                 balance: int) -> None:
-        """The ledger recorded a release."""
-        self.emit(EV.MEM_FREE, pool=pool, name=name, nbytes=nbytes,
-                  balance=balance)
-
-    def mem_watermark(self, pool: str, peak_bytes: int,
-                      capacity_bytes: int | None = None) -> None:
-        """A pool reached a new high-watermark occupancy."""
-        self.emit(EV.MEM_WATERMARK, pool=pool, peak_bytes=peak_bytes,
-                  capacity_bytes=capacity_bytes)
-
-    def flow_start(self, fid: int, nbytes: float, links: list,
-                   label: str = "flow") -> None:
-        """The :class:`~repro.obs.flows.FlowLedger` recorded a flow
-        joining the network (``links`` = ``[[name, weight], ...]``)."""
-        self.emit(EV.FLOW_START, id=fid, nbytes=nbytes, links=links,
-                  label=label)
-
-    def flow_rate(self, fid: int, rate: float) -> None:
-        """The water-filling allocator granted a flow a new rate."""
-        self.emit(EV.FLOW_RATE, id=fid, rate=rate)
-
-    def flow_end(self, fid: int, moved: float) -> None:
-        """A flow completed after moving ``moved`` bytes."""
-        self.emit(EV.FLOW_END, id=fid, moved=moved)
-
-    def job_submit(self, job: str, tenant: str, n: int, **data) -> None:
-        """A sort job entered the service's admission queue."""
-        self.emit(EV.JOB_SUBMIT, job=job, tenant=tenant, n=n, **data)
-
-    def job_start(self, job: str, tenant: str, queued_s: float,
-                  **data) -> None:
-        """A job was admitted (memory + concurrency gates passed) and its
-        runner process started."""
-        self.emit(EV.JOB_START, job=job, tenant=tenant, queued_s=queued_s,
-                  **data)
-
-    def job_end(self, job: str, tenant: str, latency_s: float,
-                **data) -> None:
-        """A job completed; ``latency_s`` is submit-to-completion."""
-        self.emit(EV.JOB_END, job=job, tenant=tenant, latency_s=latency_s,
-                  **data)
-
-    def epoch(self, index: int, **data) -> None:
-        """The adaptive controller finished a control epoch (per-tenant
-        utilization observed, level map possibly re-drawn)."""
-        self.emit(EV.EPOCH, index=index, **data)
 
     # -- engine hook ---------------------------------------------------------
 

@@ -48,6 +48,7 @@ import typing as _t
 from array import array
 
 from repro.errors import FlowLedgerError
+from repro.obs.events import EV
 from repro.sim.trace import span_index
 
 __all__ = ["FLOWS_SCHEMA", "CONTENTION_SCHEMA", "RECONCILE_SCHEMA",
@@ -168,7 +169,8 @@ class FlowLedger:
         self._view = None
         if self.bus is not None:
             links = [list(pair) for pair in self._shapes[shape][0]]
-            self.bus.flow_start(fid, flow.nbytes, links, label=flow.label)
+            self.bus.emit(EV.FLOW_START, id=fid, nbytes=flow.nbytes,
+                          links=links, label=flow.label)
 
     def _add_shape(self, flow) -> int:
         # Isolation rate: what the flow would be granted alone -- its own
@@ -198,7 +200,7 @@ class FlowLedger:
                 if f._last_t == now and f._last_progressed == progressed:
                     continue
             elif bus is not None:   # the rate changed (or a first capture)
-                bus.flow_rate(f.fid, rate)
+                bus.emit(EV.FLOW_RATE, id=f.fid, rate=rate)
             f._last_t = now
             f._last_rate = rate
             f._last_progressed = progressed
@@ -223,7 +225,7 @@ class FlowLedger:
         flow._last_rate = math.nan
         self._view = None
         if self.bus is not None:
-            self.bus.flow_end(fid, flow.progressed)
+            self.bus.emit(EV.FLOW_END, id=fid, moved=flow.progressed)
 
     def on_capacity(self, name: str, capacity: float, now: float) -> None:
         """A link's capacity changed mid-run (fault injection)."""
@@ -457,7 +459,9 @@ def settled_split(total: float,
     bit* -- the same absorber + directional-walk + half-ulp tie
     hardening as :func:`repro.obs.conformance.residual_attribution`.
     Degenerate weights (empty, or summing to <= 0) put everything on an
-    ``"unattributed"`` part.
+    ``"unattributed"`` part.  It does not reuse that function because
+    it sums the weights in sorted key order, not insertion order, so
+    the two differ in the last bits on about a quarter of share maps.
     """
     cats = sorted(weights)
     wsum = 0.0

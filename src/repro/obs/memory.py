@@ -46,6 +46,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.errors import MemoryLedgerError
+from repro.obs.events import EV
 
 __all__ = [
     "MEMORY_SCHEMA", "MEMPLAN_SCHEMA", "MEMORY_CONFORMANCE_SCHEMA",
@@ -120,19 +121,19 @@ class MemoryLedger:
         if op == "alloc":
             self.n_allocs += 1
             if self.bus is not None:
-                self.bus.mem_alloc(pool=pool, name=name, nbytes=nbytes,
-                                   balance=balance)
+                self.bus.emit(EV.MEM_ALLOC, pool=pool, name=name,
+                              nbytes=nbytes, balance=balance)
             if balance > self.peaks.get(pool, 0):
                 self.peaks[pool] = balance
                 if self.bus is not None:
-                    self.bus.mem_watermark(
-                        pool=pool, peak_bytes=balance,
+                    self.bus.emit(
+                        EV.MEM_WATERMARK, pool=pool, peak_bytes=balance,
                         capacity_bytes=self.capacities.get(pool))
         else:
             self.n_frees += 1
             if self.bus is not None:
-                self.bus.mem_free(pool=pool, name=name, nbytes=nbytes,
-                                  balance=balance)
+                self.bus.emit(EV.MEM_FREE, pool=pool, name=name,
+                              nbytes=nbytes, balance=balance)
 
     def device_alloc(self, gpu: int, nbytes: int, name: str = "") -> None:
         """Record a successful ``cudaMalloc`` on ``gpu``."""

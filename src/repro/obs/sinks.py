@@ -3,7 +3,9 @@
 * :class:`JsonlSink` -- a byte-stable ``repro.events/v1`` structured
   log: one canonical-JSON line per event, replayable back into a
   :class:`~repro.sim.trace.Trace` and counter series with
-  :func:`replay_events` (exactness pinned by tests);
+  :func:`replay_events` (exactness pinned by tests), and checked by
+  :func:`validate_events` against the field table of
+  :mod:`repro.obs.events`;
 * :class:`LiveAggregator` -- rolling per-lane throughput, per-category
   progress fractions and an ETA derived from the Sec. IV-G lower-bound
   model (falling back to progress extrapolation);
@@ -21,7 +23,6 @@ they observe, they never touch the simulation.
 
 from __future__ import annotations
 
-import numbers
 import sys
 import time
 import typing as _t
@@ -30,7 +31,8 @@ from collections import deque
 from repro.errors import EventLogError
 from repro.obs.counters import MetricsRecorder
 from repro.obs.diff import canonical_json
-from repro.obs.events import EV, EVENTS_SCHEMA, EventBus, Sink, TelemetryEvent
+from repro.obs.events import (_EVENT_FIELDS, _INT, _REAL, EV, EVENTS_SCHEMA,
+                              EventBus, Sink, TelemetryEvent)
 from repro.schema import field_error, read_jsonl
 from repro.sim.trace import CAT, Trace
 
@@ -78,39 +80,7 @@ class JsonlSink(Sink):
             self._fh.flush()
 
 
-_REAL, _INT = numbers.Real, numbers.Integral
 _ENVELOPE = {"kind", "t", "seq", "data"}
-_MEM_FIELDS = {"pool": str, "name": str, "nbytes": _REAL, "balance": _REAL}
-
-#: kind -> {field: type} every event of that kind carries in its
-#: ``data``.  A trailing ``?`` marks a field that may be absent or null
-#: but is typed when present, because a reader computes with it.  The
-#: number types are the ABCs, so numpy scalars in an in-memory stream
-#: pass as they do once written.
-_EVENT_FIELDS: dict[str, dict[str, type]] = {
-    EV.RUN_START: {"n?": _REAL, "n_batches?": _REAL},
-    EV.RUN_END: {"elapsed_s?": _REAL},
-    EV.SPAN: {"id": _INT, "category": str, "label": str, "start": _REAL,
-              "end": _REAL, "lane": str, "nbytes": _REAL,
-              "elements": _INT, "meta": list, "deps": list},
-    EV.QUEUE: {"name": str, "depth": _INT},
-    EV.COUNTER: {"name": str, "value": _REAL},
-    EV.PHASE: {"name": str},
-    EV.WARNING: {"code": str, "message": str},
-    EV.FAULT: {"kind": str},
-    EV.RETRY: {"what": str, "attempt": _INT},
-    EV.DEGRADE: {"reason": str},
-    EV.MEM_ALLOC: _MEM_FIELDS, EV.MEM_FREE: _MEM_FIELDS,
-    EV.MEM_WATERMARK: {"pool": str, "peak_bytes": _REAL,
-                       "capacity_bytes?": _REAL},
-    EV.FLOW_START: {"id": _INT, "nbytes": _REAL, "links": list},
-    EV.FLOW_RATE: {"id": _INT, "rate": _REAL},
-    EV.FLOW_END: {"id": _INT},
-    EV.JOB_SUBMIT: {"job": str, "tenant": str, "n": _INT},
-    EV.JOB_START: {"job": str, "tenant": str, "queued_s": _REAL},
-    EV.JOB_END: {"job": str, "tenant": str, "latency_s": _REAL},
-    EV.EPOCH: {"index": _INT},
-}
 
 
 def read_events(path) -> tuple[dict, list[TelemetryEvent]]:
@@ -136,17 +106,18 @@ def validate_events(events: _t.Sequence[TelemetryEvent]) -> dict:
 
     Checks: known kinds; a gapless ``seq``; numeric, non-decreasing
     times; ``run.start`` / ``run.end`` (if present) first / last; the
-    fields :data:`_EVENT_FIELDS` lists for each kind, with their types;
+    fields :data:`repro.obs.events._EVENT_FIELDS` lists for each kind,
+    with their types;
     span ids in recording order with backward deps; no negative pool
     balance or flow rate.  Violations raise
     :class:`~repro.errors.EventLogError`.
     """
-    counts: dict[str, int] = {k: 0 for k in EV.ALL}
+    counts: dict[str, int] = dict.fromkeys(_EVENT_FIELDS, 0)
     n_spans = 0
     last_t = 0.0
     for i, ev in enumerate(events):
-        # EV.ALL is a tuple, so an unhashable kind reads as unknown.
-        if ev.kind not in EV.ALL:
+        # The str check first: an unhashable kind cannot be looked up.
+        if not isinstance(ev.kind, str) or ev.kind not in _EVENT_FIELDS:
             raise EventLogError(f"event {i}: unknown kind {ev.kind!r}")
         if ev.seq != i:
             raise EventLogError(
@@ -552,25 +523,26 @@ class WatchdogSink(Sink):
         self._steps_since_span += 1
         if self._steps_since_span > self.stall_steps and not self._stalled:
             self._stalled = True
-            bus.warning(
-                "stall", f"no span recorded for {self._steps_since_span} "
-                         "engine steps", steps=self._steps_since_span)
+            bus.emit(EV.WARNING, code="stall",
+                     message=f"no span recorded for "
+                             f"{self._steps_since_span} engine steps",
+                     steps=self._steps_since_span)
         for name in list(self._pinned):
             self._pinned[name] += 1
             if self._pinned[name] > self.queue_wait_steps \
                     and name not in self._pinned_warned:
                 self._pinned_warned.add(name)
-                bus.warning(
-                    "queue.pinned",
-                    f"queue {name!r} pinned at capacity with waiters for "
-                    f"{self._pinned[name]} engine steps",
+                bus.emit(
+                    EV.WARNING, code="queue.pinned",
+                    message=f"queue {name!r} pinned at capacity with "
+                            f"waiters for {self._pinned[name]} engine steps",
                     queue=name, steps=self._pinned[name])
         if self.deadline_s is not None and not self._deadline_warned:
             now = bus.clock()
             if now > self.deadline_s:
                 self._deadline_warned = True
-                bus.warning(
-                    "deadline",
-                    f"run passed its {self.deadline_s:g} s deadline at "
-                    f"t={now:.6f} s",
+                bus.emit(
+                    EV.WARNING, code="deadline",
+                    message=f"run passed its {self.deadline_s:g} s "
+                            f"deadline at t={now:.6f} s",
                     deadline_s=self.deadline_s, t=now)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.errors import SimulationError
+from repro.obs.events import EV
 from repro.sim.allocators import FixedLevels
 
 __all__ = ["AdaptiveController"]
@@ -139,10 +140,10 @@ class AdaptiveController:
         }
         self.epochs.append(rec)
         if self.bus is not None:
-            self.bus.epoch(index, t=rec["t"], backlogged=rec["backlogged"],
-                           idle=rec["idle"],
-                           reclaimed_fraction=rec["reclaimed_fraction"],
-                           changed=changed)
+            self.bus.emit(EV.EPOCH, index=index, t=rec["t"],
+                          backlogged=rec["backlogged"], idle=rec["idle"],
+                          reclaimed_fraction=rec["reclaimed_fraction"],
+                          changed=changed)
 
     # -- verdict summary ----------------------------------------------------
 

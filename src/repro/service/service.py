@@ -41,6 +41,7 @@ from repro.hetsort.validate import check_sorted_permutation
 from repro.hw.machine import Machine
 from repro.hw.platforms import PLATFORM1
 from repro.hw.spec import PlatformSpec
+from repro.obs.events import EV
 from repro.obs.flows import FlowLedger
 from repro.obs.memory import MemoryLedger
 from repro.service.controller import AdaptiveController
@@ -225,9 +226,9 @@ class SortService:
                 yield self.env.timeout(delay)
             self._pending.append(job)
             if self.bus is not None:
-                self.bus.job_submit(job.job_id, job.tenant, job.n,
-                                    approach=job.approach,
-                                    priority=job.priority)
+                self.bus.emit(EV.JOB_SUBMIT, job=job.job_id,
+                              tenant=job.tenant, n=job.n,
+                              approach=job.approach, priority=job.priority)
             self._kick()
 
     def _dispatcher(self):
@@ -298,9 +299,9 @@ class SortService:
         env = self.env
         admit_s = env.now
         if self.bus is not None:
-            self.bus.job_start(job.job_id, job.tenant,
-                               queued_s=admit_s - job.arrival_s,
-                               gpus=list(assigned))
+            self.bus.emit(EV.JOB_START, job=job.job_id, tenant=job.tenant,
+                          queued_s=admit_s - job.arrival_s,
+                          gpus=list(assigned))
         data = None
         if self.config.functional:
             seed = job_data_seed(self.config.seed,
@@ -346,10 +347,10 @@ class SortService:
         self._rows.append(row)
         self._completed += 1
         if self.bus is not None:
-            self.bus.job_end(job.job_id, job.tenant,
-                             latency_s=row["latency_s"],
-                             queued_s=row["queued_s"],
-                             service_s=row["service_s"])
+            self.bus.emit(EV.JOB_END, job=job.job_id, tenant=job.tenant,
+                          latency_s=row["latency_s"],
+                          queued_s=row["queued_s"],
+                          service_s=row["service_s"])
         self._kick()
 
 

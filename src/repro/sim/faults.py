@@ -45,6 +45,7 @@ import typing as _t
 from dataclasses import dataclass, fields
 
 from repro.errors import FaultPlanError
+from repro.obs.events import EV
 from repro.schema import is_int, is_number, read_json
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -406,8 +407,7 @@ class FaultInjector:
         record.update((k, v) for k, v in data.items() if v is not None)
         self.fired.append(record)
         if self.bus is not None:
-            self.bus.fault(spec.kind, **{k: v for k, v in record.items()
-                                         if k != "kind"})
+            self.bus.emit(EV.FAULT, **record)
 
     @property
     def fired_total(self) -> int:

@@ -40,6 +40,8 @@ from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 
+from repro.obs.events import EV
+
 __all__ = ["Span", "Trace", "CAT", "span_index"]
 
 _INF = math.inf
@@ -278,7 +280,7 @@ class Trace:
         self._start.append(start)
         self._end.append(end)
         if self.bus is not None:
-            self.bus.span(self._build(sid))
+            self.bus.emit(EV.SPAN, **self._span_dict(sid))
         return sid
 
     def _add_kind(self, category, label, lane, nbytes, elements,
@@ -377,19 +379,24 @@ class Trace:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (spans with ids, deps and meta)."""
-        kinds, deps, off = self._kinds, self._deps, self._dep_off
-        spans = []
-        for sid, (k, start, end) in enumerate(zip(self._kind, *self._times())):
-            category, label, lane, nbytes, elements, meta, _ = kinds[k]
-            spans.append({
-                "id": sid, "category": category, "label": label,
+    def _span_dict(self, sid: int) -> dict:
+        """Span ``sid``'s record: one :meth:`to_dict` entry, and the data
+        of its ``span`` event."""
+        category, label, lane, nbytes, elements, meta, _ = \
+            self._kinds[self._kind[sid]]
+        start, end = self._exact_times.get(sid) or (self._start[sid],
+                                                    self._end[sid])
+        off = self._dep_off
+        return {"id": sid, "category": category, "label": label,
                 "start": start, "end": end, "lane": lane,
                 "nbytes": nbytes, "elements": elements,
                 "meta": [list(kv) for kv in meta],
-                "deps": list(deps[off[sid]:off[sid + 1]])})
-        return {"spans": spans}
+                "deps": list(self._deps[off[sid]:off[sid + 1]])}
+
+    def to_dict(self) -> dict:
+        """JSON-serialisable form (spans with ids, deps and meta)."""
+        return {"spans": [self._span_dict(sid)
+                          for sid in range(len(self._start))]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Trace":

@@ -121,8 +121,8 @@ def test_gauge_records_what_sample_records_in_first_sample_order():
         def __init__(self):
             self.events = []
 
-        def counter(self, name, value, unit=""):
-            self.events.append((name, value, unit))
+        def emit(self, kind, /, **data):
+            self.events.append((kind, data))
 
     now = [0.0]
     by_gauge = MetricsRecorder(clock=lambda: now[0])

@@ -63,13 +63,13 @@ def test_bus_stamps_clock_and_sequence():
     t = {"now": 0.0}
     bus = EventBus(clock=lambda: t["now"])
     sink = bus.attach(_Collect())
-    bus.phase("a")
+    bus.emit(EV.PHASE, name="a")
     t["now"] = 1.5
-    bus.counter("x", 2.0, unit="el")
+    bus.emit(EV.COUNTER, name="x", value=2.0, unit="el")
     assert [(e.kind, e.t, e.seq) for e in sink.events] == \
         [(EV.PHASE, 0.0, 0), (EV.COUNTER, 1.5, 1)]
     bus.detach(sink)
-    bus.phase("b")
+    bus.emit(EV.PHASE, name="b")
     assert len(sink.events) == 2          # detached sinks stop receiving
     assert bus.emit(EV.PHASE, name="c").seq == 3   # seq keeps advancing
 
@@ -183,8 +183,9 @@ def _ev(kind, t, seq, **data):
 
 
 def test_validate_rejects_bad_streams():
-    with pytest.raises(EventLogError, match="unknown kind"):
-        validate_events([_ev("nope", 0.0, 0)])
+    for kind in ("nope", ["span"], {"span": 1}, 7):   # unhashable too
+        with pytest.raises(EventLogError, match="unknown kind"):
+            validate_events([_ev(kind, 0.0, 0)])
     with pytest.raises(EventLogError, match="gapless"):
         validate_events([_ev(EV.PHASE, 0.0, 0, name="a"),
                          _ev(EV.PHASE, 0.0, 2, name="b")])
@@ -299,7 +300,7 @@ def test_watchdog_flags_pinned_queue():
     wd = WatchdogSink(queue_wait_steps=3)
     bus.attach(wd)
     bus.attach(sink)
-    bus.queue("gpu0.kernel", depth=2, in_use=1, capacity=1)
+    bus.emit(EV.QUEUE, name="gpu0.kernel", depth=2, in_use=1, capacity=1)
     for _ in range(5):
         bus._on_step(None)
     pinned = [e for e in sink.events if e.kind == EV.WARNING]
@@ -307,7 +308,7 @@ def test_watchdog_flags_pinned_queue():
     assert pinned[0].data["code"] == "queue.pinned"
     assert pinned[0].data["queue"] == "gpu0.kernel"
     # Queue drains -> the watchdog re-arms.
-    bus.queue("gpu0.kernel", depth=0, in_use=0, capacity=1)
+    bus.emit(EV.QUEUE, name="gpu0.kernel", depth=0, in_use=0, capacity=1)
     for _ in range(5):
         bus._on_step(None)
     assert len([e for e in sink.events if e.kind == EV.WARNING]) == 1

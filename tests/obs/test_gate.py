@@ -240,8 +240,19 @@ def test_invariants_name_lost_log_coverage_and_lost_specials():
     _, broken, _, _ = gate._log(sc, None, {"log": log})
     assert broken == [
         """schema header is '{"schema":"repro.events/v2"}'""",
+        "violates repro.events/v1: event 0: sequence None breaks the "
+        "gapless order",
         "0 retry.attempt events, expected 6",
         "0 degrade.replan events, expected 6"]
+
+    # A well-formed line whose data breaks the kind's field table.
+    log = ('{"schema":"repro.events/v1"}\n'
+           '{"data":{"id":"3","moved":1.0},"kind":"flow.end","seq":0,'
+           '"t":0.0}\n')
+    _, broken, _, _ = gate._log(by_name["functional_pipemerge"], None,
+                                {"log": log})
+    assert broken[0] == ("violates repro.events/v1: event 0: flow.end id "
+                         "must be Integral, got str")
 
     class Result:
         output = np.abs(gate.special_input(60_000, 2023))

@@ -404,6 +404,15 @@ def test_watch_json_snapshot(tmp_path):
     assert doc["progress"]["fraction"] == 1.0
 
 
+@pytest.mark.parametrize("interval", ["0", "-1"])
+def test_watch_rejects_a_non_positive_interval(tmp_path, interval):
+    log = tmp_path / "run.events.jsonl"
+    run_cli("--n", "1e6", "--batch-size", "2.5e5", "--events", str(log))
+    code, text = run_cli("watch", str(log), "--interval", interval)
+    assert code == 2
+    assert text == f"repro watch: --interval must be > 0, got {interval}\n"
+
+
 def test_watch_rejects_bad_log(tmp_path):
     code, text = run_cli("watch", str(tmp_path / "missing.jsonl"))
     assert code == 2
@@ -757,12 +766,16 @@ def test_malformed_fault_plan_is_a_one_line_exit_2(tmp_path, entry):
     (("--n", "1e9", "--batch-size", "3e10"), "of global memory"),
     (("metrics", "--n", "6e9"), "host needs ~3n = 144000000000 B"),
     (("--n", "1e6", "--gpus", "3"), "PLATFORM1 has 1 GPU(s); requested 3"),
+    (("serve", "--timing", "--max-concurrent", "0"),
+     "max_concurrent must be >= 1"),
+    (("serve", "--timing", "--gpus-per-job", "0"),
+     "gpus_per_job must be >= 1"),
 ])
 def test_out_of_range_run_input_is_a_one_line_exit_2(argv, message):
     code, text = run_cli(*argv)
     assert code == 2
     assert len(text.strip().splitlines()) == 1
-    prog = "repro metrics" if argv[0] == "metrics" else "repro"
+    prog = f"repro {argv[0]}" if argv[0] in ("metrics", "serve") else "repro"
     assert text.startswith(f"{prog}: ")
     assert message in text
 
