@@ -71,10 +71,9 @@ from repro.obs.diff import (canonical_json, diff_reports, load_report,
 from repro.obs.events import (EV, EVENTS_SCHEMA, EventBus, Sink,
                               TelemetryEvent)
 from repro.obs.flows import (CONTENTION_SCHEMA, FLOWS_SCHEMA,
-                             FlowLedger, FlowRateSeries,
-                             attribute_contention, concurrency_series,
-                             flow_rate_counters, link_peaks,
-                             link_timelines, link_utilization,
+                             FlowLedger, attribute_contention,
+                             concurrency_series, flow_rate_counters,
+                             link_peaks, link_timelines, link_utilization,
                              reconcile_flow_spans, settled_split,
                              verify_contention, verify_rate_integral)
 from repro.obs.memory import (MEMORY_SCHEMA, MEMPLAN_SCHEMA,
@@ -122,7 +121,7 @@ __all__ = [
     "MEMORY_SCHEMA", "MEMPLAN_SCHEMA", "MEMORY_CONFORMANCE_SCHEMA",
     "PLAN_TOLERANCE", "MemoryLedger", "plan_memory", "measured_peaks",
     "memory_conformance",
-    "FLOWS_SCHEMA", "CONTENTION_SCHEMA", "FlowLedger", "FlowRateSeries",
+    "FLOWS_SCHEMA", "CONTENTION_SCHEMA", "FlowLedger",
     "link_timelines", "link_utilization", "link_peaks",
     "concurrency_series", "settled_split", "attribute_contention",
     "verify_contention", "verify_rate_integral", "reconcile_flow_spans",

@@ -88,28 +88,36 @@ def residual_attribution(report: dict, predicted_s: float
     total = sum(shares.values())
     if total <= 0 or not shares:
         return {WAIT: gap}
-    cats = sorted(shares)
-    out = {c: gap * (shares[c] / total) for c in cats}
+    return _exact_split(gap, shares, total)
+
+
+def _exact_split(total: float, weights: _t.Mapping[str, float],
+                 wsum: float) -> dict[str, float]:
+    """Split ``total`` over ``weights`` (whose sum, in the caller's own
+    order, is ``wsum > 0``) in proportion, so that summing the returned
+    parts left to right in sorted key order reproduces ``total`` *bit
+    for bit*; the parts come back in that order.
+    """
+    cats = sorted(weights)
+    out = {c: total * (weights[c] / wsum) for c in cats}
+    if len(cats) == 1:
+        out[cats[0]] = total
+        return out
     # Force the exact-sum invariant against plain left-to-right addition
     # in key order (what sum(record.values()) does after a JSON round
     # trip, since canonical JSON preserves the sorted key order).  The
-    # last-summed category absorbs the remainder: with ``prefix`` the
-    # rounded sum of everything before it, setting it to ``gap - prefix``
-    # leaves only ONE rounding between the running sum and the gap, so
-    # the final addition reproduces the gap exactly -- except when the
-    # exact sum lands on a round-to-even tie around a gap with an odd
-    # mantissa, where no absorber value can round to the gap at all.
-    # The last-summed category absorbs: ``gap - prefix`` leaves one
-    # rounding, which a short directional walk of the absorber fixes --
-    # except on a round-to-even tie.  When the exact sum sits half an
-    # ulp from a gap with an odd mantissa, *every* absorber candidate
-    # rounds to one of the even neighbours and the gap is unreachable;
-    # the prefix's sub-ulp residue must change instead.  Whole-ulp
-    # steps of a prefix element can hop tie to tie forever (the rounded
-    # prefix then only ever moves in even ulp counts), so the elements
-    # are stepped by *half* a prefix ulp: a half step turns an exact
-    # tie into an exactly representable value, forcing an odd move that
-    # flips the residue and opens the gap's rounding basin.
+    # last-summed category absorbs: with ``prefix`` the rounded sum of
+    # everything before it, ``total - prefix`` leaves one rounding,
+    # which a short directional walk of the absorber fixes -- except on
+    # a round-to-even tie.  When the exact sum sits half an ulp from a
+    # total with an odd mantissa, *every* absorber candidate rounds to
+    # one of the even neighbours and the total is unreachable; the
+    # prefix's sub-ulp residue must change instead.  Whole-ulp steps of
+    # a prefix element can hop tie to tie forever (the rounded prefix
+    # then only ever moves in even ulp counts), so the elements are
+    # stepped by *half* a prefix ulp: a half step turns an exact tie
+    # into an exactly representable value, forcing an odd move that
+    # flips the residue and opens the total's rounding basin.
     last = cats[-1]
 
     def _accumulate() -> float:
@@ -119,15 +127,15 @@ def residual_attribution(report: dict, predicted_s: float
         return p
 
     def _settle(p: float) -> bool:
-        out[last] = gap - p
+        out[last] = total - p
         s = p + out[last]
         for _ in range(4):
-            if s == gap:
+            if s == total:
                 return True
             out[last] = math.nextafter(out[last],
-                                       math.inf if gap > s else -math.inf)
+                                       math.inf if total > s else -math.inf)
             s = p + out[last]
-        return s == gap
+        return s == total
 
     prefix = _accumulate()
     if not _settle(prefix):

@@ -48,12 +48,14 @@ import typing as _t
 from array import array
 
 from repro.errors import FlowLedgerError
+from repro.obs.conformance import _exact_split
+from repro.obs.counters import CounterSeries
 from repro.obs.events import EV
 from repro.sim.trace import span_index
 
 __all__ = ["FLOWS_SCHEMA", "CONTENTION_SCHEMA", "RECONCILE_SCHEMA",
-           "FlowLedger", "FlowRateSeries", "link_timelines",
-           "link_utilization", "link_peaks", "concurrency_series",
+           "FlowLedger", "link_timelines", "link_utilization",
+           "link_peaks", "concurrency_series",
            "settled_split", "attribute_contention", "verify_contention",
            "verify_rate_integral", "reconcile_flow_spans",
            "flow_rate_counters"]
@@ -456,59 +458,19 @@ def settled_split(total: float,
                   weights: _t.Mapping[str, float]) -> dict[str, float]:
     """Split ``total`` proportionally over ``weights`` so that summing
     the returned parts in sorted key order reproduces ``total`` *bit for
-    bit* -- the same absorber + directional-walk + half-ulp tie
-    hardening as :func:`repro.obs.conformance.residual_attribution`.
-    Degenerate weights (empty, or summing to <= 0) put everything on an
-    ``"unattributed"`` part.  It does not reuse that function because
-    it sums the weights in sorted key order, not insertion order, so
-    the two differ in the last bits on about a quarter of share maps.
+    bit*, with the same exact split as
+    :func:`repro.obs.conformance.residual_attribution`.  Degenerate
+    weights (empty, or summing to <= 0) put everything on an
+    ``"unattributed"`` part.  The weights are summed in sorted key
+    order, not insertion order, so the two functions' parts differ in
+    the last bits on about a quarter of share maps.
     """
-    cats = sorted(weights)
     wsum = 0.0
-    for c in cats:
+    for c in sorted(weights):
         wsum += weights[c]
-    if not cats or wsum <= 0:
+    if not weights or wsum <= 0:
         return {"unattributed": total}
-    out = {c: total * (weights[c] / wsum) for c in cats}
-    if len(cats) == 1:
-        out[cats[0]] = total
-        return out
-    last = cats[-1]
-
-    def _accumulate() -> float:
-        p = 0.0
-        for c in cats[:-1]:
-            p += out[c]
-        return p
-
-    def _settle(p: float) -> bool:
-        out[last] = total - p
-        s = p + out[last]
-        for _ in range(4):
-            if s == total:
-                return True
-            out[last] = math.nextafter(out[last],
-                                       math.inf if total > s else -math.inf)
-            s = p + out[last]
-        return s == total
-
-    prefix = _accumulate()
-    if not _settle(prefix):
-        # Round-to-even tie: step prefix elements by half a prefix ulp
-        # until the absorber can land on the total (see the long comment
-        # in conformance.residual_attribution).
-        half = math.ulp(prefix) / 2.0
-        for j in range(len(cats) - 2, -1, -1):
-            step = max(half, math.ulp(out[cats[j]]))
-            landed = False
-            for _ in range(8):
-                out[cats[j]] += step
-                if _settle(_accumulate()):
-                    landed = True
-                    break
-            if landed:
-                break
-    return out
+    return _exact_split(total, weights, wsum)
 
 
 def attribute_contention(doc: dict) -> dict:
@@ -695,35 +657,14 @@ def reconcile_flow_spans(doc: dict, trace) -> dict:
             "checked": checked, "unbound": unbound, "failures": failures}
 
 
-class FlowRateSeries:
-    """One link's granted-rate step series, duck-typing
-    :class:`repro.obs.counters.CounterSeries` for the chrome-trace
-    counter exporter (``samples()`` + ``unit``)."""
-
-    __slots__ = ("name", "unit", "points")
-
-    def __init__(self, name: str, points: _t.Sequence[tuple[float, float]],
-                 unit: str = "bytes/s") -> None:
-        self.name = name
-        self.unit = unit
-        self.points = list(points)
-
-    def samples(self) -> _t.Iterator[tuple[float, float]]:
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<FlowRateSeries {self.name!r} n={len(self.points)}>"
-
-
-def flow_rate_counters(doc: dict) -> dict[str, FlowRateSeries]:
+def flow_rate_counters(doc: dict) -> dict[str, CounterSeries]:
     """``link.<name>.bw_bytes_per_s`` Perfetto counter tracks for every
     link in the ledger (merge into the recorder's series mapping when
     exporting a chrome trace)."""
     out = {}
     for name, pts in link_timelines(doc).items():
         track = f"link.{name}.bw_bytes_per_s"
-        out[track] = FlowRateSeries(track, pts)
+        series = out[track] = CounterSeries(track, "bytes/s")
+        for t, rate in pts:
+            series.add(t, rate)
     return out

@@ -58,7 +58,7 @@ class AdaptiveController:
                  demand_fn: _t.Callable[[], _t.Iterable[int]],
                  epoch_s: float = 0.05, reclaim: float = 0.9,
                  bus=None) -> None:
-        if epoch_s <= 0:
+        if not epoch_s > 0:   # NaN fails too
             raise SimulationError(f"epoch_s must be > 0, got {epoch_s}")
         if not 0.0 <= reclaim < 1.0:
             raise SimulationError(

@@ -75,6 +75,13 @@ class ServiceConfig:
             raise ValidationError("gpus_per_job must be >= 1")
         if self.max_concurrent < 1:
             raise ValidationError("max_concurrent must be >= 1")
+        # Phrased so that NaN fails too.
+        if not self.epoch_s > 0:
+            raise ValidationError(
+                f"epoch_s must be > 0, got {self.epoch_s}")
+        if not 0.0 <= self.reclaim < 1.0:
+            raise ValidationError(
+                f"reclaim must be in [0, 1), got {self.reclaim}")
 
     def sort_config(self, approach: str) -> SortConfig:
         return SortConfig(approach=approach, batch_size=self.batch_size,

@@ -8,11 +8,11 @@ service needs per-tenant QoS, so the discipline becomes a per-link
 ``BandwidthAllocator`` hierarchy:
 
 :class:`FairShare`
-    The historical behaviour, **bit-identical**: flow priorities and
-    shares are ignored and the network runs the exact pre-existing
-    water-filling code path (including the incremental component refill
-    and the cap-load fast path).  This is the default policy of every
-    link (``policy is None`` means FairShare).
+    Plain max-min fairness: flow priorities and shares are ignored and
+    the component is one unweighted progressive fill of
+    :func:`_fill_layer` with each link's budget its capacity.  This is
+    the default policy of every link (``policy is None`` means
+    FairShare).
 :class:`MaxMinFair`
     Weighted max-min fairness: progressive filling where each flow's rate
     rises proportionally to its ``share`` weight, so a tenant with share
@@ -63,8 +63,7 @@ __all__ = [
 ]
 
 _INF = math.inf
-#: Rate slack for freezing decisions (bytes/second); matches
-#: ``repro.sim.bandwidth._EPS_RATE``.
+#: Rate slack for freezing decisions (bytes/second).
 _EPS_RATE = 1e-9
 
 
@@ -88,8 +87,8 @@ class BandwidthAllocator:
         flow ``priority`` classes matter on this link (the component is
         filled top priority first).
 
-    A policy with neither flag set (FairShare) keeps the component on the
-    bit-identical historical code path.
+    A policy with neither flag set (FairShare) leaves the component to
+    the plain unweighted fill.
     """
 
     name: str = "base"
@@ -107,12 +106,8 @@ class BandwidthAllocator:
 
 
 class FairShare(BandwidthAllocator):
-    """Pure processor-sharing -- the historical discipline, bit-identical.
-
-    Ignores both flow priorities and shares; a link with this policy (or
-    with no policy at all) participates in the exact pre-existing
-    water-filling code path.
-    """
+    """Pure processor-sharing: ignores both flow priorities and shares,
+    exactly like a link with no policy at all."""
 
     name = "fair-share"
 
@@ -224,11 +219,14 @@ def make_allocator(name: str,
 def _fill_layer(flows: list, links: list, weighted: bool) -> None:
     """Weighted progressive filling of one priority layer.
 
-    Mirrors the historical slow path of ``FlowNetwork._fill`` with two
-    generalisations: per-flow weights (a flow's payload rate rises by
-    ``delta * share`` per round, consuming ``delta * share * link_weight``
-    on each link) and per-link *budgets* (``link._budget``, set by the
-    caller from the link policies) instead of raw capacity headroom.
+    All unfrozen flows' rates rise in lockstep until a flow reaches its
+    cap or a link's budget runs out; affected flows freeze; repeat.  A
+    flow's payload rate rises by ``delta * share`` per round (``delta``
+    when unweighted), consuming ``delta * share * link_weight`` on each
+    link's *budget* (``link._budget``, set by the caller: the capacity
+    for a plain component, a policy's layer budget otherwise).  A flow
+    frozen at its cap runs at exactly ``cap``, not ``cap`` less the
+    round-off of the deltas.
 
     Flows crossing a link whose budget is already exhausted are frozen at
     exactly rate 0 before any round runs -- that exactness is the
@@ -278,8 +276,7 @@ def _fill_layer(flows: list, links: list, weighted: bool) -> None:
         still = []
         for f in unfrozen:
             if f.rate >= f.cap - _EPS_RATE:
-                # Snap-to-cap, exactly as the historical fill.
-                f.rate = f.cap
+                f.rate = f.cap   # snap-to-cap
                 continue
             saturated = False
             for l, _w in f.links:
@@ -299,9 +296,9 @@ def fill_component(flows: list, links: list) -> None:
 
     Called by ``FlowNetwork._fill`` only when at least one link carries a
     weighted or layered policy; pure-FairShare components never reach
-    this function.  Like the historical fill, this is a pure function of
-    the component's flows (insertion order) and links, so incremental and
-    from-scratch recomputes stay bit-identical.
+    this function.  It is a pure function of the component's flows
+    (insertion order) and links, so incremental and from-scratch
+    recomputes stay bit-identical.
     """
     weighted = False
     layered = False

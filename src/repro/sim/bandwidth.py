@@ -23,8 +23,13 @@ rates bit-for-bit.  Filling is canonically **per component** so the
 incremental result is exactly (to the last ulp) what a from-scratch
 recompute produces; ``tests/sim/test_bandwidth_incremental_property.py``
 pins that equality against the :meth:`FlowNetwork._recompute_full`
-reference.  Five further hot-path refinements, all behind the same
-contract:
+reference.  One fill serves every policy: a component whose links all
+share plainly is one unweighted round of
+:func:`repro.sim.allocators._fill_layer` with each link's budget its
+capacity, and any weighted or layered policy routes it to
+:func:`repro.sim.allocators.fill_component`.  A frozen flow that reached
+its cap runs at exactly ``cap``.  Three hot-path refinements, all behind
+the same contract:
 
 * a *route table*: each distinct link list is validated once per
   network and becomes a :class:`Route` -- the weighted tuple its flows
@@ -36,17 +41,14 @@ contract:
   flow crosses the host bus, so this is the common case);
 * a *shape-keyed fill cache*: each flow is interned to a shape id built
   from everything the fill reads of it (cap, route, priority, share),
-  and a component's rates and link aggregates are cached under
-  the tuple of its flows' shape ids in insertion order.  Capacity,
-  policy and :meth:`FlowNetwork.reallocate` changes clear the cache, as
-  does reaching :data:`_FILL_CACHE_SIZE` entries;
-* a *cap-load fast path*: when every flow in a component has a finite rate
-  cap and the summed cap-load leaves headroom on every link, all rates are
-  exactly the caps -- no filling rounds at all (the common case for this
-  repo's machine models, where every primitive is capped);
-* *snap-to-cap*: a flow frozen because it reached its cap gets ``rate =
-  cap`` exactly rather than ``cap - O(eps)`` of accumulated deltas, which
-  keeps the fast and slow paths bit-identical.
+  and a component's rates are cached under the tuple of its flows'
+  shape ids in insertion order.  Capacity, policy and
+  :meth:`FlowNetwork.reallocate` changes clear the cache, as does
+  reaching :data:`_FILL_CACHE_SIZE` entries.
+
+The network keeps flow state only.  A link's load is computed when read
+(:meth:`FlowNetwork.link_snapshot`); its history is the flow ledger's
+(:func:`repro.obs.flows.link_timelines`).
 
 This is the standard fluid approximation used in network simulators; the
 paper's phenomena that it captures directly:
@@ -73,8 +75,6 @@ __all__ = ["Link", "Flow", "FlowNetwork", "FlowView", "LinkView"]
 #: Completion slack, in bytes.  Flows whose remaining volume falls below
 #: this are considered finished (guards against float round-off).
 _EPS_BYTES = 1e-6
-#: Rate slack for freezing decisions, in bytes/second.
-_EPS_RATE = 1e-9
 
 _INF = math.inf
 
@@ -88,12 +88,10 @@ class Link:
 
     :attr:`policy` selects the link's sharing discipline from the
     :mod:`repro.sim.allocators` family.  ``None`` (the default) means
-    :class:`~repro.sim.allocators.FairShare` -- pure processor-sharing on
-    the historical, bit-identical code path.
+    :class:`~repro.sim.allocators.FairShare` -- pure processor-sharing.
     """
 
-    __slots__ = ("name", "capacity", "policy", "_busy_byte_time",
-                 "_last_update", "_current_rate", "_left", "_wsum",
+    __slots__ = ("name", "capacity", "policy", "_left", "_wsum",
                  "_budget", "_mark", "_uf", "_nflows")
 
     def __init__(self, name: str, capacity: float) -> None:
@@ -101,14 +99,11 @@ class Link:
             raise SimulationError(f"link {name!r} capacity must be > 0")
         self.name = name
         self.capacity = float(capacity)
-        #: Per-link allocation policy (None = FairShare, bit-identical).
+        #: Per-link allocation policy (None = FairShare).
         self.policy: _alloc.BandwidthAllocator | None = None
-        self._busy_byte_time = 0.0   # integral of allocated rate over time
-        self._last_update = 0.0
-        self._current_rate = 0.0
         # Scratch registers for the progressive-filling rounds (headroom
         # left / weight sum of unfrozen flows / per-layer budget); valid
-        # only inside _fill() and allocators.fill_component().
+        # only inside FlowNetwork._fill() and the allocators' fill.
         self._left = 0.0
         self._wsum = 0.0
         self._budget = 0.0
@@ -119,15 +114,6 @@ class Link:
         self._uf: "Link | None" = None
         #: Active flows crossing this link (each counted once).
         self._nflows = 0
-
-    def _account(self, now: float) -> None:
-        self._busy_byte_time += self._current_rate * (now - self._last_update)
-        self._last_update = now
-
-    def utilisation_seconds(self, now: float) -> float:
-        """Equivalent full-capacity busy seconds so far."""
-        self._account(now)
-        return self._busy_byte_time / self.capacity
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Link {self.name!r} {self.capacity:.3g} B/s>"
@@ -241,14 +227,11 @@ class FlowNetwork:
         self._link_set: set[Link] = set()
         self._flows: list[Flow] = []
         # Fill cache: shape tuple -> shape id, and a component's shape-id
-        # tuple -> its rates and link aggregates.  Ids are never reused,
-        # so clearing the shape table can only cause misses, never a
-        # wrong hit.
+        # tuple -> its rates.  Ids are never reused, so clearing the
+        # shape table can only cause misses, never a wrong hit.
         self._shapes: dict[tuple, int] = {}
         self._next_shape = 0
-        self._fills: dict[tuple[int, ...],
-                          tuple[tuple[float, ...],
-                                tuple[tuple[Link, float], ...]]] = {}
+        self._fills: dict[tuple[int, ...], tuple[float, ...]] = {}
         # Route table: the caller's link entries -> their validated
         # Route, and each weighted tuple -> its Route (so equal routes
         # share one id and the shape table sees what it saw before).
@@ -270,7 +253,6 @@ class FlowNetwork:
     def add_link(self, name: str, capacity: float) -> Link:
         """Create and register a link."""
         link = Link(name, capacity)
-        link._last_update = self.env.now
         self._links.append(link)
         self._link_set.add(link)
         return link
@@ -461,9 +443,14 @@ class FlowNetwork:
 
     def instantaneous_rate(self, link: Link) -> float:
         """Current aggregate allocated rate on ``link`` (bytes/s),
-        including link weights."""
-        return sum(f.rate * w for f in self._flows
-                   for l, w in f.links if l is link)
+        including link weights: the active flows' shares summed in
+        insertion order."""
+        rate = 0.0
+        for f in self._flows:
+            for l, w in f.links:
+                if l is link:
+                    rate += f.rate * w
+        return rate
 
     def flow_snapshot(self) -> tuple[FlowView, ...]:
         """Read-only view of the currently active flows.
@@ -489,15 +476,17 @@ class FlowNetwork:
         return tuple(views)
 
     def link_snapshot(self) -> tuple[LinkView, ...]:
-        """Read-only view of every registered link's current state."""
-        counts = {id(l): 0 for l in self._links}
+        """Read-only view of every registered link's current state; each
+        rate is computed when read, as :meth:`instantaneous_rate` does."""
+        rates = {l: 0.0 for l in self._links}
+        counts = {l: 0 for l in self._links}
         for f in self._flows:
-            for l, _w in f.links:
-                counts[id(l)] += 1
-        return tuple(
-            LinkView(l.name, l.capacity, l._current_rate, counts[id(l)],
-                     l._current_rate / l.capacity if l.capacity else 0.0)
-            for l in self._links)
+            for l, w in f.links:
+                rates[l] += f.rate * w
+                counts[l] += 1
+        return tuple(LinkView(l.name, l.capacity, rates[l], counts[l],
+                              rates[l] / l.capacity)
+                     for l in self._links)
 
     # -- internals --------------------------------------------------------------
 
@@ -510,10 +499,6 @@ class FlowNetwork:
                 flow.progressed += flow.rate * dt
                 rem = flow.nbytes - flow.progressed
                 flow.remaining = rem if rem > 0.0 else 0.0
-            for link in self._links:   # Link._account, inlined
-                link._busy_byte_time += link._current_rate * (
-                    now - link._last_update)
-                link._last_update = now
         self._last_update = now
 
     def _intern(self, flow: Flow) -> None:
@@ -542,16 +527,14 @@ class FlowNetwork:
 
     def _dirty_components(self, seed_flows: _t.Sequence[Flow],
                           seed_links: _t.Sequence[Link],
-                          ) -> tuple[list[list[Flow]], list[Link]]:
+                          ) -> list[list[Flow]]:
         """The link-connected components reachable from the seeds.
 
-        Returns ``(components, touched_links)`` where each component is a
-        list of flows in insertion order (components ordered by their first
-        flow) and ``touched_links`` lists every link in the closure,
-        including seed links that currently carry no flow.  The partition
-        is a pure function of the current flow/link topology, so
-        refilling a dirty component here yields bit-identical rates to a
-        from-scratch recompute partitioning the whole network.
+        Each component is a list of flows in insertion order (components
+        ordered by their first flow).  The partition is a pure function
+        of the current flow/link topology, so refilling a dirty component
+        here yields bit-identical rates to a from-scratch recompute
+        partitioning the whole network.
 
         Discovery state lives in ``_mark`` generation counters on the
         links and flows themselves -- no per-call sets or dicts, which
@@ -560,7 +543,7 @@ class FlowNetwork:
         Shortcut: when a link the seeds reach carries every active flow,
         all flows form one component, so the closure is the whole
         network in insertion order -- exactly what the scan below would
-        find -- and every link is returned as touched.
+        find.
         """
         gen = self._gen + 1
         self._gen = gen
@@ -580,9 +563,7 @@ class FlowNetwork:
         if n:
             for l in touched:
                 if l._nflows == n:
-                    # Every link then counts as touched: one without
-                    # flows that no seed reached already has rate 0.0.
-                    return [flows], self._links
+                    return [flows]
         # Fixpoint: grow the touched-link set through flows that straddle.
         changed = True
         while changed:
@@ -606,7 +587,7 @@ class FlowNetwork:
         # same wakeup).  Union-find over the touched links; linkless flows
         # are singletons.
         if len(dirty) <= 1:
-            return ([dirty] if dirty else []), touched
+            return [dirty] if dirty else []
         for l in touched:
             l._uf = None
         find = self._find
@@ -632,7 +613,7 @@ class FlowNetwork:
                 bucket = groups[key] = []
                 components.append(bucket)
             bucket.append(f)
-        return components, touched
+        return components
 
     @staticmethod
     def _fill(flows: list[Flow]) -> None:
@@ -640,135 +621,39 @@ class FlowNetwork:
 
         A pure function of the component's flows (in insertion order) and
         its links' capacities/policies -- the incremental/full equivalence
-        rests on that purity.
-
-        Components whose links all run the default FairShare discipline
-        (``policy is None`` or an unweighted, unlayered policy) take the
-        historical max-min progressive-filling path below, bit-identical
-        to the pre-allocator-family code; any weighted or layered policy
-        routes the component to
+        rests on that purity.  When every link shares plainly (``policy
+        is None`` or an unweighted, unlayered policy) the component is one
+        unweighted progressive fill with each link's budget its capacity;
+        any weighted or layered policy routes it to
         :func:`repro.sim.allocators.fill_component`.
         """
-        if not flows:
-            return
-        links: list[Link] = []
-        seen: set[int] = set()
-        all_capped = True
-        plain = True
-        for f in flows:
-            if f.cap == _INF:
-                all_capped = False
-            for l, _w in f.links:
-                if id(l) not in seen:
-                    seen.add(id(l))
-                    links.append(l)
-                    pol = l.policy
-                    if pol is not None and (pol.weighted or pol.layered):
-                        plain = False
-        if not plain:
-            _alloc.fill_component(flows, links)
-            return
-
-        if all_capped:
-            # Fast path: if the summed cap-load leaves headroom on every
-            # link, no link can freeze anybody and every rate is exactly
-            # its cap (identical to what the rounds below would produce,
-            # thanks to snap-to-cap).
-            for l in links:
-                l._left = l.capacity
-            for f in flows:
-                for l, w in f.links:
-                    l._left -= f.cap * w
-            if all(l._left > _EPS_RATE * l.capacity for l in links):
-                for f in flows:
-                    f.rate = f.cap
-                return
-
-        # Slow path: progressive filling rounds.
-        for f in flows:
-            f.rate = 0.0
+        links = list(dict.fromkeys([l for f in flows for l, _w in f.links]))
         for l in links:
-            l._left = l.capacity
-        unfrozen = flows
-        while unfrozen:
-            delta = _INF
-            for f in unfrozen:
-                d = f.cap - f.rate
-                if d < delta:
-                    delta = d
-            # Weighted progressive filling: raising every unfrozen flow's
-            # payload rate by d consumes d * sum(weights) on each link.
-            for l in links:
-                l._wsum = 0.0
-            for f in unfrozen:
-                for l, w in f.links:
-                    l._wsum += w
-            for l in links:
-                if l._wsum > 0.0:
-                    d = l._left / l._wsum
-                    if d < delta:
-                        delta = d
-            if delta < 0:
-                delta = 0.0
-            if delta == _INF:  # pragma: no cover - guarded at transfer()
-                raise SimulationError("unbounded flow rate")
-            for f in unfrozen:
-                f.rate += delta
-                for l, w in f.links:
-                    l._left -= delta * w
-            still = []
-            for f in unfrozen:
-                if f.rate >= f.cap - _EPS_RATE:
-                    # Snap: a cap-frozen flow runs at its cap *exactly*,
-                    # not at cap - (accumulated round-off of the deltas).
-                    f.rate = f.cap
-                    continue
-                saturated = False
-                for l, _w in f.links:
-                    if l._left <= _EPS_RATE * l.capacity:
-                        saturated = True
-                        break
-                if saturated:
-                    continue  # frozen by a saturated link
-                still.append(f)
-            if len(still) == len(unfrozen):  # pragma: no cover - defensive
-                break
-            unfrozen = still
+            pol = l.policy
+            if pol is not None and (pol.weighted or pol.layered):
+                _alloc.fill_component(flows, links)
+                return
+        for l in links:
+            l._budget = l.capacity
+        _alloc._fill_layer(flows, links, False)
 
     def _update(self, seed_flows: _t.Sequence[Flow] = (),
                 seed_links: _t.Sequence[Link] = ()) -> None:
-        """Refill the components the seeds can reach, refresh the touched
-        links' aggregate rates, and reschedule the completion wakeup."""
-        components, touched = self._dirty_components(seed_flows, seed_links)
-        for link in touched:
-            link._current_rate = 0.0
+        """Refill the components the seeds can reach and reschedule the
+        completion wakeup."""
         fills = self._fills
-        for component in components:
+        for component in self._dirty_components(seed_flows, seed_links):
             key = tuple([f._shape for f in component])
-            hit = fills.get(key)
-            if hit is None:
+            rates = fills.get(key)
+            if rates is None:
                 # Looked up at call time, so a patched _fill applies.
                 self._fill(component)
-                # Aggregate link rates.  A component's flows are the only
-                # ones on its links, so summing them in insertion order is
-                # the same sequence of float adds as a pass over every
-                # flow -- and a cached component's aggregates are exact.
-                for f in component:
-                    rate = f.rate
-                    for l, w in f.links:
-                        l._current_rate += rate * w
                 if len(fills) >= _FILL_CACHE_SIZE:
                     fills.clear()
-                fills[key] = (
-                    tuple([f.rate for f in component]),
-                    tuple({l: l._current_rate
-                           for f in component for l, _w in f.links}.items()))
+                fills[key] = tuple([f.rate for f in component])
             else:
-                rates, link_rates = hit
                 for f, rate in zip(component, rates):
                     f.rate = rate
-                for l, rate in link_rates:
-                    l._current_rate = rate
 
         # Capture the granted rates *after* every refill, not just when a
         # flow's own rate changed: each _advance() accumulation step is
@@ -781,8 +666,7 @@ class FlowNetwork:
         self._reschedule_wakeup()
 
     def _recompute_full(self) -> None:
-        """From-scratch reference: refill *every* component and every
-        link's aggregate rate.
+        """From-scratch reference: refill *every* component.
 
         Semantically (and, by design, bit-for-bit) equivalent to the
         incremental :meth:`_update`, and it bypasses the fill cache, so
@@ -791,15 +675,8 @@ class FlowNetwork:
         ``tests/sim/test_bandwidth_incremental_property.py`` holds the two
         to ulp equality over random join/leave/degrade sequences.
         """
-        components, _ = self._dirty_components(self._flows, self._links)
-        for component in components:
+        for component in self._dirty_components(self._flows, self._links):
             self._fill(component)
-        for link in self._links:
-            link._current_rate = 0.0
-        for f in self._flows:
-            rate = f.rate
-            for l, w in f.links:
-                l._current_rate += rate * w
         if self.ledger is not None:
             self.ledger.on_update(self.env.now, self._flows)
         self._reschedule_wakeup()

@@ -37,8 +37,7 @@ class Resource:
     """
 
     __slots__ = ("env", "capacity", "name", "_available", "_waiting",
-                 "_busy_units_time", "_last_change", "probe",
-                 "last_release_span")
+                 "probe", "last_release_span")
 
     def __init__(self, env: Environment, capacity: int,
                  name: str = "resource") -> None:
@@ -49,9 +48,6 @@ class Resource:
         self.name = name
         self._available = int(capacity)
         self._waiting: deque[tuple[Event, int]] = deque()
-        # Utilisation accounting (for reports / tests).
-        self._busy_units_time = 0.0
-        self._last_change = env.now
         #: The one observer hook: called as ``probe(self)`` after every
         #: state change (request queued, units granted, units released).
         #: The run session installs it (counter samples, then a
@@ -81,17 +77,6 @@ class Resource:
     def queue_length(self) -> int:
         """Number of requests waiting."""
         return len(self._waiting)
-
-    def _account(self) -> None:
-        now = self.env._now
-        self._busy_units_time += ((self.capacity - self._available)
-                                  * (now - self._last_change))
-        self._last_change = now
-
-    def busy_unit_seconds(self) -> float:
-        """Integral of units-in-use over time (updated to "now")."""
-        self._account()
-        return self._busy_units_time
 
     # -- acquire / release ---------------------------------------------------
 
@@ -135,7 +120,6 @@ class Resource:
                 f"{self.name!r}: released more units than acquired")
         if span is not None:
             self.last_release_span = span
-        self._account()
         self._available += units
         self._grant()
         if self.probe is not None:
@@ -152,7 +136,6 @@ class Resource:
         if not self._waiting:
             return
         waiting, self._waiting = list(self._waiting), deque()
-        self._account()
         for ev, _units in waiting:
             ev.fail(exc)
         if self.probe is not None:
@@ -164,7 +147,6 @@ class Resource:
             if units > self._available:
                 return  # strict FIFO: head of line blocks
             self._waiting.popleft()
-            self._account()
             self._available -= units
             ev.succeed(units)
 

@@ -65,9 +65,9 @@ def test_resource_probe_samples_on_state_changes():
     series = rec.series["cores.in_use"]
     assert series.max() == 2
     assert series.last == 0
-    # Integral of in_use over time == the resource's own accounting.
+    # Integral of in_use over time: one unit for 1 s plus one for 2 s.
     assert series.time_weighted_mean(env.now) * env.now == pytest.approx(
-        res.busy_unit_seconds())
+        3.0)
 
 
 def test_store_probe_tracks_depth():

@@ -1,6 +1,8 @@
 """AdaptiveController unit battery: validation, epoch mechanics, the
 loan-not-sale property, and the service.* event stream contract."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -24,9 +26,10 @@ def _harness(levels={1: 0.6, 0: 0.4}, **kw):
 
 def test_controller_validation():
     env, net, link, pol = _harness()
-    with pytest.raises(SimulationError):
-        AdaptiveController(env, net, [(link, pol)], demand_fn=set,
-                           epoch_s=0.0)
+    for epoch_s in (0.0, math.nan):
+        with pytest.raises(SimulationError, match="epoch_s must be > 0"):
+            AdaptiveController(env, net, [(link, pol)], demand_fn=set,
+                               epoch_s=epoch_s)
     with pytest.raises(SimulationError):
         AdaptiveController(env, net, [(link, pol)], demand_fn=set,
                            reclaim=1.0)

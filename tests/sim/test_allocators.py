@@ -8,8 +8,9 @@ Pins the contracts the multi-tenant service relies on:
   component refill vs from-scratch recompute, exact ``==`` on every
   float) extends to weighted/layered policies;
 - FairShare bit-identity: installing an explicit :class:`FairShare`
-  policy is indistinguishable -- snapshot for snapshot -- from the
-  historical no-policy network on arbitrary operation sequences;
+  policy, or :class:`MaxMinFair` with every share 1.0, is
+  indistinguishable -- snapshot for snapshot -- from the no-policy
+  network on arbitrary operation sequences;
 - work conservation (fair-share / max-min): an oversubscribed link is
   completely used;
 - strict-priority starvation ordering: a saturating higher class leaves
@@ -178,9 +179,10 @@ def test_incremental_equals_full_under_policies(ops, policies, caps):
        caps=st.tuples(*[st.floats(min_value=2.0, max_value=200.0)] * 3))
 @settings(max_examples=60, deadline=None)
 def test_fair_share_policy_is_bit_identical(ops, caps):
-    def run(explicit: bool):
-        env, net, links = _net(
-            caps, ["fair-share"] * 3 if explicit else None)
+    """An explicit FairShare policy, and MaxMinFair with every share
+    1.0, are indistinguishable from no policy at all."""
+    def run(policy):
+        env, net, links = _net(caps, [policy] * 3 if policy else None)
         snaps = []
 
         def driver():
@@ -210,7 +212,9 @@ def test_fair_share_policy_is_bit_identical(ops, caps):
         snaps.append((env.now, _snapshot(net)))
         return snaps
 
-    assert run(explicit=True) == run(explicit=False)
+    plain = run(None)
+    assert run("fair-share") == plain
+    assert run("max-min") == plain
 
 
 # -- work conservation -------------------------------------------------------

@@ -51,6 +51,21 @@ def test_flow_cap_limits_rate(env):
     assert done == [pytest.approx(5.0)]
 
 
+def test_capped_flows_with_headroom_run_at_exactly_their_caps(env):
+    """Every flow capped, every link left headroom: each rate is its cap
+    bit for bit, not the cap plus the round-off of the fill's lockstep
+    deltas (0.3 + (0.9 - 0.3) is 0.9000000000000001)."""
+    net = FlowNetwork(env)
+    bus = net.add_link("bus", 10.0)
+    pcie = net.add_link("pcie", 2.0)
+    caps = [0.1, 0.2, 0.3, 0.9]
+    for cap in caps:
+        net.transfer(1e9, [pcie, (bus, 2.0)], cap=cap)
+    assert [f.rate for f in net._flows] == caps
+    loads = {lv.name: lv.rate for lv in net.link_snapshot()}
+    assert loads["pcie"] < 2.0 and loads["bus"] < 10.0
+
+
 def test_capped_flow_leaves_headroom_for_others(env):
     net = FlowNetwork(env)
     link = net.add_link("l", 10.0)
@@ -155,15 +170,6 @@ def test_negative_bytes_rejected(env):
     link = net.add_link("l", 10.0)
     with pytest.raises(SimulationError):
         net.transfer(-1.0, [link])
-
-
-def test_utilisation_accounting(env):
-    net = FlowNetwork(env)
-    link = net.add_link("l", 10.0)
-    start_flow(env, net, [link], 20.0)
-    env.run()
-    # 20 bytes over a 10 B/s link == 2 full-capacity seconds.
-    assert link.utilisation_seconds(env.now) == pytest.approx(2.0)
 
 
 def test_large_scale_no_epsilon_spiral():

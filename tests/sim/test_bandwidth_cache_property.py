@@ -147,7 +147,8 @@ def test_shortcut_keeps_the_other_component_bit_for_bit():
         net.transfer(1e9, [a], cap=1.0)
 
     env.run(env.process(traffic()))
-    assert untouched.rate == marker and b._current_rate == 3.0
+    loads = {lv.name: lv.rate for lv in net.link_snapshot()}
+    assert untouched.rate == loads["b"] == marker
     assert not other.triggered and a._nflows == 2
     untouched.rate = 3.0
     _assert_incremental_is_full(net)
@@ -167,7 +168,8 @@ def test_shortcut_applies_when_one_link_carries_every_flow(monkeypatch):
     monkeypatch.setattr(FlowNetwork, "_find", staticmethod(no_scan))
     net.transfer(1e9, [(bus, 2.0)])
     assert [f.rate for f in net._flows] == [2.5, 2.5, 2.5]
-    assert bus._current_rate == 10.0 and up._current_rate == 2.5
+    loads = {lv.name: lv.rate for lv in net.link_snapshot()}
+    assert loads == {"bus": 10.0, "up": 2.5, "down": 2.5}
     _assert_incremental_is_full(net)
 
 

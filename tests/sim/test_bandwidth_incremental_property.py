@@ -42,7 +42,7 @@ op_lists = st.lists(
 
 def _snapshot(net):
     return ([f.rate for f in net._flows],
-            [l._current_rate for l in net._links])
+            [lv.rate for lv in net.link_snapshot()])
 
 
 def _assert_incremental_is_full(net):

@@ -87,12 +87,6 @@ def test_invalid_capacity_rejected(env):
         Resource(env, 0)
 
 
-def test_busy_unit_seconds(env):
-    cores = Resource(env, 4)
-    run_tasks(env, cores, [("a", 2, 3.0)])
-    assert cores.busy_unit_seconds() == pytest.approx(6.0)
-
-
 def test_queue_length(env):
     cores = Resource(env, 1)
 
@@ -186,11 +180,11 @@ def test_over_release_changes_nothing(env):
     cores = Resource(env, capacity=2)
     cores.request(1)
     env.run()
-    before = (cores.available, cores.in_use, cores.busy_unit_seconds())
+    before = (cores.available, cores.in_use, cores.queue_length)
     with pytest.raises(SimulationError, match="released more units"):
         cores.release(2)
     assert (cores.available, cores.in_use,
-            cores.busy_unit_seconds()) == before == (1, 1, 0.0)
+            cores.queue_length) == before == (1, 1, 0)
     cores.release(1)
     assert (cores.available, cores.in_use) == (2, 0)
 

@@ -770,6 +770,11 @@ def test_malformed_fault_plan_is_a_one_line_exit_2(tmp_path, entry):
      "max_concurrent must be >= 1"),
     (("serve", "--timing", "--gpus-per-job", "0"),
      "gpus_per_job must be >= 1"),
+    (("serve", "--timing", "--epoch", "0"), "epoch_s must be > 0, got 0.0"),
+    (("serve", "--timing", "--epoch", "nan"),
+     "epoch_s must be > 0, got nan"),
+    (("serve", "--timing", "--reclaim", "1"),
+     "reclaim must be in [0, 1), got 1.0"),
 ])
 def test_out_of_range_run_input_is_a_one_line_exit_2(argv, message):
     code, text = run_cli(*argv)
