@@ -16,8 +16,6 @@ Two data paths, selected by ``config.staging``:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cuda import ELEM
 from repro.hetsort.config import Staging
 from repro.hetsort.context import RunContext
@@ -54,8 +52,7 @@ def _gpu_worker(ctx: RunContext, gpu: int):
                 ctx, batch, pin_in, pin_out, dev, stream, out, lane,
                 deps=(pin_in.alloc_span, pin_out.alloc_span))
         else:
-            data = (np.empty(2 * batch.size, dtype=np.float64)
-                    if ctx.functional else None)
+            data = ctx.host_array(2 * batch.size)
             dev = yield from retry_call(
                 ctx.machine,
                 lambda: ctx.rt.malloc(2 * batch.size * ELEM, gpu_index=gpu,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.cuda import ELEM
 from repro.errors import GpuLostError, RetryExhaustedError
 from repro.hetsort.config import Staging
 from repro.hetsort.context import RunContext
@@ -52,11 +53,7 @@ def _gpu_worker(ctx: RunContext, gpu: int, queues: dict, active: dict):
                     ctx, gpu, tag=f"g{gpu}")
                 prev = (pin_in.alloc_span, pin_out.alloc_span)
             else:
-                import numpy as np
-
-                from repro.cuda import ELEM
-                data = (np.empty(2 * ctx.plan.batch_size, dtype=np.float64)
-                        if ctx.functional else None)
+                data = ctx.host_array(2 * ctx.plan.batch_size)
                 dev = yield from retry_call(
                     ctx.machine,
                     lambda: ctx.rt.malloc(

@@ -8,12 +8,19 @@ plan and the three host buffers of Sec. III-C:
 * ``B`` -- the final output.
 
 In functional mode they are backed by real numpy arrays and the identical
-approach code moves real data.
+approach code moves real data.  Every functional array of a run except
+``A`` (the caller's input) and ``B`` (which becomes the caller's
+output) is drawn from a :class:`HostWorkspace`: ``W``, the staging and
+device arrays and the pair-merge outputs.  A sorter hands its runs the
+arrays of its last finished functional run, so a steady stream of
+sorts takes no fresh pages; a context built without one gets an empty
+workspace and allocates everything afresh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import typing as _t
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +33,33 @@ from repro.obs.events import EV
 from repro.sim import Store, Trace
 from repro.sim.engine import Environment
 
-__all__ = ["RunContext", "SortedRun"]
+__all__ = ["HostWorkspace", "RunContext", "SortedRun"]
+
+
+class HostWorkspace:
+    """Spare float64 host arrays for functional runs: a free list keyed
+    by length.  :meth:`take` hands out a held array of the asked length,
+    or a new one; an array is handed out at most once.
+
+    Arrays of one length are handed out in the order they were given,
+    so a run shaped like the one that drew them gets each array back in
+    the same role.  (The device arrays and the pair-merge runs share a
+    length; swapping them would make the device arrays' untouched
+    scratch halves resident.)"""
+
+    def __init__(self, arrays: _t.Iterable[np.ndarray] = ()) -> None:
+        #: Per length, the held arrays with the next one to hand out last.
+        self._free: dict[int, list[np.ndarray]] = {}
+        for arr in reversed(list(arrays)):
+            self._free.setdefault(len(arr), []).append(arr)
+
+    def take(self, n: int) -> np.ndarray:
+        free = self._free.get(n)
+        return free.pop() if free else np.empty(n, dtype=np.float64)
+
+    def arrays(self) -> list[np.ndarray]:
+        """The arrays held now, per length in the order they go out."""
+        return [arr for free in self._free.values() for arr in free[::-1]]
 
 
 @dataclass
@@ -57,7 +90,8 @@ class RunContext:
 
     def __init__(self, env: Environment, machine: Machine, rt: Runtime,
                  plan: SortPlan, config: SortConfig,
-                 data: np.ndarray | None = None) -> None:
+                 data: np.ndarray | None = None,
+                 workspace: HostWorkspace | None = None) -> None:
         self.env = env
         self.machine = machine
         self.rt = rt
@@ -65,6 +99,10 @@ class RunContext:
         self.config = config
         self.trace: Trace = machine.trace
         self.functional = data is not None
+        self.workspace = (workspace if workspace is not None
+                          else HostWorkspace())
+        #: Every array this run drew through :meth:`host_array`.
+        self.host_arrays: list[np.ndarray] = []
 
         n = plan.n
         # Reserve the ~3n pageable working set (A + W + B, Sec. III-C) so
@@ -73,17 +111,13 @@ class RunContext:
         if data is not None:
             if len(data) != n:
                 raise ValueError(f"data has {len(data)} elements, plan {n}")
-            self.A = PageableBuffer.for_elements(
-                n, data=np.ascontiguousarray(data, dtype=np.float64),
-                name="A")
-            self.W = PageableBuffer.for_elements(
-                n, data=np.empty(n, dtype=np.float64), name="W")
-            self.B = PageableBuffer.for_elements(
-                n, data=np.empty(n, dtype=np.float64), name="B")
-        else:
-            self.A = PageableBuffer.for_elements(n, name="A")
-            self.W = PageableBuffer.for_elements(n, name="W")
-            self.B = PageableBuffer.for_elements(n, name="B")
+            data = np.ascontiguousarray(data, dtype=np.float64)
+        self.A = PageableBuffer.for_elements(n, data=data, name="A")
+        self.W = PageableBuffer.for_elements(n, data=self.host_array(n),
+                                             name="W")
+        # B becomes the caller's output, so it is never a workspace array.
+        self.B = PageableBuffer.for_elements(
+            n, data=np.empty(n) if self.functional else None, name="B")
 
         #: Completed batches, fed to the PIPEMERGE scheduler / final merge.
         self.sorted_runs: Store = Store(env, name="sorted_runs")
@@ -145,6 +179,16 @@ class RunContext:
         return max(1, self.machine.platform.cpu.cores - self.total_streams)
 
     # -- functional-layer helpers ---------------------------------------------
+
+    def host_array(self, n: int) -> np.ndarray | None:
+        """A float64 array of ``n`` elements from the workspace (``None``
+        in timing-only mode).  Its contents are undefined, as
+        ``np.empty``'s are."""
+        if not self.functional:
+            return None
+        arr = self.workspace.take(n)
+        self.host_arrays.append(arr)
+        return arr
 
     def finish_run(self, batch: Batch, producer=None) -> SortedRun:
         """Record a batch as sorted-and-landed-in-W.

@@ -82,7 +82,8 @@ def _gpu_pair_merge(ctx: RunContext, gpu_index: int, first: SortedRun,
     out.producer_id = last
 
     if ctx.functional:
-        out.array = merge_two(first.data(ctx), second.data(ctx))
+        out.array = merge_two(first.data(ctx), second.data(ctx),
+                              out=ctx.host_array(out.size))
 
 
 def _resilient_pair_merge(ctx: RunContext, gpu_index: int | None,
@@ -104,7 +105,8 @@ def _resilient_pair_merge(ctx: RunContext, gpu_index: int | None,
 
     def work():
         if ctx.functional:
-            out.array = merge_two(first.data(ctx), second.data(ctx))
+            out.array = merge_two(first.data(ctx), second.data(ctx),
+                                  out=ctx.host_array(out.size))
 
     span = yield from ctx.machine.host_merge(
         out.size, k=2, threads=ctx.pipeline_merge_threads,

@@ -26,7 +26,7 @@ from repro.errors import PlanError
 from repro.hetsort.bline import run_bline
 from repro.hetsort.blinemulti import run_blinemulti
 from repro.hetsort.config import Approach, SortConfig
-from repro.hetsort.context import RunContext
+from repro.hetsort.context import HostWorkspace, RunContext
 from repro.hetsort.gpumerge import run_gpumerge
 from repro.hetsort.pipedata import run_pipedata
 from repro.hetsort.pipemerge import run_pipemerge
@@ -78,6 +78,10 @@ class HeterogeneousSorter:
         self.platform = platform
         self.n_gpus = n_gpus
         self.config = config if config is not None else SortConfig(**config_kw)
+        #: The host arrays of the last finished functional run (W, the
+        #: pair-merge outputs, the staging and device arrays), which the
+        #: next functional run draws from instead of allocating.
+        self.workspace = HostWorkspace()
 
     def sort(self, data: np.ndarray | None = None, n: int | None = None,
              approach: str | None = None, validate: bool = True,
@@ -120,7 +124,7 @@ class HeterogeneousSorter:
                              faults=faults, retry=retry)
         env, machine = session.env, session.machine
         ctx = RunContext(env, machine, Runtime(machine), plan, cfg,
-                         data=data)
+                         data=data, workspace=self.workspace)
         ctx.meta.update(session.run(
             APPROACH_RUNNERS[cfg.approach](ctx), cfg.approach, ctx=ctx,
             start=dict(platform=self.platform.name, approach=cfg.approach,
@@ -135,7 +139,11 @@ class HeterogeneousSorter:
         output = ctx.B.data
         if validate and data is not None:
             check_sorted_permutation(np.asarray(data, dtype=np.float64),
-                                     output)
+                                     output, scratch=ctx.W.data)
+        if ctx.functional:
+            # The finished run's arrays replace what the workspace held;
+            # a run that raised never gets here and its arrays are dropped.
+            self.workspace = HostWorkspace(ctx.host_arrays)
         return SortResult(
             platform_name=self.platform.name,
             approach=cfg.approach,

@@ -32,28 +32,26 @@ def alloc_worker_buffers(ctx: RunContext, gpu: int, tag: str):
     ``2 * b_s`` elements: the batch plus Thrust's out-of-place scratch
     (Sec. III-B).  The two pinned allocations are sequential on the host
     thread, so the second depends causally on the first; the first use of
-    either buffer should depend on ``buf.alloc_span``.
+    either buffer should depend on ``buf.alloc_span``.  Functional
+    arrays come from the run's workspace (:meth:`RunContext.host_array`).
     """
-    import numpy as np
-
     ps = ctx.plan.pinned_elements
     bs = ctx.plan.batch_size
-    mk = (lambda k: np.empty(k, dtype=np.float64)) if ctx.functional \
-        else (lambda k: None)
     pinned_in = yield from ctx.rt.malloc_host(
-        ps * ELEM, name=f"stage_in.{tag}", data=mk(ps))
+        ps * ELEM, name=f"stage_in.{tag}", data=ctx.host_array(ps))
     try:
         pinned_out = yield from ctx.rt.malloc_host(
-            ps * ELEM, name=f"stage_out.{tag}", data=mk(ps),
+            ps * ELEM, name=f"stage_out.{tag}", data=ctx.host_array(ps),
             deps=(pinned_in.alloc_span,))
     except Exception:
         ctx.rt.free_host(pinned_in)
         raise
+    dev_data = ctx.host_array(2 * bs)
     try:
         dev = yield from retry_call(
             ctx.machine,
             lambda: ctx.rt.malloc(2 * bs * ELEM, gpu_index=gpu,
-                                  name=f"dev.{tag}", data=mk(2 * bs)),
+                                  name=f"dev.{tag}", data=dev_data),
             what=f"cudaMalloc[dev.{tag}]", lane=f"host.gpu{gpu}",
             deps=(pinned_in.alloc_span, pinned_out.alloc_span))
     except Exception:
@@ -247,7 +245,8 @@ def pair_merge_scheduler(ctx: RunContext):
 
         def work(first=first, second=second, out=out):
             if ctx.functional:
-                out.array = merge_two(first.data(ctx), second.data(ctx))
+                out.array = merge_two(first.data(ctx), second.data(ctx),
+                                      out=ctx.host_array(out.size))
 
         span = yield from ctx.machine.host_merge(
             out.size, k=2, threads=ctx.pipeline_merge_threads,

@@ -30,12 +30,14 @@ __all__ = ["merge_two"]
 
 
 @profiled("mergepath.merge_two",
-          size_of=lambda a, b: len(a) + len(b))
-def merge_two(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge two sorted arrays into a new one, in key order.
+          size_of=lambda a, b, *_, **__: len(a) + len(b))
+def merge_two(a: np.ndarray, b: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Merge two sorted arrays in key order into ``out`` (default: a new
+    array).
 
     Raises :class:`ValidationError` if either input is not sorted.
     """
     check_sorted_run(a, "merge input a")
     check_sorted_run(b, "merge input b")
-    return merge_in_key_order((a, b))
+    return merge_in_key_order((a, b), out)

@@ -349,7 +349,7 @@ class SortService:
         }
         if data is not None:
             out = ctx.B.data
-            check_sorted_permutation(data, out)
+            check_sorted_permutation(data, out, scratch=ctx.W.data)
             row["digest"] = hashlib.sha256(out.tobytes()).hexdigest()
         self._rows.append(row)
         self._completed += 1

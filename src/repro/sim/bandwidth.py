@@ -441,17 +441,6 @@ class FlowNetwork:
     def active_flows(self) -> int:
         return len(self._flows)
 
-    def instantaneous_rate(self, link: Link) -> float:
-        """Current aggregate allocated rate on ``link`` (bytes/s),
-        including link weights: the active flows' shares summed in
-        insertion order."""
-        rate = 0.0
-        for f in self._flows:
-            for l, w in f.links:
-                if l is link:
-                    rate += f.rate * w
-        return rate
-
     def flow_snapshot(self) -> tuple[FlowView, ...]:
         """Read-only view of the currently active flows.
 
@@ -476,15 +465,17 @@ class FlowNetwork:
         return tuple(views)
 
     def link_snapshot(self) -> tuple[LinkView, ...]:
-        """Read-only view of every registered link's current state; each
-        rate is computed when read, as :meth:`instantaneous_rate` does."""
+        """Read-only view of every registered link's current state,
+        computed when read.  A link's rate sums the active flows' rates
+        times their weights in insertion order, one term per weighted
+        entry of a route; its flow count is the link's own count of
+        active flows, each once however often its route lists the
+        link."""
         rates = {l: 0.0 for l in self._links}
-        counts = {l: 0 for l in self._links}
         for f in self._flows:
             for l, w in f.links:
                 rates[l] += f.rate * w
-                counts[l] += 1
-        return tuple(LinkView(l.name, l.capacity, rates[l], counts[l],
+        return tuple(LinkView(l.name, l.capacity, rates[l], l._nflows,
                               rates[l] / l.capacity)
                      for l in self._links)
 

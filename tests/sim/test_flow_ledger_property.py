@@ -141,6 +141,17 @@ def test_flow_and_link_snapshots():
                for lv in net.link_snapshot())
 
 
+def test_link_snapshot_counts_a_flow_once_per_distinct_link():
+    env = Environment()
+    net = FlowNetwork(env)
+    a = net.add_link("a", 10.0)
+    net.transfer(1e9, [a, a], cap=2.5)
+    (lv,) = net.link_snapshot()
+    assert lv.n_flows == 1
+    # the rate still sums both weighted entries of the route
+    assert lv.rate == pytest.approx(5.0)
+
+
 def test_snapshots_are_read_only_tuples():
     env = Environment()
     net = FlowNetwork(env)
