@@ -11,12 +11,14 @@ series -- grows with n, so the growth between the two sizes is what the
 recorders cost per key.  It must stay within ``BUDGET_MB_PER_1E9``
 megabytes per 10^9 keys.
 
-Functional: one fresh process, one sorter, six functional PIPEMERGE
-sorts of the same 2e6 keys (b_s = 2.5e5, p_s = 5e4, the functional
-benchmark's configuration), each result dropped before the next sort.
-The sorter keeps the host arrays of its last run and the next run reuses
-them, each in the role it had, so the peak after the last sort must stay
-within ``FUNCTIONAL_BUDGET_MB`` of the peak after the first.
+Functional: per approach (PIPEMERGE, then GPUMERGE), one fresh
+process, one sorter, six functional sorts of the same 2e6 keys
+(b_s = 2.5e5, p_s = 5e4, the functional benchmark's configuration),
+each result dropped before the next sort.  The sorter keeps the host
+arrays of its last run (W, one merge scratch, the staging and device
+arrays; their size is printed as the workspace) and the next run reuses
+them, each in the role it had, so the peak after the last sort must
+stay within ``FUNCTIONAL_BUDGET_MB`` of the peak after the first.
 
 Exits 1 when either budget is exceeded (Linux, where ``ru_maxrss`` is in
 KiB).
@@ -48,17 +50,19 @@ FUNCTIONAL_BATCH = 250_000
 FUNCTIONAL_PINNED = 50_000
 FUNCTIONAL_SORTS = 6
 FUNCTIONAL_BUDGET_MB = 2.0
+FUNCTIONAL_APPROACHES = ("pipemerge", "gpumerge")
 
 FUNCTIONAL_CHILD = f"""
-import resource
+import resource, sys
 from repro import HeterogeneousSorter, PLATFORM1
 from repro.workloads import generate
 data = generate({FUNCTIONAL_N}, "uniform", seed=1)
 sorter = HeterogeneousSorter(PLATFORM1, batch_size={FUNCTIONAL_BATCH},
                              pinned_elements={FUNCTIONAL_PINNED})
 for _ in range({FUNCTIONAL_SORTS}):
-    sorter.sort(data, approach="pipemerge")
+    sorter.sort(data, approach=sys.argv[1])
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(sum(a.nbytes for a in sorter.workspace.arrays()))
 """
 
 
@@ -90,12 +94,14 @@ def timing_ok() -> bool:
     return ok
 
 
-def functional_ok() -> bool:
-    peaks = [int(kib) / 1024 for kib in child(FUNCTIONAL_CHILD).split()]
+def functional_ok(approach: str) -> bool:
+    *kib, held = map(int, child(FUNCTIONAL_CHILD, approach).split())
+    peaks = [k / 1024 for k in kib]
     growth = peaks[-1] - peaks[0]
     ok = growth <= FUNCTIONAL_BUDGET_MB
-    print(f"functional n={FUNCTIONAL_N:.0e}: peak RSS after each sort "
-          + " ".join(f"{p:.1f}" for p in peaks) + " MB")
+    print(f"functional {approach} n={FUNCTIONAL_N:.0e}: peak RSS after "
+          "each sort " + " ".join(f"{p:.1f}" for p in peaks) + " MB; "
+          f"workspace {held / 2**20:.1f} MiB")
     print(f"growth from sort 1 to sort {FUNCTIONAL_SORTS}: {growth:.2f} MB "
           f"(budget {FUNCTIONAL_BUDGET_MB}): "
           f"{'ok' if ok else 'OVER BUDGET'}")
@@ -103,8 +109,9 @@ def functional_ok() -> bool:
 
 
 def main() -> int:
-    ok = timing_ok()
-    return 0 if functional_ok() and ok else 1
+    results = [timing_ok()]
+    results += [functional_ok(a) for a in FUNCTIONAL_APPROACHES]
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":

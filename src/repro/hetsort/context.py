@@ -8,13 +8,15 @@ plan and the three host buffers of Sec. III-C:
 * ``B`` -- the final output.
 
 In functional mode they are backed by real numpy arrays and the identical
-approach code moves real data.  Every functional array of a run except
+approach code moves real data.  A pair merge writes its merged run back
+over its inputs' slots in ``W`` (:class:`SortedRun`), through one merge
+scratch per run, so a functional sort holds ``A``, ``W``, ``B``, that
+scratch and the staging and device arrays.  Every one of them except
 ``A`` (the caller's input) and ``B`` (which becomes the caller's
-output) is drawn from a :class:`HostWorkspace`: ``W``, the staging and
-device arrays and the pair-merge outputs.  A sorter hands its runs the
-arrays of its last finished functional run, so a steady stream of
-sorts takes no fresh pages; a context built without one gets an empty
-workspace and allocates everything afresh.
+output) is drawn from a :class:`HostWorkspace`.  A sorter hands its
+runs the arrays of its last finished functional run, so a steady
+stream of sorts takes no fresh pages; a context built without one gets
+an empty workspace and allocates everything afresh.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cuda import ELEM, PageableBuffer, Runtime
-from repro.hetsort.config import SortConfig
+from repro.cuda import PageableBuffer, Runtime
+from repro.hetsort.config import Approach, SortConfig
 from repro.hetsort.plan import Batch, SortPlan
 from repro.hw.machine import Machine
 from repro.obs.counters import MetricsRecorder
@@ -43,9 +45,11 @@ class HostWorkspace:
 
     Arrays of one length are handed out in the order they were given,
     so a run shaped like the one that drew them gets each array back in
-    the same role.  (The device arrays and the pair-merge runs share a
-    length; swapping them would make the device arrays' untouched
-    scratch halves resident.)"""
+    the same role.  (PIPEMERGE's merge scratch has the device arrays'
+    length, GPUMERGE's has W's; swapping a device array with the
+    scratch would make the device array's untouched Thrust half
+    resident.  A run draws its scratch at its first merge, after W and
+    every worker's arrays, so the order holds run after run.)"""
 
     def __init__(self, arrays: _t.Iterable[np.ndarray] = ()) -> None:
         #: Per length, the held arrays with the next one to hand out last.
@@ -64,29 +68,58 @@ class HostWorkspace:
 
 @dataclass
 class SortedRun:
-    """A sorted unit awaiting the final multiway merge: either a batch in
-    ``W`` or the output of a pipelined pair-wise merge."""
+    """A sorted unit awaiting a merge: a batch in its ``W`` slot, or the
+    output of a pair merge, written back over its inputs' slots.
+
+    ``slices`` are the run's ``W`` slots as ``(element offset, length)``
+    pairs in address order, contiguous ones coalesced; the run's keys
+    fill them in that order.  A pair of adjacent slots becomes one
+    slice; a pair that is not adjacent (runs can complete out of
+    address order, e.g. after a retry) stays two."""
 
     size: int                      #: elements
-    w_offset: int | None = None    #: element offset in W (batch units)
-    array: np.ndarray | None = None  #: merged-pair storage (functional)
+    slices: tuple[tuple[int, int], ...] = ()   #: W slots, address order
     from_pair: bool = False        #: True for pair-merge outputs
     #: Trace span id of the operation that completed this run (the last
     #: staging copy / DtoH / pair merge).  Consumers of the run record it
     #: as a causal dependency -- the buffer-handoff edge of the span DAG.
     producer_id: int | None = None
 
-    def data(self, ctx: "RunContext") -> np.ndarray | None:
-        """Functional view of this run's elements."""
-        if self.array is not None:
-            return self.array
-        if ctx.W.data is None or self.w_offset is None:
-            return None
-        return ctx.W.view(self.w_offset * ELEM, self.size * ELEM)
+    @classmethod
+    def pair(cls, first: "SortedRun", second: "SortedRun") -> "SortedRun":
+        """The run that merging ``first`` and ``second`` leaves in W: it
+        tiles exactly their slots."""
+        slices: list[tuple[int, int]] = []
+        for off, size in sorted(first.slices + second.slices):
+            if slices and sum(slices[-1]) == off:
+                slices[-1] = (slices[-1][0], slices[-1][1] + size)
+            else:
+                slices.append((off, size))
+        return cls(size=first.size + second.size, slices=tuple(slices),
+                   from_pair=True)
+
+    def pieces(self, ctx: "RunContext") -> list[np.ndarray]:
+        """Functional views of the run's W slices, in run order (empty in
+        timing-only mode)."""
+        if ctx.W.data is None:
+            return []
+        return [ctx.W.data[off:off + size] for off, size in self.slices]
+
+    def store(self, ctx: "RunContext", keys: np.ndarray) -> None:
+        """Copy the run's sorted ``keys`` into its W slices."""
+        done = 0
+        for piece in self.pieces(ctx):
+            piece[:] = keys[done:done + len(piece)]
+            done += len(piece)
 
 
 class RunContext:
-    """Everything an approach needs while it executes."""
+    """Everything an approach needs while it executes.
+
+    In functional mode it also owns the run's host arrays: ``W`` and
+    every staging, device and merge-scratch array come from
+    :meth:`host_array` (the workspace), and :attr:`host_arrays` lists
+    them in draw order, which is what the sorter keeps afterwards."""
 
     def __init__(self, env: Environment, machine: Machine, rt: Runtime,
                  plan: SortPlan, config: SortConfig,
@@ -103,6 +136,7 @@ class RunContext:
                           else HostWorkspace())
         #: Every array this run drew through :meth:`host_array`.
         self.host_arrays: list[np.ndarray] = []
+        self._merge_scratch: np.ndarray | None = None
 
         n = plan.n
         # Reserve the ~3n pageable working set (A + W + B, Sec. III-C) so
@@ -190,13 +224,28 @@ class RunContext:
         self.host_arrays.append(arr)
         return arr
 
+    def merge_scratch(self, size: int) -> np.ndarray:
+        """The first ``size`` elements of the run's one merge scratch.
+
+        It is drawn at the run's first merge and is as long as the
+        largest pair merge the plan can make: two batches (``2 b_s``)
+        when only batches are pair-merged, all ``n`` keys for GPUMERGE,
+        whose merge tree merges merged runs again."""
+        if self._merge_scratch is None:
+            plan = self.plan
+            longest = (plan.n if self.config.approach == Approach.GPUMERGE
+                       else min(plan.n, 2 * plan.batch_size))
+            self._merge_scratch = self.host_array(longest)
+        return self._merge_scratch[:size]
+
     def finish_run(self, batch: Batch, producer=None) -> SortedRun:
         """Record a batch as sorted-and-landed-in-W.
 
         ``producer`` is the trace span id of the operation that completed
         the run; downstream merges depend on it causally.
         """
-        run = SortedRun(size=batch.size, w_offset=batch.offset,
+        run = SortedRun(size=batch.size,
+                        slices=((batch.offset, batch.size),),
                         producer_id=producer)
         self.obs.incr("batches.completed")
         self.phase("run.sorted", batch=batch.index, gpu=batch.gpu,

@@ -17,19 +17,23 @@ bench sweeps the interconnect bandwidth and locates the crossover.
 Modelling notes: chunk-level buffer bookkeeping is abstracted (transfers
 are issued per chunk against the device's copy engines and the shared
 links, but device buffers are modelled as a fixed-size working set);
-functionally each pair merge really merges the two runs.  The device
+functionally each pair merge really merges the two runs, through the
+run's merge scratch and back over their W slots -- where the simulated
+``Stage->W(gpumerge)`` copies land the merged output.  The device
 merge kernel is device-memory-bound: GP100-class HBM makes it far faster
 than the interconnect, so GPU merging is transfer-bound by construction.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cuda import ELEM
 from repro.hetsort.context import RunContext, SortedRun
 from repro.hetsort.pipedata import spawn_stream_workers
 from repro.hetsort.resilience import DEGRADED
+from repro.hetsort.workers import merge_pair_in_w
 from repro.hw.gpu import Direction
-from repro.kernels.mergepath import merge_two
 from repro.sim import CAT
 
 __all__ = ["run_gpumerge", "GPU_MERGE_RATE_F64"]
@@ -82,8 +86,7 @@ def _gpu_pair_merge(ctx: RunContext, gpu_index: int, first: SortedRun,
     out.producer_id = last
 
     if ctx.functional:
-        out.array = merge_two(first.data(ctx), second.data(ctx),
-                              out=ctx.host_array(out.size))
+        merge_pair_in_w(ctx, first, second, out)
 
 
 def _resilient_pair_merge(ctx: RunContext, gpu_index: int | None,
@@ -105,8 +108,7 @@ def _resilient_pair_merge(ctx: RunContext, gpu_index: int | None,
 
     def work():
         if ctx.functional:
-            out.array = merge_two(first.data(ctx), second.data(ctx),
-                                  out=ctx.host_array(out.size))
+            merge_pair_in_w(ctx, first, second, out)
 
     span = yield from ctx.machine.host_merge(
         out.size, k=2, threads=ctx.pipeline_merge_threads,
@@ -145,7 +147,7 @@ def run_gpumerge(ctx: RunContext):
         procs = []
         for i in range(0, len(runs) - 1, 2):
             first, second = runs[i], runs[i + 1]
-            out = SortedRun(size=first.size + second.size, from_pair=True)
+            out = SortedRun.pair(first, second)
             gpu_index = alive[(i // 2) % len(alive)] if alive else None
             procs.append(ctx.env.process(
                 _resilient_pair_merge(ctx, gpu_index, first, second, out,
@@ -167,7 +169,7 @@ def run_gpumerge(ctx: RunContext):
 
     def copy_work():
         if ctx.functional:
-            ctx.B.data[:] = final.data(ctx)
+            np.concatenate(final.pieces(ctx), out=ctx.B.data)
 
     yield from ctx.machine.host_memcpy(
         final.size * ELEM, threads=ctx.merge_threads, label="W->B",

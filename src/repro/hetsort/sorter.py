@@ -79,8 +79,8 @@ class HeterogeneousSorter:
         self.n_gpus = n_gpus
         self.config = config if config is not None else SortConfig(**config_kw)
         #: The host arrays of the last finished functional run (W, the
-        #: pair-merge outputs, the staging and device arrays), which the
-        #: next functional run draws from instead of allocating.
+        #: merge scratch, the staging and device arrays), which the next
+        #: functional run draws from instead of allocating.
         self.workspace = HostWorkspace()
 
     def sort(self, data: np.ndarray | None = None, n: int | None = None,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import typing as _t
 
+import numpy as np
+
 from repro.cuda import ELEM, MemcpyKind, copy_payload
 from repro.cuda.buffers import Buffer, DeviceBuffer, PinnedBuffer
 from repro.hetsort.context import RunContext, SortedRun
@@ -21,7 +23,8 @@ from repro.sim import CAT
 __all__ = [
     "alloc_worker_buffers",
     "staged_blocking_batch", "pageable_blocking_batch",
-    "async_stream_batch", "final_multiway", "pair_merge_scheduler",
+    "async_stream_batch", "final_multiway", "merge_pair_in_w",
+    "pair_merge_scheduler",
 ]
 
 
@@ -226,6 +229,20 @@ def async_stream_batch(ctx: RunContext, batch: Batch,
 # CPU-side merging
 # ---------------------------------------------------------------------------
 
+def merge_pair_in_w(ctx: RunContext, first: SortedRun, second: SortedRun,
+                    out: SortedRun) -> None:
+    """Functional work of one pair merge: merge ``first`` and ``second``
+    into the run's merge scratch, then copy the result back over their
+    W slots, which ``out`` (``SortedRun.pair(first, second)``) tiles."""
+    keys = ctx.merge_scratch(out.size)
+    pieces = first.pieces(ctx) + second.pieces(ctx)
+    if len(pieces) == 2:
+        merge_two(*pieces, out=keys)
+    else:   # GPUMERGE merging a run that a non-adjacent pair left in two
+        multiway_merge(pieces, out=keys)
+    out.store(ctx, keys)
+
+
 def pair_merge_scheduler(ctx: RunContext):
     """Process: PIPEMERGE's pipelined pair-wise merging (Sec. III-D3).
 
@@ -239,14 +256,13 @@ def pair_merge_scheduler(ctx: RunContext):
     while len(merged) < quota:
         first = yield ctx.sorted_runs.get()
         second = yield ctx.sorted_runs.get()
-        out = SortedRun(size=first.size + second.size, from_pair=True)
+        out = SortedRun.pair(first, second)
         ctx.phase("merge.started", kind="pair", index=len(merged),
                   elements=out.size)
 
         def work(first=first, second=second, out=out):
             if ctx.functional:
-                out.array = merge_two(first.data(ctx), second.data(ctx),
-                                      out=ctx.host_array(out.size))
+                merge_pair_in_w(ctx, first, second, out)
 
         span = yield from ctx.machine.host_merge(
             out.size, k=2, threads=ctx.pipeline_merge_threads,
@@ -263,7 +279,9 @@ def pair_merge_scheduler(ctx: RunContext):
 
 def final_multiway(ctx: RunContext, extra_runs: _t.Sequence[SortedRun] = ()):
     """Process: the final multiway merge of all remaining sorted runs
-    from W (plus pair-merged runs) into B.
+    (batches and pair-merged runs, all in W) into B.  The simulated
+    merge is k-way over the runs; functionally it merges their W
+    slices, each of which is sorted on its own.
 
     With a single run this degenerates to a parallel copy W -> B.
     """
@@ -291,7 +309,7 @@ def final_multiway(ctx: RunContext, extra_runs: _t.Sequence[SortedRun] = ()):
 
         def copy_work(run=run):
             if ctx.functional:
-                ctx.B.data[:] = run.data(ctx)
+                np.concatenate(run.pieces(ctx), out=ctx.B.data)
 
         yield from ctx.machine.host_memcpy(
             total * ELEM, threads=ctx.merge_threads, label="W->B",
@@ -301,7 +319,8 @@ def final_multiway(ctx: RunContext, extra_runs: _t.Sequence[SortedRun] = ()):
 
     def work():
         if ctx.functional:
-            multiway_merge([r.data(ctx) for r in runs], out=ctx.B.data)
+            multiway_merge([p for r in runs for p in r.pieces(ctx)],
+                           out=ctx.B.data)
 
     yield from ctx.machine.host_merge(
         total, k=len(runs), threads=ctx.merge_threads,

@@ -87,9 +87,11 @@ def test_pair_scheduler_functional_merges(rng):
     sched = ctx.env.process(pair_merge_scheduler(ctx))
     merged = ctx.env.run(sched)
     assert len(merged) == ctx.plan.pairwise_merges == 1
-    out = merged[0].array
-    assert out is not None and len(out) == 20_000
+    # The merged run is written back over its two batches' W slots.
+    assert merged[0].slices == ((0, 20_000),)
+    out = ctx.W.data[:20_000]
     assert np.all(out[:-1] <= out[1:])
+    np.testing.assert_array_equal(out, np.sort(data[:20_000]))
 
 
 def test_final_multiway_single_run_is_a_copy(rng):
@@ -117,8 +119,9 @@ def test_final_multiway_merges_runs_and_pairs(rng):
         seg = ctx.W.view(b.offset * 8, b.size * 8)
         seg[:] = np.sort(data[b.offset:b.offset + b.size])
         ctx.finish_run(b)
-    pair = SortedRun(size=20_000, from_pair=True,
-                     array=np.sort(data[20_000:]))
+    ctx.W.data[20_000:] = np.sort(data[20_000:])
+    pair = SortedRun(size=20_000, slices=((20_000, 20_000),),
+                     from_pair=True)
 
     def go():
         yield from final_multiway(ctx, extra_runs=[pair])

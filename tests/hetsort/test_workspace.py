@@ -1,11 +1,12 @@
 """A sorter's host workspace.
 
 A :class:`HeterogeneousSorter` keeps the host arrays of its last
-finished functional run (W, the pair-merge outputs, the staging and
-device arrays) and the next functional run draws from them instead of
-allocating.  Reuse must move no output bit and no simulated second, and
-the output B stays the caller's own: fresh every run, never a
-workspace array.
+finished functional run (W, the merge scratch, the staging and device
+arrays) and the next functional run draws from them instead of
+allocating.  Pair merges write their merged runs back over their
+inputs' W slots, so a run holds no other host array.  Reuse must move
+no output bit and no simulated second, and the output B stays the
+caller's own: fresh every run, never a workspace array.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import PLATFORM1, HeterogeneousSorter
+from repro import PLATFORM1, PLATFORM2, HeterogeneousSorter
 from repro.errors import ValidationError
-from repro.hetsort.context import HostWorkspace
+from repro.hetsort.context import HostWorkspace, SortedRun
 from repro.hetsort.validate import check_sorted_permutation
+from repro.hetsort.workers import merge_pair_in_w
 from repro.sim.faults import FaultPlan
+from tests.hetsort.test_workers import make_ctx
 from tests.kernels.oracles import key_sorted
 
 N = 60_000
@@ -107,7 +110,7 @@ def test_same_shape_reuses_every_array_and_another_n_replaces_them():
     assert sorter.workspace.arrays() == []
     sorter.sort(uniform(N, 1), approach="pipemerge")
     first = sorter.workspace.arrays()
-    # W, four staging arrays, two device arrays and one pair run.
+    # W, four staging arrays, two device arrays and one merge scratch.
     assert sorted(map(len, first)) == [PINNED] * 4 + [N // 2] * 3 + [N]
     sorter.sort(uniform(N, 2), approach="pipemerge")
     second = sorter.workspace.arrays()
@@ -115,6 +118,37 @@ def test_same_shape_reuses_every_array_and_another_n_replaces_them():
     assert [id(a) for a in second] == [id(a) for a in first]
     sorter.sort(uniform(40_000, 3), approach="pipemerge", batch_size=10_000)
     assert max(map(len, sorter.workspace.arrays())) == 40_000
+
+
+# ---------------------------------------------------------------------------
+# What a sorter keeps: W, one merge scratch, the staging and device arrays
+# ---------------------------------------------------------------------------
+
+BIG_N, BIG_BS, BIG_PINNED = 2_000_000, 250_000, 50_000
+
+
+@pytest.mark.parametrize("approach, scratch", [
+    ("pipemerge", 2 * BIG_BS), ("gpumerge", BIG_N)])
+def test_a_sorter_keeps_w_one_scratch_and_the_worker_arrays(approach,
+                                                            scratch):
+    sorter = HeterogeneousSorter(PLATFORM1, batch_size=BIG_BS,
+                                 pinned_elements=BIG_PINNED)
+    sorter.sort(uniform(BIG_N, 1), approach=approach)
+    first = sorter.workspace.arrays()
+    # W, two staging and one device array per stream (two streams),
+    # and the merge scratch: as long as the largest pair merge.
+    assert sorted(map(len, first)) == sorted(
+        [BIG_N, scratch] + [BIG_PINNED] * 4 + [2 * BIG_BS] * 2)
+    mib = sum(a.nbytes for a in first) / 2**20
+    if approach == "pipemerge":
+        assert round(mib, 1) == 28.2
+    assert mib <= 40.0
+    sorter.sort(uniform(BIG_N, 2), approach=approach)
+    # The scratch is drawn after W and the worker arrays every run, so it
+    # never swaps roles with the arrays of its length (the device arrays
+    # for PIPEMERGE, W for GPUMERGE).
+    assert [id(a) for a in sorter.workspace.arrays()] == \
+        [id(a) for a in first]
 
 
 def test_timing_runs_keep_the_workspace():
@@ -133,6 +167,120 @@ def test_workspace_hands_an_array_out_once():
     assert got[0] is a and got[1] is b
     assert got[2] is not a and got[2] is not b
     assert ws.take(3).shape == (3,) and ws.arrays() == []
+
+
+# ---------------------------------------------------------------------------
+# Merged runs in W: pairs whose slots are not adjacent
+# ---------------------------------------------------------------------------
+
+def elements(*runs: SortedRun) -> np.ndarray:
+    """The W element indices that ``runs`` cover, sorted."""
+    return np.sort(np.concatenate([np.arange(off, off + size)
+                                   for r in runs for off, size in r.slices]))
+
+
+def tiles(out: SortedRun, first: SortedRun, second: SortedRun) -> bool:
+    """``out`` covers exactly its inputs' W elements, its slices in
+    address order and no two of them touching."""
+    return (np.array_equal(elements(out), elements(first, second))
+            and out.size == first.size + second.size
+            and all(sum(a) < b[0] for a, b in zip(out.slices,
+                                                  out.slices[1:])))
+
+
+def test_a_merged_run_tiles_its_inputs_slots():
+    def run(*slices):
+        return SortedRun(size=sum(s for _, s in slices), slices=slices)
+
+    assert SortedRun.pair(run((10, 5)), run((0, 10))).slices == ((0, 15),)
+    assert SortedRun.pair(run((0, 5)), run((20, 5))).slices == \
+        ((0, 5), (20, 5))
+    assert SortedRun.pair(run((0, 5), (20, 5)), run((5, 15))).slices == \
+        ((0, 25),)
+    # Random slots of [0, n) merged in random pairs, as a merge tree
+    # over out-of-order runs does: every merged run covers exactly its
+    # inputs' elements, in address order, no two slices touching, and
+    # the last run is all of W.
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        cuts = np.unique(rng.integers(1, 100, size=rng.integers(1, 12)))
+        bounds = [0, *map(int, cuts), 100]
+        runs = [run((lo, hi - lo)) for lo, hi in zip(bounds, bounds[1:])]
+        while len(runs) > 1:
+            i, j = sorted(rng.choice(len(runs), size=2, replace=False))
+            first, second = runs.pop(j), runs.pop(i)
+            out = SortedRun.pair(first, second)
+            assert tiles(out, first, second)
+            runs.append(out)
+        assert runs[0].slices == ((0, 100),)
+
+
+def test_a_non_adjacent_pair_merges_into_its_two_slots():
+    data = laced(40_000, 13)
+    ctx = make_ctx(n=40_000, bs=10_000, data=data, approach="gpumerge")
+    runs = []
+    for b in ctx.plan.batches:
+        ctx.W.data[b.offset:b.offset + b.size] = key_sorted(
+            data[b.offset:b.offset + b.size])
+        runs.append(ctx.finish_run(b))
+    last = ctx.W.data[30_000:].copy()
+    # Batches 2 and 0: the merged run fills slot 0, then slot 2.
+    out = SortedRun.pair(runs[2], runs[0])
+    merge_pair_in_w(ctx, runs[2], runs[0], out)
+    assert out.slices == ((0, 10_000), (20_000, 10_000))
+    np.testing.assert_array_equal(
+        bits(np.concatenate(out.pieces(ctx))),
+        bits(key_sorted(np.concatenate([data[:10_000],
+                                        data[20_000:30_000]]))))
+    # Merged again with batch 1, as GPUMERGE's next tree level does.
+    again = SortedRun.pair(out, runs[1])
+    merge_pair_in_w(ctx, out, runs[1], again)
+    assert again.slices == ((0, 30_000),)
+    np.testing.assert_array_equal(bits(ctx.W.data[:30_000]),
+                                  bits(key_sorted(data[:30_000])))
+    np.testing.assert_array_equal(bits(ctx.W.data[30_000:]), bits(last))
+
+
+#: Machines and stream counts where seeded random faults make runs
+#: complete out of address order, so some pairs are not adjacent.
+FAULTED = [(PLATFORM2, 2, 2), (PLATFORM2, 2, 3), (PLATFORM2, 2, 4),
+           (PLATFORM1, 1, 3), (PLATFORM1, 1, 4),
+           (PLATFORM2, 1, 3), (PLATFORM2, 1, 4)]
+
+
+@pytest.mark.parametrize("approach", ["pipemerge", "gpumerge"])
+@pytest.mark.parametrize("platform, n_gpus, n_streams", FAULTED,
+                         ids=[f"{p.name}-{g}gpu-{s}s" for p, g, s in FAULTED])
+def test_faulted_runs_with_non_adjacent_pairs(monkeypatch, platform, n_gpus,
+                                              n_streams, approach):
+    pairs: list[tuple[SortedRun, SortedRun, SortedRun]] = []
+    pair = SortedRun.pair.__func__
+
+    def spy(cls, first, second):
+        out = pair(cls, first, second)
+        pairs.append((first, second, out))
+        return out
+
+    monkeypatch.setattr(SortedRun, "pair", classmethod(spy))
+    kw = dict(n_gpus=n_gpus, n_streams=n_streams, batch_size=100_000,
+              pinned_elements=20_000)
+    data = laced(1_000_000, 12)
+    want = bits(key_sorted(data))
+    sorter = HeterogeneousSorter(platform, **kw)
+    for seed in range(1, 6):
+        faults = FaultPlan.random(seed, n_gpus=n_gpus)
+        res = sorter.sort(data, approach=approach, faults=faults)
+        fresh = HeterogeneousSorter(platform, **kw).sort(
+            data, approach=approach, faults=faults)
+        np.testing.assert_array_equal(bits(res.output), want)
+        np.testing.assert_array_equal(bits(fresh.output), want)
+        assert res.elapsed == fresh.elapsed
+    assert any(len(out.slices) > 1 for _, _, out in pairs)
+    if approach == "gpumerge":
+        # ... and a later tree level merges such a two-slot run again.
+        assert any(len(first.slices) + len(second.slices) > 2
+                   for first, second, _ in pairs)
+    assert all(tiles(out, first, second) for first, second, out in pairs)
 
 
 # ---------------------------------------------------------------------------
