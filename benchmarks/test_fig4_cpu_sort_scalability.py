@@ -11,7 +11,6 @@ large n; GNU at 1 thread ~= std::sort.
 
 import pytest
 
-from repro.cpu import get_library
 from repro.hw import PLATFORM1
 from repro.reporting import FigureSeries, render_table
 
@@ -20,28 +19,28 @@ SIZES = [10 ** 5, 10 ** 7, 10 ** 8, 10 ** 9]
 
 
 def sweep():
-    gnu = get_library("gnu")
+    gnu = PLATFORM1.sort_model("gnu")
     series = {}
     for n in SIZES:
         s = FigureSeries(f"GNU n={n:.0e}")
         for t in THREADS:
-            s.add(t, gnu.seconds(PLATFORM1, n, t))
+            s.add(t, gnu.seconds(n, t))
         series[n] = s
     return series
 
 
 def test_fig4a_response_time(report, benchmark):
     series = sweep()
-    tbb = get_library("tbb")
-    std = get_library("std")
-    qsort = get_library("qsort")
+    tbb = PLATFORM1.sort_model("tbb")
+    std = PLATFORM1.sort_model("std")
+    qsort = PLATFORM1.sort_model("qsort")
     rows = []
     for t in THREADS:
         rows.append([t] + [f"{series[n].at(t):.4g}" for n in SIZES]
-                    + [f"{tbb.seconds(PLATFORM1, 10 ** 9, t):.4g}"])
-    rows.append(["std::sort"] + [f"{std.seconds(PLATFORM1, n):.4g}"
+                    + [f"{tbb.seconds(10 ** 9, t):.4g}"])
+    rows.append(["std::sort"] + [f"{std.seconds(n):.4g}"
                                  for n in SIZES] + ["-"])
-    rows.append(["std::qsort"] + [f"{qsort.seconds(PLATFORM1, n):.4g}"
+    rows.append(["std::qsort"] + [f"{qsort.seconds(n):.4g}"
                                   for n in SIZES] + ["-"])
     report(render_table(
         ["threads"] + [f"GNU n={n:.0e}" for n in SIZES] + ["TBB n=1e9"],
@@ -60,10 +59,10 @@ def test_fig4a_response_time(report, benchmark):
             assert min(ys) < ys[0]          # threading still pays off
             assert ys[-1] < 2 * min(ys)     # ...and never blows up
     # qsort ~ 2x std::sort.
-    assert qsort.seconds(PLATFORM1, 10 ** 8) / \
-        std.seconds(PLATFORM1, 10 ** 8) == pytest.approx(2.0, rel=0.01)
+    assert qsort.seconds(10 ** 8) / std.seconds(10 ** 8) == \
+        pytest.approx(2.0, rel=0.01)
     # TBB slower than GNU at n = 1e9 with all threads.
-    assert tbb.seconds(PLATFORM1, 10 ** 9, 16) > series[10 ** 9].at(16)
+    assert tbb.seconds(10 ** 9, 16) > series[10 ** 9].at(16)
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
 

@@ -4,24 +4,25 @@ wall-clock via pytest-benchmark).
 These are the real-computation counterpart of the simulated studies: the
 device sort kernel (Thrust stand-in) vs. numpy's sort, also on an input
 laden with signed zeros, the LSD radix reference at 8-bit vs. 16-bit
-digits, the pair and multiway merges (also into a preallocated output,
+digits (from ``tests/kernels/oracles.py``; the device sort's bits must
+equal its own), the pair and multiway merges (also into a preallocated output,
 as the final merge writes into ``B``; on the final merge's layout of
 runs, on disjoint runs of presorted input and on duplicate-heavy runs,
 each checked bit for bit against the key-sorted input), and sample
 sort.
 
-Compare locally with ``pytest benchmarks/test_kernels_micro.py``; CI runs
-the file with ``--benchmark-disable`` as a smoke test of the sortedness
-asserts.
+Compare locally with ``python -m pytest benchmarks/test_kernels_micro.py``
+from the repository root (so ``tests`` imports); CI runs the file with
+``--benchmark-disable`` as a smoke test of the sortedness asserts.
 """
 
 import numpy as np
 import pytest
 
-from repro.kernels import (float64_to_ordered_uint64, introsort,
-                           lsd_radix_sort_u64, merge_two, multiway_merge,
-                           ordered_uint64_to_float64, sample_sort,
-                           sort_floats)
+from repro.kernels import merge_two, multiway_merge, sample_sort, sort_floats
+from tests.kernels.oracles import (float64_to_ordered_uint64, key_sorted,
+                                   lsd_radix_sort_u64,
+                                   ordered_uint64_to_float64)
 
 N = 200_000
 
@@ -51,6 +52,10 @@ def test_bench_radix_sort_signed_zeros(benchmark, data):
     assert np.all(out[:-1] <= out[1:])
     signs = np.signbit(out[out == 0])
     assert np.array_equal(signs, np.arange(len(signs)) < N // 10)
+    # Bit for bit the LSD radix sort of the keys, the paper's algorithm.
+    radix = lsd_radix_sort_u64(float64_to_ordered_uint64(laden))
+    assert np.array_equal(out.view(np.uint64),
+                          ordered_uint64_to_float64(radix).view(np.uint64))
 
 
 @pytest.mark.parametrize("radix_bits", [8, 16])
@@ -67,12 +72,6 @@ def test_bench_numpy_sort_baseline(benchmark, data):
 
 def test_bench_sample_sort(benchmark, data):
     out = benchmark(sample_sort, data, 16)
-    assert np.all(out[:-1] <= out[1:])
-
-
-def test_bench_introsort(benchmark, data):
-    small = data[:50_000]
-    out = benchmark(introsort, small)
     assert np.all(out[:-1] <= out[1:])
 
 
@@ -98,10 +97,6 @@ def test_bench_multiway_merge_8_runs(benchmark, data):
     runs8 = [np.sort(part) for part in np.array_split(data, 8)]
     out = benchmark(multiway_merge, runs8)
     assert np.all(out[:-1] <= out[1:])
-
-
-def key_sorted(x):
-    return ordered_uint64_to_float64(np.sort(float64_to_ordered_uint64(x)))
 
 
 def key_sorted_bits(runs):

@@ -61,8 +61,6 @@ class SortConfig:
     staging:
         Data path of the *blocking* approaches (pinned staging is the
         Sec. IV-E reproduction; pageable is the plain cudaMemcpy path).
-    sort_library:
-        CPU library used for the reference comparisons.
     """
 
     approach: str = Approach.PIPEMERGE
@@ -73,7 +71,6 @@ class SortConfig:
     pipeline_merge_threads: int | None = None
     merge_threads: int | None = None
     staging: str = Staging.PINNED
-    sort_library: str = "gnu"
 
     def __post_init__(self) -> None:
         if self.approach not in Approach.ALL:

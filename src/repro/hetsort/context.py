@@ -79,7 +79,6 @@ class SortedRun:
 
     size: int                      #: elements
     slices: tuple[tuple[int, int], ...] = ()   #: W slots, address order
-    from_pair: bool = False        #: True for pair-merge outputs
     #: Trace span id of the operation that completed this run (the last
     #: staging copy / DtoH / pair merge).  Consumers of the run record it
     #: as a causal dependency -- the buffer-handoff edge of the span DAG.
@@ -95,8 +94,7 @@ class SortedRun:
                 slices[-1] = (slices[-1][0], slices[-1][1] + size)
             else:
                 slices.append((off, size))
-        return cls(size=first.size + second.size, slices=tuple(slices),
-                   from_pair=True)
+        return cls(size=first.size + second.size, slices=tuple(slices))
 
     def pieces(self, ctx: "RunContext") -> list[np.ndarray]:
         """Functional views of the run's W slices, in run order (empty in

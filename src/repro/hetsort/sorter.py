@@ -194,7 +194,6 @@ def _metrics_builder(trace, elapsed: float, recorder,
 def cpu_reference_sort(platform: PlatformSpec = PLATFORM1,
                        data: np.ndarray | None = None,
                        n: int | None = None,
-                       library: str = "gnu",
                        threads: int | None = None) -> SortResult:
     """The parallel CPU reference implementation (Sec. IV-C): the GNU
     parallel-mode sort at the platform's reference thread count.
@@ -217,15 +216,14 @@ def cpu_reference_sort(platform: PlatformSpec = PLATFORM1,
                 np.asarray(data, dtype=np.float64), threads=threads)
 
     def runner():
-        yield from machine.cpu_sort(n_elems, library=library,
-                                    threads=threads,
-                                    label=f"{library}::sort", work=work)
+        yield from machine.cpu_sort(n_elems, threads=threads,
+                                    label="gnu::sort", work=work)
 
     session.run(runner(), "cpu_reference", recorder=recorder)
     return SortResult(
         platform_name=platform.name,
-        approach=f"cpu:{library}",
-        config=SortConfig(sort_library=library),
+        approach="cpu:gnu",
+        config=SortConfig(),
         plan=None,
         elapsed=env.now,
         trace=machine.trace,

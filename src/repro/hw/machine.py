@@ -204,17 +204,17 @@ class Machine:
             work()
         return span
 
-    def cpu_sort(self, n: int, library: str = "gnu",
-                 threads: int | None = None, label: str = "cpu_sort",
-                 lane: str = "cpu",
+    def cpu_sort(self, n: int, threads: int | None = None,
+                 label: str = "cpu_sort", lane: str = "cpu",
                  work: _t.Callable[[], None] | None = None,
                  deps: _t.Sequence = ()):
-        """Process: a CPU-only library sort (the reference implementation).
+        """Process: a CPU-only sort with the GNU parallel-mode library
+        (the reference implementation).
 
         Time-based (Amdahl + spawn overhead, Fig. 4 model); holds the
         requested cores for its duration.  Returns the recorded span's id.
         """
-        model = self.platform.sort_model(library)
+        model = self.platform.sort_model("gnu")
         threads = self.platform.reference_threads if threads is None \
             else threads
         threads = min(threads, self.platform.cpu.cores, model.max_threads)
@@ -225,7 +225,7 @@ class Machine:
         yield self.env.timeout(model.seconds(n, threads))
         span = self.trace.record(
             CAT.CPUSORT, label, start, self.env._now, lane=lane, elements=n,
-            meta={"library": library, "threads": threads},
+            meta={"library": "gnu", "threads": threads},
             deps=(*deps, self.cores.last_release_span if waited else None))
         self.cores.release(threads, span=span)
         if work is not None:
@@ -284,17 +284,6 @@ class Machine:
                 "allocated")
         self.pinned_bytes -= nbytes
         self._gauge("host.pinned_bytes", self.pinned_bytes)
-
-    def sync_overhead(self, label: str = "streamSync", lane: str = "host",
-                      deps: _t.Sequence = ()):
-        """Process: per-call synchronisation cost of an async copy
-        (one of the overheads the related work omits, Sec. IV-E).
-        Returns the recorded span's id."""
-        cost = self.platform.runtime.stream_sync_s
-        start = self.env._now
-        yield self.env.timeout(cost)
-        return self.trace.record(CAT.SYNC, label, start, self.env._now,
-                                 lane=lane, deps=deps)
 
     # ------------------------------------------------------------------
     # Fault injection / retries

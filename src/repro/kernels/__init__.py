@@ -3,13 +3,12 @@
 These are the algorithms the paper's system calls into libraries for,
 implemented from scratch on numpy primitives:
 
-* :mod:`repro.kernels.radix` -- device sort (Thrust/CUB stand-in), LSD radix;
+* :mod:`repro.kernels.radix` -- device sort (Thrust/CUB stand-in);
 * :mod:`repro.kernels.mergepath` -- pair-wise merge of two runs;
 * :mod:`repro.kernels.multiway` -- k-way merge (GNU ``multiway_merge``
   stand-in);
 * :mod:`repro.kernels.samplesort` -- parallel sample sort (GNU parallel
-  mode sort stand-in);
-* :mod:`repro.kernels.quicksort` -- introsort (``std::sort`` stand-in).
+  mode sort stand-in).
 
 Both merges split their runs into independent value blocks, as
 multi-sequence selection does, but sort the blocks one after another;
@@ -18,19 +17,13 @@ the thread split is charged by the platform's merge cost model.
 
 from repro.kernels.mergepath import merge_two
 from repro.kernels.multiway import multiway_merge
-from repro.kernels.quicksort import introsort
-from repro.kernels.radix import (lsd_radix_sort_u64, sort_floats,
-                                 sort_floats_inplace)
+from repro.kernels.radix import sort_floats, sort_floats_inplace
 from repro.kernels.samplesort import sample_sort
-from repro.kernels.utils import (first_unsorted_index,
-                                 float64_to_ordered_uint64, has_nan,
-                                 is_sorted, ordered_uint64_to_float64,
+from repro.kernels.utils import (first_unsorted_index, has_nan, is_sorted,
                                  same_multiset)
 
 __all__ = [
-    "sort_floats", "sort_floats_inplace", "lsd_radix_sort_u64",
-    "merge_two", "multiway_merge",
-    "sample_sort", "introsort",
-    "float64_to_ordered_uint64", "ordered_uint64_to_float64",
+    "sort_floats", "sort_floats_inplace",
+    "merge_two", "multiway_merge", "sample_sort",
     "is_sorted", "same_multiset", "has_nan", "first_unsorted_index",
 ]

@@ -31,14 +31,14 @@ __all__ = ["sample_splitters", "partition_by_splitters", "sample_sort"]
 OVERSAMPLE = 32
 
 
-def sample_splitters(a: np.ndarray, parts: int,
-                     seed: int = 0x5EED) -> np.ndarray:
-    """``parts - 1`` splitters from a sorted oversample of ``a``."""
+def sample_splitters(a: np.ndarray, parts: int) -> np.ndarray:
+    """``parts - 1`` splitters from a sorted oversample of ``a``, drawn
+    with a fixed seed so the buckets are the same on every run."""
     if parts < 1:
         raise ValidationError(f"parts must be >= 1, got {parts}")
     if parts == 1 or len(a) == 0:
         return a[:0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0x5EED)
     m = min(len(a), OVERSAMPLE * parts)
     sample = np.sort(rng.choice(a, size=m, replace=True))
     idx = (np.arange(1, parts) * m) // parts
@@ -59,15 +59,14 @@ def partition_by_splitters(a: np.ndarray, splitters: np.ndarray
 
 
 @profiled("samplesort.sample_sort", size_of=lambda a, *_, **__: len(a))
-def sample_sort(a: np.ndarray, threads: int = 1,
-                seed: int = 0x5EED) -> np.ndarray:
+def sample_sort(a: np.ndarray, threads: int = 1) -> np.ndarray:
     """Sorted copy of ``a`` via sample sort with ``threads`` buckets."""
     a = np.asarray(a)
     if a.ndim != 1:
         raise ValidationError("sample_sort expects a 1-D array")
     check_no_nan(a)
     splitters = (a[:0] if len(a) < 2 or threads <= 1
-                 else sample_splitters(a, threads, seed=seed))
+                 else sample_splitters(a, threads))
     buckets = partition_by_splitters(a, splitters)
     for b in buckets:
         sort_in_key_order(b)

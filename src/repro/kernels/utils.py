@@ -1,15 +1,12 @@
 """Shared helpers for the functional sorting kernels.
 
-The key transform maps IEEE-754 doubles to unsigned 64-bit integers whose
-unsigned order equals the floats' numeric order -- the standard trick that
-lets a radix sort (Thrust's algorithm for primitive keys) handle floating
-point: flip all bits of negatives, flip only the sign bit of positives.
-
-NaNs are rejected up front (they have no place in a total order; Thrust's
-behaviour on NaN keys is unspecified too).  ``-0.0`` and ``+0.0`` compare
-equal as floats but map to distinct keys (``-0.0`` before ``+0.0``): for
-non-NaN values the key order is IEEE 754 ``totalOrder``, the one order
-every kernel's output follows.  The kernels reach it without the maps,
+Every kernel's output follows one order: by value, NaN rejected up
+front (it has no place in a total order; Thrust's behaviour on NaN keys
+is unspecified too), and every ``-0.0`` before every ``+0.0``.  That is
+IEEE 754 ``totalOrder`` for non-NaN values, the order a radix sort
+gives when it sorts the floats' order-preserving ``uint64`` keys (the
+key maps and that radix sort are the tests' reference, in
+``tests/kernels/oracles.py``).  The kernels reach it without the keys,
 through :func:`sort_in_key_order` and, for sorted runs,
 :func:`merge_in_key_order`.  Hazard: numpy's SIMD float sort
 (numpy 2.4, AVX-512) may change the signs of zeros when both are
@@ -25,13 +22,10 @@ import numpy as np
 from repro.errors import ValidationError
 
 __all__ = [
-    "float64_to_ordered_uint64", "ordered_uint64_to_float64",
     "sort_in_key_order", "merge_in_key_order", "check_no_nan", "has_nan",
     "is_sorted", "first_unsorted_index", "check_sorted_run",
     "same_multiset",
 ]
-
-_SIGN = np.uint64(0x8000000000000000)
 
 
 def has_nan(a: np.ndarray) -> bool:
@@ -44,34 +38,6 @@ def check_no_nan(a: np.ndarray) -> None:
     if has_nan(a):
         raise ValidationError("input contains NaN; keys must be totally "
                               "ordered")
-
-
-def float64_to_ordered_uint64(a: np.ndarray) -> np.ndarray:
-    """Order-preserving bijection from float64 to uint64.
-
-    >>> import numpy as np
-    >>> x = np.array([3.5, -1.0, 0.0, -0.0, np.inf, -np.inf])
-    >>> k = float64_to_ordered_uint64(x)
-    >>> (np.argsort(k, kind="stable") == np.argsort(x, kind="stable")).all()
-    np.True_
-    """
-    if a.dtype != np.float64:
-        raise ValidationError(f"expected float64, got {a.dtype}")
-    check_no_nan(a)
-    # The arithmetic shift spreads the sign bit: all ones for negatives.
-    mask = (a.view(np.int64) >> 63).view(np.uint64)
-    mask |= _SIGN
-    return np.bitwise_xor(mask, a.view(np.uint64), out=mask)
-
-
-def ordered_uint64_to_float64(k: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`float64_to_ordered_uint64`."""
-    if k.dtype != np.uint64:
-        raise ValidationError(f"expected uint64, got {k.dtype}")
-    mask = (k.view(np.int64) >> 63).view(np.uint64)
-    np.invert(mask, out=mask)
-    mask |= _SIGN
-    return np.bitwise_xor(mask, k, out=mask).view(np.float64)
 
 
 def sort_in_key_order(a: np.ndarray) -> None:

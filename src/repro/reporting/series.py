@@ -38,15 +38,6 @@ class FigureSeries:
         except ValueError:
             raise KeyError(f"{self.name}: no point at x={x}") from None
 
-    def ratio_to(self, other: "FigureSeries") -> "FigureSeries":
-        """Pointwise other/self ratio (i.e. speedup of self vs other)."""
-        if self.x != other.x:
-            raise ValueError("series have different x grids")
-        out = FigureSeries(f"{other.name}/{self.name}")
-        for x, a, b in zip(self.x, self.y, other.y):
-            out.add(x, b / a)
-        return out
-
     def rows(self) -> list[tuple[float, float]]:
         return list(zip(self.x, self.y))
 

@@ -62,8 +62,22 @@ def test_pair_scheduler_respects_quota():
     sched = ctx.env.process(pair_merge_scheduler(ctx))
     merged = ctx.env.run(sched)
     assert len(merged) == 4
-    assert all(m.from_pair for m in merged)
     assert all(m.size == 20_000 for m in merged)
+    # Each merged run's W slices tile exactly its two inputs' slots: in
+    # address order, coalesced, and covering nothing else.
+    inputs = []
+    for m in merged:
+        assert all(o1 + n1 < o2 for (o1, n1), (o2, _)
+                   in zip(m.slices, m.slices[1:]))
+        covered = np.zeros(ctx.plan.n, dtype=bool)
+        for off, size in m.slices:
+            covered[off:off + size] = True
+        pair = [b for b in ctx.plan.batches
+                if covered[b.offset:b.offset + b.size].all()]
+        assert len(pair) == 2
+        assert covered.sum() == m.size == sum(b.size for b in pair)
+        inputs += [b.index for b in pair]
+    assert len(set(inputs)) == 8
     ctx.env.run()   # let the feeder deliver the remaining batches
     # 10 - 8 consumed = 2 originals left in the store.
     assert len(ctx.sorted_runs) == 2
@@ -120,8 +134,7 @@ def test_final_multiway_merges_runs_and_pairs(rng):
         seg[:] = np.sort(data[b.offset:b.offset + b.size])
         ctx.finish_run(b)
     ctx.W.data[20_000:] = np.sort(data[20_000:])
-    pair = SortedRun(size=20_000, slices=((20_000, 20_000),),
-                     from_pair=True)
+    pair = SortedRun(size=20_000, slices=((20_000, 20_000),))
 
     def go():
         yield from final_multiway(ctx, extra_runs=[pair])

@@ -170,10 +170,11 @@ def test_merge_holds_cores(env):
 def test_cpu_sort_duration(env):
     m = Machine(env, PLATFORM1)
     n = int(1e8)
-    run(env, m.cpu_sort(n, library="gnu", threads=16))
+    run(env, m.cpu_sort(n, threads=16))
     assert env.now == pytest.approx(
         PLATFORM1.sort_model("gnu").seconds(n, 16), rel=0.01)
-    assert m.trace.count(CAT.CPUSORT) == 1
+    [span] = m.trace.filter(category=CAT.CPUSORT)
+    assert dict(span.meta) == {"library": "gnu", "threads": 16}
 
 
 def test_pinned_alloc_cost_and_accounting(env):
@@ -195,13 +196,6 @@ def test_pinned_free_validation(env):
     m = Machine(env, PLATFORM1)
     with pytest.raises(SimulationError):
         m.pinned_free(1)
-
-
-def test_sync_overhead_recorded(env):
-    m = Machine(env, PLATFORM1)
-    run(env, m.sync_overhead())
-    assert env.now == pytest.approx(PLATFORM1.runtime.stream_sync_s)
-    assert m.trace.count(CAT.SYNC) == 1
 
 
 def test_invalid_direction_rejected(env):

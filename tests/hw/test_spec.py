@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CalibrationError
+from repro.hw.platforms import PLATFORM1
 from repro.hw.spec import (GIB, CPUSpec, GPUSpec, HostMemSpec,
                            MergeCostModel, PCIeSpec, PlatformSpec,
                            RuntimeCosts, SortCostModel)
@@ -90,6 +91,26 @@ def test_platform_spec_validation():
 
 
 def test_platform_unknown_sort_library():
-    from repro.hw.platforms import PLATFORM1
     with pytest.raises(CalibrationError, match="unknown CPU sort"):
         PLATFORM1.sort_model("nope")
+
+
+@pytest.mark.parametrize("name", ["std", "qsort"])
+def test_sequential_sort_models_ignore_threads(name):
+    model = PLATFORM1.sort_model(name)
+    n = 10 ** 7
+    assert model.seconds(n, 16) == model.seconds(n, 1)
+
+
+def test_qsort_model_twice_std():
+    """Fig. 4: comparator callbacks make ``qsort`` ~2x ``std::sort``."""
+    qsort, std = (PLATFORM1.sort_model(name).seconds(10 ** 8)
+                  for name in ("qsort", "std"))
+    assert qsort / std == pytest.approx(2.0, rel=0.01)
+
+
+def test_merge_cost_models():
+    n = 10 ** 9
+    t2 = PLATFORM1.merge.seconds(n, threads=16, k=2)
+    t8 = PLATFORM1.merge.seconds(n, threads=16, k=8)
+    assert t8 > t2  # k-way costs more per element

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import (introsort, merge_two, multiway_merge,
-                           sample_sort, sort_floats)
+from repro.kernels import merge_two, multiway_merge, sample_sort, sort_floats
 from repro.workloads import DISTRIBUTIONS, generate
 from tests.kernels.oracles import losertree_merge
 
 SORTERS = {
     "radix": sort_floats,
-    "introsort": introsort,
     "samplesort": lambda a: sample_sort(a, threads=8),
     "numpy": np.sort,
 }
@@ -52,9 +50,8 @@ def test_pairwise_merge_tree_equals_multiway(rng):
 
 @given(seed=st.integers(0, 50), n=st.integers(0, 500))
 @settings(max_examples=25, deadline=None)
-def test_property_radix_vs_introsort_vs_samplesort(seed, n):
+def test_property_radix_vs_samplesort(seed, n):
     a = generate(n, "gaussian", seed=seed)
     expected = np.sort(a)
     assert np.array_equal(sort_floats(a), expected)
-    assert np.array_equal(introsort(a), expected)
     assert np.array_equal(sample_sort(a, threads=4), expected)

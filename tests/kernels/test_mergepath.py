@@ -94,3 +94,10 @@ def test_merge_two_disjoint_ranges():
 @settings(max_examples=100, deadline=None)
 def test_property_merge_two_matches_reference(a, b):
     assert np.array_equal(merge_two(a, b), ref_merge(a, b))
+
+
+def test_pairwise_merge_functional(rng):
+    a = np.sort(rng.normal(size=400))
+    b = np.sort(rng.normal(size=300))
+    m = merge_two(a, b)
+    assert np.array_equal(m, np.sort(np.concatenate([a, b])))

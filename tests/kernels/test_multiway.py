@@ -129,3 +129,9 @@ def test_property_multiway_equals_sorted_concat(runs):
 @settings(max_examples=40, deadline=None)
 def test_property_losertree_equals_sorted_concat(runs):
     assert np.array_equal(losertree_merge(runs), ref(runs))
+
+
+def test_multiway_merge_functional(rng):
+    runs = [np.sort(rng.normal(size=100)) for _ in range(5)]
+    m = multiway_merge(runs)
+    assert np.array_equal(m, np.sort(np.concatenate(runs)))

@@ -1,5 +1,5 @@
-"""Tests for the device sort kernel and the LSD radix sort it stands in
-for (the Thrust stand-in)."""
+"""Tests for the device sort kernel (the Thrust stand-in) and the LSD
+radix sort reference it stands in for (``tests.kernels.oracles``)."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import repro.kernels.radix as radix_mod
+import tests.kernels.oracles as oracles
 from repro.errors import ValidationError
-from repro.kernels.radix import (counting_sort_pass, lsd_radix_sort_u64,
-                                 sort_floats, sort_floats_inplace)
-from repro.kernels.utils import (float64_to_ordered_uint64, is_sorted,
-                                 ordered_uint64_to_float64, same_multiset)
-from tests.kernels.oracles import counting_sort_pass_reference
+from repro.kernels.radix import sort_floats, sort_floats_inplace
+from repro.kernels.utils import is_sorted, same_multiset
+from tests.kernels.oracles import (counting_sort_pass,
+                                   counting_sort_pass_reference,
+                                   float64_to_ordered_uint64,
+                                   lsd_radix_sort_u64,
+                                   ordered_uint64_to_float64)
 
 finite_f64 = st.floats(allow_nan=False, allow_infinity=True, width=64)
 
@@ -162,13 +164,13 @@ def test_bad_radix_bits_rejected(radix_bits):
 
 def test_default_width_sorts_in_at_most_four_passes(rng, monkeypatch):
     calls = []
-    real = radix_mod.counting_sort_pass
+    real = oracles.counting_sort_pass
 
     def counting(*args):
         calls.append(args[2:])
         return real(*args)
 
-    monkeypatch.setattr(radix_mod, "counting_sort_pass", counting)
+    monkeypatch.setattr(oracles, "counting_sort_pass", counting)
     keys = rng.integers(0, 2 ** 64, size=5000, dtype=np.uint64)
     assert np.array_equal(lsd_radix_sort_u64(keys), np.sort(keys))
     assert len(calls) <= 4

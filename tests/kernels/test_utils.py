@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import ValidationError
-from repro.kernels.utils import (check_no_nan, float64_to_ordered_uint64,
-                                 is_sorted, ordered_uint64_to_float64,
-                                 same_multiset, sort_in_key_order)
+from repro.kernels.utils import (check_no_nan, is_sorted, same_multiset,
+                                 sort_in_key_order)
+from tests.kernels.oracles import (float64_to_ordered_uint64,
+                                   ordered_uint64_to_float64)
 from tests.kernels.test_radix import bitwise_reference, special_mix
 
 finite_f64 = st.floats(allow_nan=False, allow_infinity=True, width=64)

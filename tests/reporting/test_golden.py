@@ -59,16 +59,13 @@ def test_figure_series_empty_and_single_point():
     assert single.at(1.0) == 2.0
 
 
-def test_speedup_and_crossover():
+def test_crossover_grid_tie():
     base = FigureSeries("cpu")
     cand = FigureSeries("gpu")
     for x, yb, yc in [(1.0, 2.0, 4.0), (2.0, 4.0, 4.0),
                       (3.0, 8.0, 4.0)]:
         base.add(x, yb)
         cand.add(x, yc)
-    sp = cand.ratio_to(base)
-    assert sp.name == "cpu/gpu"
-    assert sp.y == [0.5, 1.0, 2.0]
     assert crossover(base, cand) == 2.0      # exact grid-point tie
     flat = FigureSeries("f")
     flat.add(1.0, 0.0)

@@ -57,25 +57,6 @@ def test_series_x_monotonic():
         s.add(1.0, 1.0)
 
 
-def test_speedup_series():
-    ref = FigureSeries("ref")
-    fast = FigureSeries("fast")
-    for x, r, f in [(1, 10.0, 5.0), (2, 20.0, 5.0)]:
-        ref.add(x, r)
-        fast.add(x, f)
-    sp = fast.ratio_to(ref)
-    assert sp.y == [2.0, 4.0]
-
-
-def test_speedup_requires_same_grid():
-    a = FigureSeries("a")
-    b = FigureSeries("b")
-    a.add(1, 1.0)
-    b.add(2, 1.0)
-    with pytest.raises(ValueError):
-        b.ratio_to(a)
-
-
 def test_crossover_found():
     a = FigureSeries("a")
     b = FigureSeries("b")

@@ -1,6 +1,9 @@
 """Tests of the package's public surface: everything README documents
 must import from `repro` and behave as advertised."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,20 @@ def test_version():
 def test_all_exports_resolve():
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
+
+
+def test_every_module_all_resolves():
+    """Every name in every ``repro.*`` module's ``__all__`` exists: a name
+    moved out of a module must leave its export list too."""
+    stale = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":     # importing it runs the CLI
+            continue
+        module = importlib.import_module(info.name)
+        stale += [f"{info.name}.{name}"
+                  for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    assert stale == []
 
 
 def test_readme_quickstart_works():
@@ -60,7 +77,6 @@ def test_approach_and_staging_enums():
 
 
 def test_subpackage_imports():
-    import repro.cpu
     import repro.cuda
     import repro.hetsort
     import repro.hw
