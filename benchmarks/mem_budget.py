@@ -11,17 +11,20 @@ series -- grows with n, so the growth between the two sizes is what the
 recorders cost per key.  It must stay within ``BUDGET_MB_PER_1E9``
 megabytes per 10^9 keys.
 
-Functional: per approach (PIPEMERGE, then GPUMERGE), one fresh
-process, one sorter, six functional sorts of the same 2e6 keys
+Functional: per approach (PIPEDATA, PIPEMERGE, then GPUMERGE), one
+fresh process, one sorter, six functional sorts of the same 2e6 keys
 (b_s = 2.5e5, p_s = 5e4, the functional benchmark's configuration),
 each result dropped before the next sort.  The sorter keeps the host
-arrays of its last run (W, one merge scratch, the staging and device
-arrays; their size is printed as the workspace) and the next run reuses
-them, each in the role it had, so the peak after the last sort must
-stay within ``FUNCTIONAL_BUDGET_MB`` of the peak after the first.
+arrays of its last run and the next run reuses them, each in the role
+it had, so the peak after the last sort must stay within
+``FUNCTIONAL_BUDGET_MB`` of the peak after the first.  What it keeps
+(printed as the workspace) must be exactly W and, per stream worker,
+two staging arrays of p_s and one device array of 2 b_s float64s,
+computed from the run's plan: pair merges write through the front of
+B, so an array kept for merging alone fails the check.
 
-Exits 1 when either budget is exceeded (Linux, where ``ru_maxrss`` is in
-KiB).
+Exits 1 when a budget is exceeded or the workspace holds any other
+array (Linux, where ``ru_maxrss`` is in KiB).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ FUNCTIONAL_BATCH = 250_000
 FUNCTIONAL_PINNED = 50_000
 FUNCTIONAL_SORTS = 6
 FUNCTIONAL_BUDGET_MB = 2.0
-FUNCTIONAL_APPROACHES = ("pipemerge", "gpumerge")
+FUNCTIONAL_APPROACHES = ("pipedata", "pipemerge", "gpumerge")
 
 FUNCTIONAL_CHILD = f"""
 import resource, sys
@@ -60,9 +63,12 @@ data = generate({FUNCTIONAL_N}, "uniform", seed=1)
 sorter = HeterogeneousSorter(PLATFORM1, batch_size={FUNCTIONAL_BATCH},
                              pinned_elements={FUNCTIONAL_PINNED})
 for _ in range({FUNCTIONAL_SORTS}):
-    sorter.sort(data, approach=sys.argv[1])
+    plan = sorter.sort(data, approach=sys.argv[1]).plan
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 print(sum(a.nbytes for a in sorter.workspace.arrays()))
+# W, then two staging arrays and one device array per stream worker.
+print(8 * (plan.n + plan.n_gpus * plan.n_streams
+           * (2 * plan.pinned_elements + 2 * plan.batch_size)))
 """
 
 
@@ -95,7 +101,8 @@ def timing_ok() -> bool:
 
 
 def functional_ok(approach: str) -> bool:
-    *kib, held = map(int, child(FUNCTIONAL_CHILD, approach).split())
+    *kib, held, expected = map(int,
+                               child(FUNCTIONAL_CHILD, approach).split())
     peaks = [k / 1024 for k in kib]
     growth = peaks[-1] - peaks[0]
     ok = growth <= FUNCTIONAL_BUDGET_MB
@@ -105,7 +112,10 @@ def functional_ok(approach: str) -> bool:
     print(f"growth from sort 1 to sort {FUNCTIONAL_SORTS}: {growth:.2f} MB "
           f"(budget {FUNCTIONAL_BUDGET_MB}): "
           f"{'ok' if ok else 'OVER BUDGET'}")
-    return ok
+    exact = held == expected
+    print(f"workspace {held} B, W and the worker arrays {expected} B: "
+          f"{'ok' if exact else 'EXTRA ARRAYS'}")
+    return ok and exact
 
 
 def main() -> int:

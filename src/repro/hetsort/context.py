@@ -9,14 +9,15 @@ plan and the three host buffers of Sec. III-C:
 
 In functional mode they are backed by real numpy arrays and the identical
 approach code moves real data.  A pair merge writes its merged run back
-over its inputs' slots in ``W`` (:class:`SortedRun`), through one merge
-scratch per run, so a functional sort holds ``A``, ``W``, ``B``, that
-scratch and the staging and device arrays.  Every one of them except
-``A`` (the caller's input) and ``B`` (which becomes the caller's
-output) is drawn from a :class:`HostWorkspace`.  A sorter hands its
-runs the arrays of its last finished functional run, so a steady
-stream of sorts takes no fresh pages; a context built without one gets
-an empty workspace and allocates everything afresh.
+over its inputs' slots in ``W`` (:class:`SortedRun`), through the front
+of ``B``, which no approach writes before its last step, so a
+functional sort holds ``A``, ``W``, ``B`` and the staging and device
+arrays.  Every one of them except ``A`` (the caller's input) and ``B``
+(which becomes the caller's output) is drawn from a
+:class:`HostWorkspace`.  A sorter hands its runs the arrays of its last
+finished functional run, so a steady stream of sorts takes no fresh
+pages; a context built without one gets an empty workspace and
+allocates everything afresh.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cuda import PageableBuffer, Runtime
-from repro.hetsort.config import Approach, SortConfig
+from repro.hetsort.config import SortConfig
 from repro.hetsort.plan import Batch, SortPlan
 from repro.hw.machine import Machine
 from repro.obs.counters import MetricsRecorder
@@ -45,11 +46,8 @@ class HostWorkspace:
 
     Arrays of one length are handed out in the order they were given,
     so a run shaped like the one that drew them gets each array back in
-    the same role.  (PIPEMERGE's merge scratch has the device arrays'
-    length, GPUMERGE's has W's; swapping a device array with the
-    scratch would make the device array's untouched Thrust half
-    resident.  A run draws its scratch at its first merge, after W and
-    every worker's arrays, so the order holds run after run.)"""
+    the same role, even where roles share a length (``W`` and the
+    device arrays when n = 2 b_s; DESIGN.md §11)."""
 
     def __init__(self, arrays: _t.Iterable[np.ndarray] = ()) -> None:
         #: Per length, the held arrays with the next one to hand out last.
@@ -115,9 +113,9 @@ class RunContext:
     """Everything an approach needs while it executes.
 
     In functional mode it also owns the run's host arrays: ``W`` and
-    every staging, device and merge-scratch array come from
-    :meth:`host_array` (the workspace), and :attr:`host_arrays` lists
-    them in draw order, which is what the sorter keeps afterwards."""
+    every staging and device array come from :meth:`host_array` (the
+    workspace), and :attr:`host_arrays` lists them in draw order, which
+    is what the sorter keeps afterwards."""
 
     def __init__(self, env: Environment, machine: Machine, rt: Runtime,
                  plan: SortPlan, config: SortConfig,
@@ -134,7 +132,6 @@ class RunContext:
                           else HostWorkspace())
         #: Every array this run drew through :meth:`host_array`.
         self.host_arrays: list[np.ndarray] = []
-        self._merge_scratch: np.ndarray | None = None
 
         n = plan.n
         # Reserve the ~3n pageable working set (A + W + B, Sec. III-C) so
@@ -221,20 +218,6 @@ class RunContext:
         arr = self.workspace.take(n)
         self.host_arrays.append(arr)
         return arr
-
-    def merge_scratch(self, size: int) -> np.ndarray:
-        """The first ``size`` elements of the run's one merge scratch.
-
-        It is drawn at the run's first merge and is as long as the
-        largest pair merge the plan can make: two batches (``2 b_s``)
-        when only batches are pair-merged, all ``n`` keys for GPUMERGE,
-        whose merge tree merges merged runs again."""
-        if self._merge_scratch is None:
-            plan = self.plan
-            longest = (plan.n if self.config.approach == Approach.GPUMERGE
-                       else min(plan.n, 2 * plan.batch_size))
-            self._merge_scratch = self.host_array(longest)
-        return self._merge_scratch[:size]
 
     def finish_run(self, batch: Batch, producer=None) -> SortedRun:
         """Record a batch as sorted-and-landed-in-W.

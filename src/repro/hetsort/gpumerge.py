@@ -18,7 +18,7 @@ Modelling notes: chunk-level buffer bookkeeping is abstracted (transfers
 are issued per chunk against the device's copy engines and the shared
 links, but device buffers are modelled as a fixed-size working set);
 functionally each pair merge really merges the two runs, through the
-run's merge scratch and back over their W slots -- where the simulated
+front of B and back over their W slots -- where the simulated
 ``Stage->W(gpumerge)`` copies land the merged output.  The device
 merge kernel is device-memory-bound: GP100-class HBM makes it far faster
 than the interconnect, so GPU merging is transfer-bound by construction.

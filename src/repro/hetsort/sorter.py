@@ -79,8 +79,8 @@ class HeterogeneousSorter:
         self.n_gpus = n_gpus
         self.config = config if config is not None else SortConfig(**config_kw)
         #: The host arrays of the last finished functional run (W, the
-        #: merge scratch, the staging and device arrays), which the next
-        #: functional run draws from instead of allocating.
+        #: staging and device arrays), which the next functional run
+        #: draws from instead of allocating.
         self.workspace = HostWorkspace()
 
     def sort(self, data: np.ndarray | None = None, n: int | None = None,
@@ -138,8 +138,7 @@ class HeterogeneousSorter:
 
         output = ctx.B.data
         if validate and data is not None:
-            check_sorted_permutation(np.asarray(data, dtype=np.float64),
-                                     output, scratch=ctx.W.data)
+            check_sorted_permutation(ctx.A.data, output, scratch=ctx.W.data)
         if ctx.functional:
             # The finished run's arrays replace what the workspace held;
             # a run that raised never gets here and its arrays are dropped.

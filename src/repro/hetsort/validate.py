@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kernels.utils import first_unsorted_index, has_nan
+from repro.kernels.utils import _STRIP, first_unsorted_index, has_nan
 
 __all__ = ["check_sorted_permutation"]
 
@@ -44,7 +44,7 @@ def check_sorted_permutation(original: np.ndarray, output: np.ndarray,
     """
     if output is None:
         raise ValidationError("no output produced (timing-only run?)")
-    if output.dtype != original.dtype or not np.array_equal(
+    if output.dtype != original.dtype or not _equal(
             _sorted_copy(original, scratch), output):
         if has_nan(original):
             idx = int(np.isnan(original).argmax())
@@ -65,13 +65,22 @@ def check_sorted_permutation(original: np.ndarray, output: np.ndarray,
                 f"{output[bad]!r} followed by {output[bad + 1]!r}")
         raise ValidationError(
             "output is not a permutation of the input")
-    neg = int(np.count_nonzero(original.view(np.uint64) == _NEG_ZERO_BITS))
+    keys = original.view(np.uint64)
+    neg = sum(int(np.count_nonzero(keys[i:i + _STRIP] == _NEG_ZERO_BITS))
+              for i in range(0, len(keys), _STRIP))
     lo = int(np.searchsorted(output, 0, "left"))
     signs = np.signbit(output[lo:np.searchsorted(output, 0, "right")])
     if not (signs[:neg].all() and not signs[neg:].any()):
         raise ValidationError(
             f"zeros out of key order: the zero block at index {lo} must "
             f"hold {neg} -0.0 then {len(signs) - neg} +0.0")
+
+
+def _equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal(a, b)`` for 1-D arrays, compared strip by strip."""
+    return a.shape == b.shape and all(
+        np.array_equal(a[i:i + _STRIP], b[i:i + _STRIP])
+        for i in range(0, len(a), _STRIP))
 
 
 def _sorted_copy(original: np.ndarray,

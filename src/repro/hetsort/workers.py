@@ -232,9 +232,10 @@ def async_stream_batch(ctx: RunContext, batch: Batch,
 def merge_pair_in_w(ctx: RunContext, first: SortedRun, second: SortedRun,
                     out: SortedRun) -> None:
     """Functional work of one pair merge: merge ``first`` and ``second``
-    into the run's merge scratch, then copy the result back over their
-    W slots, which ``out`` (``SortedRun.pair(first, second)``) tiles."""
-    keys = ctx.merge_scratch(out.size)
+    into the front of B, then copy the result back over their W slots,
+    which ``out`` (``SortedRun.pair(first, second)``) tiles."""
+    # B is free: every approach writes it only after its last pair merge.
+    keys = ctx.B.data[:out.size]
     pieces = first.pieces(ctx) + second.pieces(ctx)
     if len(pieces) == 2:
         merge_two(*pieces, out=keys)

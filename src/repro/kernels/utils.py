@@ -99,6 +99,11 @@ def merge_in_key_order(runs: _t.Sequence[np.ndarray],
     return out
 
 
+#: Elements per strip of the whole-array checks (:func:`is_sorted`, the
+#: validator), so they allocate 64 KiB masks, not masks an array long.
+_STRIP = 1 << 16
+
+
 def is_sorted(a: np.ndarray) -> bool:
     """True if ``a`` is non-decreasing under a *total* order.
 
@@ -111,7 +116,10 @@ def is_sorted(a: np.ndarray) -> bool:
     """
     if len(a) < 2:
         return not has_nan(a)
-    return bool(np.all(a[:-1] <= a[1:]))
+    # Strips overlapping by one element: every adjacent pair is compared.
+    last = len(a) - 1
+    return all(np.all(a[i:min(i + _STRIP, last)] <= a[i + 1:i + 1 + _STRIP])
+               for i in range(0, last, _STRIP))
 
 
 def first_unsorted_index(a: np.ndarray) -> int | None:

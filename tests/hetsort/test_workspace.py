@@ -1,12 +1,13 @@
 """A sorter's host workspace.
 
 A :class:`HeterogeneousSorter` keeps the host arrays of its last
-finished functional run (W, the merge scratch, the staging and device
-arrays) and the next functional run draws from them instead of
-allocating.  Pair merges write their merged runs back over their
-inputs' W slots, so a run holds no other host array.  Reuse must move
-no output bit and no simulated second, and the output B stays the
-caller's own: fresh every run, never a workspace array.
+finished functional run (W, the staging and device arrays) and the next
+functional run draws from them instead of allocating.  Pair merges
+write their merged runs into the front of B, which is not written
+before the last pair merge, and back over their inputs' W slots, so a
+run holds no other host array.  Reuse must move no output bit and no
+simulated second, and the output B stays the caller's own: fresh every
+run, never a workspace array.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.errors import ValidationError
 from repro.hetsort.context import HostWorkspace, SortedRun
 from repro.hetsort.validate import check_sorted_permutation
 from repro.hetsort.workers import merge_pair_in_w
+from repro.kernels.utils import _STRIP as STRIP
 from repro.sim.faults import FaultPlan
 from tests.hetsort.test_workers import make_ctx
 from tests.kernels.oracles import key_sorted
@@ -110,8 +112,8 @@ def test_same_shape_reuses_every_array_and_another_n_replaces_them():
     assert sorter.workspace.arrays() == []
     sorter.sort(uniform(N, 1), approach="pipemerge")
     first = sorter.workspace.arrays()
-    # W, four staging arrays, two device arrays and one merge scratch.
-    assert sorted(map(len, first)) == [PINNED] * 4 + [N // 2] * 3 + [N]
+    # W, four staging arrays and two device arrays.
+    assert sorted(map(len, first)) == [PINNED] * 4 + [N // 2] * 2 + [N]
     sorter.sort(uniform(N, 2), approach="pipemerge")
     second = sorter.workspace.arrays()
     # Each array comes back in the role it had (same draw position).
@@ -121,34 +123,82 @@ def test_same_shape_reuses_every_array_and_another_n_replaces_them():
 
 
 # ---------------------------------------------------------------------------
-# What a sorter keeps: W, one merge scratch, the staging and device arrays
+# What a sorter keeps: W, the staging and device arrays
 # ---------------------------------------------------------------------------
 
 BIG_N, BIG_BS, BIG_PINNED = 2_000_000, 250_000, 50_000
 
 
-@pytest.mark.parametrize("approach, scratch", [
-    ("pipemerge", 2 * BIG_BS), ("gpumerge", BIG_N)])
-def test_a_sorter_keeps_w_one_scratch_and_the_worker_arrays(approach,
-                                                            scratch):
+@pytest.mark.parametrize("approach", ["pipedata", "pipemerge", "gpumerge"])
+def test_a_sorter_keeps_w_and_the_worker_arrays(approach):
     sorter = HeterogeneousSorter(PLATFORM1, batch_size=BIG_BS,
                                  pinned_elements=BIG_PINNED)
     sorter.sort(uniform(BIG_N, 1), approach=approach)
     first = sorter.workspace.arrays()
-    # W, two staging and one device array per stream (two streams),
-    # and the merge scratch: as long as the largest pair merge.
+    # W, then two staging and one device array per stream (two
+    # streams); no merge array of any length, W's included.
     assert sorted(map(len, first)) == sorted(
-        [BIG_N, scratch] + [BIG_PINNED] * 4 + [2 * BIG_BS] * 2)
-    mib = sum(a.nbytes for a in first) / 2**20
-    if approach == "pipemerge":
-        assert round(mib, 1) == 28.2
-    assert mib <= 40.0
+        [BIG_N] + [BIG_PINNED] * 4 + [2 * BIG_BS] * 2)
+    assert round(sum(a.nbytes for a in first) / 2**20, 1) == 24.4
     sorter.sort(uniform(BIG_N, 2), approach=approach)
-    # The scratch is drawn after W and the worker arrays every run, so it
-    # never swaps roles with the arrays of its length (the device arrays
-    # for PIPEMERGE, W for GPUMERGE).
     assert [id(a) for a in sorter.workspace.arrays()] == \
         [id(a) for a in first]
+
+
+#: (approach, sorter keywords, fault-plan seed); the faulted GPUMERGE
+#: run pair-merges a run left in two W slots, through ``multiway_merge``.
+WRITE_THROUGH = [
+    ("pipemerge", dict(batch_size=BS, pinned_elements=PINNED), None),
+    ("gpumerge", dict(batch_size=BS, pinned_elements=PINNED), None),
+    ("gpumerge", dict(n_gpus=2, n_streams=3, batch_size=100_000,
+                      pinned_elements=20_000), 2),
+]
+
+
+@pytest.mark.parametrize("approach, kw, seed", WRITE_THROUGH,
+                         ids=["pipemerge", "gpumerge", "gpumerge-faulted"])
+def test_pair_merges_write_through_the_output(monkeypatch, approach, kw,
+                                              seed):
+    """Every pair merge writes its keys into the front of B, the array
+    that becomes ``result.output``, and into no workspace array."""
+    import repro.hetsort.gpumerge as gpumerge
+    import repro.hetsort.workers as workers
+
+    merging: list[bool] = []
+    outs: dict[str, list[np.ndarray]] = {"merge_two": [],
+                                         "multiway_merge": []}
+
+    def pair_spy(*args, merge=workers.merge_pair_in_w):
+        merging.append(True)
+        try:
+            merge(*args)
+        finally:
+            merging.pop()
+
+    for module in (workers, gpumerge):
+        monkeypatch.setattr(module, "merge_pair_in_w", pair_spy)
+    for name in outs:
+        def kernel_spy(*args, name=name, kernel=getattr(workers, name),
+                       **kwargs):
+            if merging:
+                outs[name].append(kwargs["out"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(workers, name, kernel_spy)
+    n_gpus = kw.get("n_gpus", 1)
+    data = laced(N if seed is None else 1_000_000, 14)
+    sorter = HeterogeneousSorter(PLATFORM2 if n_gpus > 1 else PLATFORM1,
+                                 **kw)
+    res = sorter.sort(data, approach=approach, faults=(
+        None if seed is None else FaultPlan.random(seed, n_gpus=n_gpus)))
+    np.testing.assert_array_equal(bits(res.output), bits(key_sorted(data)))
+    assert outs["merge_two"]
+    if seed is not None:
+        assert outs["multiway_merge"]
+    for out in outs["merge_two"] + outs["multiway_merge"]:
+        assert np.shares_memory(out, res.output)
+        assert not any(np.shares_memory(out, arr)
+                       for arr in sorter.workspace.arrays())
 
 
 def test_timing_runs_keep_the_workspace():
@@ -355,3 +405,71 @@ def test_scratch_of_another_shape_is_refused():
     with pytest.raises(ValueError, match="scratch"):
         check_sorted_permutation(np.ones(3), np.ones(3),
                                  scratch=np.empty(4))
+
+
+@pytest.mark.parametrize("data", [
+    uniform(N, 15).astype(np.float32),
+    laced(2 * N, 16)[::2],
+], ids=["float32", "strided"])
+def test_validator_reads_the_runs_own_input(monkeypatch, data):
+    """The sorter validates against ``ctx.A.data``, the float64 copy the
+    run already made, not a second conversion of the caller's input."""
+    import repro.hetsort.sorter as sorter_mod
+
+    contexts, originals = [], []
+
+    class Spied(sorter_mod.RunContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    def spy(original, *args, **kwargs):
+        originals.append(original)
+        return check_sorted_permutation(original, *args, **kwargs)
+
+    monkeypatch.setattr(sorter_mod, "RunContext", Spied)
+    monkeypatch.setattr(sorter_mod, "check_sorted_permutation", spy)
+    res = HeterogeneousSorter(PLATFORM1, pinned_elements=PINNED).sort(
+        data, approach="pipemerge", batch_size=BS)
+    (ctx,), (original,) = contexts, originals
+    assert original is ctx.A.data
+    np.testing.assert_array_equal(bits(res.output),
+                                  bits(key_sorted(data.astype(np.float64))))
+
+
+# ---------------------------------------------------------------------------
+# The validator compares in strips: every message as from whole arrays
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1])
+def test_strips_change_no_message(n):
+    # Distinct integers, so bumping one sorted element by 0.5 keeps the
+    # output sorted but makes it no permutation.
+    original = np.random.default_rng(n).permutation(n).astype(np.float64)
+    out = np.sort(original)
+    assert message(original, out) is None
+    for i in sorted({0, STRIP - 1, STRIP, n - 1} & set(range(n))):
+        bumped = out.copy()
+        bumped[i] += 0.5
+        assert message(original, bumped) == \
+            "output is not a permutation of the input"
+        assert message(original, _with_nan(out, i)) == (
+            f"output contains NaN (first at index {i}, 1 total) although "
+            "the input had none")
+        if i + 1 < n:
+            swapped = out.copy()
+            swapped[i:i + 2] = swapped[i:i + 2][::-1].copy()
+            assert message(original, swapped) == (
+                f"output not sorted at index {i}: {out[i + 1]!r} followed "
+                f"by {out[i]!r}")
+    # Six zeros at c - 2 .. c + 3, every other one -0.0, straddling the
+    # strip boundary with -0.0 on both sides (the array's end when there
+    # is one strip).
+    c = min(STRIP, n - 4)
+    original = np.arange(n, dtype=np.float64) - c
+    original[c - 2:c + 4] = 0.0
+    original[c - 1:c + 4:2] = -0.0
+    assert message(original, key_sorted(original)) is None
+    assert message(original, _swap_zeros(original)) == (
+        f"zeros out of key order: the zero block at index {c - 2} must "
+        "hold 3 -0.0 then 3 +0.0")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import ValidationError
+from repro.kernels import utils
 from repro.kernels.utils import (check_no_nan, is_sorted, same_multiset,
                                  sort_in_key_order)
 from tests.kernels.oracles import (float64_to_ordered_uint64,
@@ -60,6 +61,29 @@ def test_is_sorted():
     assert not is_sorted(np.array([2.0, 1.0]))
     assert is_sorted(np.empty(0))
     assert is_sorted(np.array([5.0]))
+
+
+@pytest.mark.parametrize("n", [utils._STRIP - 1, utils._STRIP,
+                               utils._STRIP + 1, 2 * utils._STRIP + 1])
+def test_is_sorted_compares_across_strips(n):
+    """Every adjacent pair is compared, the pairs that straddle a strip
+    boundary too, and a NaN anywhere fails."""
+    strip = utils._STRIP
+    a = np.arange(n, dtype=np.float64)
+    assert is_sorted(a)
+    for i in sorted({0, strip - 1, strip, n - 1} & set(range(n))):
+        bad = a.copy()
+        bad[i] = np.nan
+        assert not is_sorted(bad)
+        if i + 1 < n:
+            bad = a.copy()
+            bad[i:i + 2] = bad[i:i + 2][::-1].copy()
+            assert not is_sorted(bad)
+    # The zero block straddling a strip boundary sorts either way.
+    zeros = a - min(strip, n - 4)
+    zeros[np.abs(zeros) <= 2] = 0.0
+    zeros[np.flatnonzero(zeros == 0)[::2]] = -0.0
+    assert is_sorted(zeros)
 
 
 def test_same_multiset():
